@@ -11,6 +11,7 @@ import click
 import numpy as np
 
 from . import diagnostics as diag
+from .evolution import FAILED_STOPS
 from .grid import make_grid, read_snapshot, write_snapshot
 from .ground_state import ground_profile, solve_ground_state, variational_identities
 from .scenario import (
@@ -76,7 +77,7 @@ def evolve_cmd(config_file):
     traj = run_trajectory(sc, prep, sc.noise_seed)
     write_trajectory_artifacts(sc, traj, outdir / "traj_000")
     click.echo(f"stop_reason={traj.stop_reason} steps={traj.n_steps} out={outdir}")
-    sys.exit(3 if traj.stop_reason == "nonfinite" else 0)
+    sys.exit(3 if traj.stop_reason in FAILED_STOPS else 0)
 
 
 def _read_csv(path: Path):
@@ -202,7 +203,11 @@ def scenario_ensemble(config_file):
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
-    summary, code = run_ensemble(sc)
+    try:
+        summary, code = run_ensemble(sc)
+    except ConfigError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(2)
     click.echo(json.dumps(summary, sort_keys=True))
     sys.exit(code)
 

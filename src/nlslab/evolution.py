@@ -18,6 +18,7 @@ distinct configs or seeds share no mutable state and may run in parallel.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -41,15 +42,40 @@ class EvolveError(RuntimeError):
     """Configuration or runtime failure of the integrator."""
 
 
+# stop reasons that mark a numerical failure of the run (exit code 3)
+FAILED_STOPS = ("nonfinite", "step_underflow")
+
+
 # ---------------------------------------------------------------------------
 # single steps
 
 
 _LONGDOUBLE = np.dtype(np.longdouble).itemsize > 8
+_REAL = np.longdouble if _LONGDOUBLE else np.float64
 
 
 def _nonlinear_half(values: np.ndarray, dt_half: float, p: float) -> np.ndarray:
     return values * np.exp(1j * np.abs(values) ** (p - 1.0) * dt_half)
+
+
+@functools.lru_cache(maxsize=1)
+def _phase(grid: GridSpec, dt: float, real: type) -> np.ndarray:
+    """exp(-i k^2 dt) with k^2 and dt in precision ``real``; read-only.
+
+    k^2 at index j and N - j is the same double, so the phase is evaluated
+    on the non-negative half of each axis (N/2 + 1 points) and mirrored,
+    bitwise equal to the full evaluation.  The last phase is kept: noise
+    runs step on a few dyadic levels, so nearly every step reuses it.
+    """
+    h = grid.points // 2 + 1
+    k2 = grid.k_squared()[(slice(0, h),) * grid.d].astype(real)
+    phase = np.exp(-1j * k2 * real(dt))
+    for axis in range(grid.d):
+        mirror = [slice(None)] * grid.d
+        mirror[axis] = slice(h - 2, 0, -1)
+        phase = np.concatenate((phase, phase[tuple(mirror)]), axis=axis)
+    phase.flags.writeable = False
+    return phase
 
 
 def _linear_full(grid: GridSpec, values: np.ndarray, dt: float) -> np.ndarray:
@@ -61,11 +87,11 @@ def _linear_full(grid: GridSpec, values: np.ndarray, dt: float) -> np.ndarray:
     that would accumulate past the mass-exactness budget over the tens of
     thousands of steps a blow-up run takes.
     """
+    phase = _phase(grid, dt, _REAL)
     if _LONGDOUBLE:
-        phase = np.exp(-1j * grid.k_squared().astype(np.longdouble) * np.longdouble(dt))
         out = sfft.ifftn(phase * sfft.fftn(values.astype(np.clongdouble)))
         return out.astype(np.complex128)
-    return np.fft.ifftn(np.exp(-1j * grid.k_squared() * dt) * np.fft.fftn(values))
+    return np.fft.ifftn(phase * np.fft.fftn(values))
 
 
 def _step_strang_values(grid: GridSpec, values: np.ndarray, dt: float, p: float) -> np.ndarray:
@@ -246,7 +272,10 @@ def _refine_peak_1d(absv: np.ndarray, idx: int, dx: float) -> float:
 
 def peak_center(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """Location of max |v|, refined by per-axis quadratic interpolation."""
-    absv = np.abs(values)
+    return _peak_center_abs(grid, np.abs(values))
+
+
+def _peak_center_abs(grid: GridSpec, absv: np.ndarray) -> np.ndarray:
     flat_idx = int(np.argmax(absv))
     x = grid.axis()
     if grid.d == 1:
@@ -257,9 +286,10 @@ def peak_center(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     return np.array([x[i] + off_x, x[j] + off_y])
 
 
-def _ball_mass(grid: GridSpec, values: np.ndarray, center, radius: float) -> float:
+def _ball_mass(grid: GridSpec, dens: np.ndarray, center, radius: float) -> float:
+    """Mass of the density |v|^2 within ``radius`` of ``center``."""
     r2 = grid.radius_squared(center)
-    return float(np.sum((r2 <= radius * radius) * np.abs(values) ** 2)) * grid.dvol
+    return float(np.sum((r2 <= radius * radius) * dens)) * grid.dvol
 
 
 class _Recorder:
@@ -279,7 +309,10 @@ class _Recorder:
     def record(self, t: float, values: np.ndarray, weights, snapshot: bool):
         grid = self.config.grid
         dvol = grid.dvol
-        mass_sq = float(np.sum(np.abs(values) ** 2)) * dvol
+        # |v| and |v|^2 once per step, shared by every sum below
+        absv = np.abs(values)
+        dens = absv**2
+        mass_sq = float(np.sum(dens)) * dvol
         mass = math.sqrt(mass_sq)
         if self.mass0 is None:
             self.mass0 = mass
@@ -289,7 +322,7 @@ class _Recorder:
         mom = np.array([
             float(np.sum((np.conj(values) * g).imag)) * dvol for g in grads
         ])
-        lp_sum = float(np.sum(np.abs(values) ** self.pe)) * dvol
+        lp_sum = float(np.sum(absv**self.pe)) * dvol
 
         if self.profiles is not None:
             # gauge back: X = e^{i psi} v; |X| = |v|, grad X picks up i grad(psi) X
@@ -299,7 +332,6 @@ class _Recorder:
                 for g, gp in zip(grads, gpsi)
             ) * dvol
             ham = 0.5 * gx_sq - grid.d / (2.0 * grid.d + 4.0) * lp_sum
-            dens = np.abs(values) ** 2
             mom = mom + np.array(
                 [float(np.sum(gp * dens)) * dvol for gp in gpsi]
             )
@@ -322,7 +354,7 @@ class _Recorder:
             ham = 0.5 * grad_sq - grid.d / (2.0 * grid.d + 4.0) * lp_sum
 
         grad_norm = math.sqrt(grad_sq)
-        center = peak_center(grid, values)
+        center = _peak_center_abs(grid, absv)
         lam = self.config.grad_ref / grad_norm if (
             self.config.grad_ref is not None and grad_norm > 0
         ) else np.nan
@@ -331,7 +363,7 @@ class _Recorder:
         self.rows["ham"].append(ham)
         self.rows["grad"].append(grad_norm)
         self.rows["lam"].append(lam)
-        self.rows["loc"].append(_ball_mass(grid, values, center, 1.0))
+        self.rows["loc"].append(_ball_mass(grid, dens, center, 1.0))
         self.rows["res"].append(abs(mass - self.mass0) / self.mass0)
         self.centers.append(center)
         self.momenta.append(mom)
@@ -377,8 +409,9 @@ def integrate(config: EvolveConfig) -> Trajectory:
     The step is dt0 * min(1, (g0/g)^2) where g = ||grad v||; with noise the
     step is clamped to the dyadic subdivision of the path grid.  Stops at
     the end of the span, at the gradient threshold, when the fitted width
-    falls below width_factor * dx, or on non-finite values (keeping the
-    last good state).
+    falls below width_factor * dx, on non-finite values (keeping the last
+    good state), or when a dyadic step would fall below the finest level of
+    the position grid (``step_underflow``).
     """
     grid = config.grid
     v = config.v0.values.astype(np.complex128).copy()
@@ -446,7 +479,7 @@ def integrate(config: EvolveConfig) -> Trajectory:
         if dyadic:
             j = max(j0, math.ceil(math.log2(base_dt / dt_target) - 1e-12))
             if j > POS_LEVEL - 2:
-                stop_reason = "nonfinite"
+                stop_reason = "step_underflow"
                 break
             dt = base_dt * 2.0**-j
             dpos = 2 ** (POS_LEVEL - j)

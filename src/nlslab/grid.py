@@ -9,7 +9,9 @@ spectrally accurate for smooth decaying fields.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,11 +60,11 @@ class GridSpec:
 
     def axis(self) -> np.ndarray:
         """Coordinates -L/2 + j*dx along one axis."""
-        return -0.5 * self.extent + self.dx * np.arange(self.points)
+        return _spectral(self).axis
 
     def wavenumbers(self) -> np.ndarray:
         """Signed wavenumbers 2*pi*k/L in DFT order along one axis."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.dx)
+        return _spectral(self).k
 
     def mesh(self) -> list:
         """Coordinate arrays, broadcastable to the field shape."""
@@ -72,17 +74,10 @@ class GridSpec:
         return [x[:, None], x[None, :]]
 
     def k_mesh(self) -> list:
-        k = self.wavenumbers()
-        if self.d == 1:
-            return [k]
-        return [k[:, None], k[None, :]]
+        return list(_spectral(self).k_mesh)
 
     def k_squared(self) -> np.ndarray:
-        k = self.k_mesh()
-        out = k[0] ** 2
-        for kj in k[1:]:
-            out = out + kj**2
-        return out
+        return _spectral(self).k_squared
 
     def radius_squared(self, center=None) -> np.ndarray:
         """|x - center|^2 on the grid; center defaults to the box center."""
@@ -96,6 +91,34 @@ class GridSpec:
             term = (xj - cj) ** 2
             out = term if out is None else out + term
         return out + np.zeros(self.shape)
+
+
+class _Spectral(NamedTuple):
+    axis: np.ndarray
+    k: np.ndarray
+    k_mesh: tuple
+    k_squared: np.ndarray
+    ik: tuple  # 1j * k per axis, the gradient's Fourier multipliers
+
+
+@functools.lru_cache(maxsize=16)
+def _spectral(grid: GridSpec) -> _Spectral:
+    """Arrays that depend only on the grid value, built once and read-only.
+
+    Keyed by value, so equal grids rebuilt elsewhere (a snapshot read back,
+    a config parsed again) share them; nothing is stored on the instance,
+    which keeps grids cheap to pickle into worker processes.
+    """
+    axis = -0.5 * grid.extent + grid.dx * np.arange(grid.points)
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.points, d=grid.dx)
+    k_mesh = (k,) if grid.d == 1 else (k[:, None], k[None, :])
+    k_squared = k_mesh[0] ** 2
+    for kj in k_mesh[1:]:
+        k_squared = k_squared + kj**2
+    ik = tuple(1j * kj for kj in k_mesh)
+    for a in (axis, k, *k_mesh, k_squared, *ik):
+        a.flags.writeable = False
+    return _Spectral(axis, k, k_mesh, k_squared, ik)
 
 
 @dataclass
@@ -137,11 +160,12 @@ def make_field(grid: GridSpec, values) -> ComplexField:
 
 def gradient_values(grid: GridSpec, values: np.ndarray) -> list:
     """Spectral gradient components as raw arrays."""
+    ik = _spectral(grid).ik
+    if grid.d == 1:
+        # the same transform fftn would make, without its n-d wrapper
+        return [np.fft.ifft(ik[0] * np.fft.fft(values))]
     vhat = np.fft.fftn(values)
-    out = []
-    for kj in grid.k_mesh():
-        out.append(np.fft.ifftn(1j * kj * vhat))
-    return out
+    return [np.fft.ifftn(ikj * vhat) for ikj in ik]
 
 
 def laplacian_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:

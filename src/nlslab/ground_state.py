@@ -61,7 +61,9 @@ def closed_form_radial(p: float) -> Callable[[np.ndarray], np.ndarray]:
 
     def q(r):
         r = np.asarray(r, dtype=float)
-        return amp * np.cosh(beta * r) ** (-alpha)
+        # cosh overflows to inf far out, and inf ** -alpha is the correct 0
+        with np.errstate(over="ignore"):
+            return amp * np.cosh(beta * r) ** (-alpha)
 
     return q
 

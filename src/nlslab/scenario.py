@@ -20,7 +20,14 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics as diag
-from .evolution import EvolveConfig, NoiseSetup, Trajectory, backward_solve, integrate
+from .evolution import (
+    FAILED_STOPS,
+    EvolveConfig,
+    NoiseSetup,
+    Trajectory,
+    backward_solve,
+    integrate,
+)
 from .exact import (
     BlowupParams,
     Bubble,
@@ -682,6 +689,12 @@ def write_trajectory_artifacts(sc: ScenarioConfig, traj: Trajectory, tdir: Path)
                 write_snapshot(tdir / f"snapshot_{i:06d}.txt", s, t)
 
 
+def mass_budget(sc: ScenarioConfig) -> float:
+    """Largest relative mass drift a run may show: gauged noise runs lose
+    a little to the RK4 coefficient sub-steps."""
+    return 1e-10 if sc.noise_spec() is not None else 1e-12
+
+
 def run_scenario(sc: ScenarioConfig, outdir: Optional[Path] = None) -> tuple:
     """Execute one scenario; returns (summary, exit_code)."""
     outdir = Path(outdir) if outdir is not None else resolve_outdir(sc)
@@ -708,8 +721,8 @@ def run_scenario(sc: ScenarioConfig, outdir: Optional[Path] = None) -> tuple:
         evolve_config_for(sc, prep.initial, sc.noise_seed)
     )
 
-    failed = traj.stop_reason == "nonfinite"
-    mass_tol = 1e-10 if sc.noise_spec() is not None else 1e-12
+    failed = traj.stop_reason in FAILED_STOPS
+    mass_tol = mass_budget(sc)
     hard_ok = (
         summary["mass_drift"] < mass_tol
         and summary["banica_ok"]
@@ -833,12 +846,19 @@ def ensemble_summary(results: list) -> dict:
 
 
 def run_ensemble(sc: ScenarioConfig, outdir: Optional[Path] = None) -> tuple:
+    """Run the seed ensemble; returns (summary, exit_code).
+
+    The exit code is 3 when any trajectory fails numerically or drifts in
+    mass by the run's budget or more, else 0.
+    """
+    if sc.ensemble_size < 2:
+        raise ConfigError(f"an ensemble needs ensemble.size >= 2, got {sc.ensemble_size}")
     outdir = Path(outdir) if outdir is not None else resolve_outdir(sc)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.txt").write_text(render_config(sc))
     jobs = [(sc, i) for i in range(sc.ensemble_size)]
     workers = sc.ensemble_workers or os.cpu_count() or 1
-    if workers > 1 and sc.ensemble_size > 1:
+    if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_ensemble_worker, jobs))
     else:
@@ -852,4 +872,8 @@ def run_ensemble(sc: ScenarioConfig, outdir: Optional[Path] = None) -> tuple:
                 f"{r['n_steps']},{_fmt(r['t_est'])},{_fmt(r['mass_drift'])}\n"
             )
     write_summary_json(outdir / "ensemble_summary.json", summary)
-    return summary, 0
+    budget = mass_budget(sc)
+    failed = any(
+        r["stop_reason"] in FAILED_STOPS or not r["mass_drift"] < budget for r in results
+    )
+    return summary, 3 if failed else 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nlslab.evolution import (
+    _phase,
     EvolveConfig,
     EvolveError,
     NoiseSetup,
@@ -206,3 +207,57 @@ def test_2d_soliton_short_run():
     err = np.sqrt(l2_norm_sq(ComplexField(g, traj.final_state.values - exact.values)))
     assert err < 1e-3
     assert traj.residual.max() < 1e-12
+
+
+def _same_bits(a, b):
+    """Equal dtype, values and signs of zero: the same bits, for finite data."""
+    return (
+        a.dtype == b.dtype
+        and np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
+@pytest.mark.parametrize("d,n", [(1, 8), (1, 1024), (2, 8), (2, 16)])
+@pytest.mark.parametrize("real", [np.longdouble, np.float64])
+def test_phase_bitwise_equals_direct_formula(d, n, real):
+    g = make_grid(d, 40, n)
+    k2 = g.k_squared()
+    for dt in (1e-3, 4e-3 * 2.0**-7, 0.37):
+        if real is np.float64:
+            direct = np.exp(-1j * k2 * dt)  # the double-precision path as written
+        else:
+            direct = np.exp(-1j * k2.astype(np.longdouble) * np.longdouble(dt))
+        _phase.cache_clear()
+        cold = _phase(g, dt, real)
+        warm = _phase(g, dt, real)
+        assert warm is cold  # served from the memo
+        assert _same_bits(cold, direct)
+        with pytest.raises(ValueError):
+            cold[(0,) * d] = 0.0
+
+
+def test_noise_run_independent_of_phase_memo(profile):
+    g = make_grid(1, 40, 256)
+    noise = NoiseSetup(profiles=ProfileSpec(kind="schwartz", amplitude=0.3, n_modes=2), seed=5)
+    cfg = EvolveConfig(
+        grid=g, p=5.0, v0=profile.sample(g), t0=0.0, t1=0.05, dt0=1e-3 / 8,
+        noise=noise, cadence=10**9, keep_snapshots=False,
+    )
+    a = integrate(cfg)  # the memo ends holding this run's last phase
+    _phase.cache_clear()
+    b = integrate(cfg)
+    assert a.n_steps == b.n_steps > 0
+    for key in ("times", "mass", "grad_norm"):
+        assert np.array_equal(getattr(a, key), getattr(b, key))
+    assert _same_bits(a.final_state.values, b.final_state.values)
+
+
+def test_step_underflow_has_its_own_stop_reason(profile):
+    g = make_grid(1, 40, 256)
+    noise = NoiseSetup(profiles=ProfileSpec(kind="constant", amplitude=0.1), seed=1, path_dt=1.0)
+    cfg = EvolveConfig(grid=g, p=5.0, v0=profile.sample(g), t0=0.0, t1=1.0, dt0=2.0**-29, noise=noise)
+    traj = integrate(cfg)
+    assert traj.stop_reason == "step_underflow"
+    assert traj.n_steps == 0

@@ -4,7 +4,10 @@ import pytest
 from nlslab.grid import (
     ComplexField,
     GridError,
+    GridSpec,
+    _spectral,
     fourier_interp_axes,
+    gradient_values,
     l2_inner,
     l2_norm_sq,
     make_grid,
@@ -164,3 +167,26 @@ def test_snapshot_roundtrip(tmp_path):
     assert t == 0.625
     assert np.array_equal(f.values, f2.values)
     assert f2.grid == g
+
+
+@pytest.mark.parametrize("d,n", [(1, 8), (1, 1024), (2, 16)])
+def test_gradient_bitwise_equals_nd_transform(d, n):
+    g = make_grid(d, 40, n)
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    vhat = np.fft.fftn(v)
+    for got, kj in zip(gradient_values(g, v), g.k_mesh()):
+        want = np.fft.ifftn(1j * kj * vhat)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_cached_grid_arrays_are_read_only_and_shared(d):
+    g = make_grid(d, 40, 16)
+    arrays = [g.axis(), g.wavenumbers(), g.k_squared(), *g.k_mesh(), *_spectral(g).ik]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+    # an equal grid built another way shares the arrays
+    assert GridSpec(d=d, extent=40.0, points=16).k_squared() is g.k_squared()
+    assert np.array_equal(g.wavenumbers(), 2.0 * np.pi * np.fft.fftfreq(16, d=g.dx))

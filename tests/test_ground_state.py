@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -168,3 +170,18 @@ def test_ground_profile_moments():
     assert prof.grad_sq == pytest.approx(0.5 * prof.mass_sq, rel=1e-10)
     prof2 = ground_profile(2)
     assert prof2.grad_sq == pytest.approx(prof2.mass_sq, rel=1e-6)
+
+
+def test_closed_form_far_tail_raises_no_overflow_warning():
+    # a contracted bubble evaluates Q at |x| / lambda of several hundred,
+    # where cosh overflows; the tail is the correct 0 and must not warn
+    from nlslab.exact import BlowupParams, Bubble, pseudo_conformal_blowup
+
+    grid = make_grid(1, 40, 4096)
+    params = BlowupParams(blowup_time=1.0, bubbles=(Bubble(position=(0.0,), width=1.0),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = pseudo_conformal_blowup(params, 0.95, grid, ground_profile(1))
+        tail = closed_form_radial(5.0)(np.array([0.0, 400.0, np.inf]))
+    assert np.abs(f.values).max() > 1.0
+    assert tail[0] == pytest.approx(3**0.25) and tail[1] == 0.0 and tail[2] == 0.0

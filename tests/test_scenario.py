@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import nlslab
+import nlslab.scenario as scenario
 from nlslab.scenario import (
     ConfigError,
     build_scenario,
@@ -169,6 +171,43 @@ def test_ensemble_summary_ordering():
         ensemble_summary(rows[:1])
 
 
+def test_ensemble_of_one_rejected_before_any_trajectory(tmp_path, monkeypatch):
+    def no_trajectory(*args):
+        raise AssertionError("a trajectory ran")
+
+    monkeypatch.setattr(scenario, "_ensemble_worker", no_trajectory)
+    sc = build_scenario(parse_config_text(GAUGE_CHECK + "ensemble.size = 1\n"))
+    with pytest.raises(ConfigError):
+        run_ensemble(sc, tmp_path / "ens")
+    assert not (tmp_path / "ens").exists()
+
+
+def _altered_ensemble(tmp_path, monkeypatch, alter):
+    """A 2-seed gauge-check ensemble in this process, each trajectory altered."""
+    run = scenario.run_trajectory
+    monkeypatch.setattr(scenario, "run_trajectory", lambda sc, prep, seed: alter(run(sc, prep, seed)))
+    sc = build_scenario(parse_config_text(GAUGE_CHECK + "ensemble.size = 2\nensemble.workers = 1\n"))
+    return run_ensemble(sc, tmp_path / "ens")
+
+
+def test_ensemble_exit_3_on_failed_trajectory(tmp_path, monkeypatch):
+    summary, code = _altered_ensemble(
+        tmp_path, monkeypatch, lambda traj: dataclasses.replace(traj, stop_reason="nonfinite")
+    )
+    assert code == 3
+    assert summary["size"] == 2
+
+
+def test_ensemble_exit_3_when_mass_drift_reaches_budget(tmp_path, monkeypatch):
+    # gauged noise runs have a budget of 1e-10; reaching it is a failure
+    def drifted(traj):
+        return dataclasses.replace(traj, residual=np.full_like(traj.residual, 1e-10))
+
+    summary, code = _altered_ensemble(tmp_path, monkeypatch, drifted)
+    assert code == 3
+    assert summary["max_mass_drift"] == 1e-10
+
+
 def _cli(args, cwd, env=None):
     # The child runs in ``cwd``, where a relative PYTHONPATH (such as the
     # ``src`` of an uninstalled checkout) no longer resolves.  Put the
@@ -211,6 +250,15 @@ def test_cli_malformed_config_exit_2(tmp_path):
     assert res.returncode == 2
     assert "config error" in res.stderr, res.stderr
     assert not (tmp_path / "runs").exists()
+
+
+def test_cli_ensemble_of_one_exit_2(tmp_path):
+    cfg_file = tmp_path / "one.cfg"
+    cfg_file.write_text(GAUGE_CHECK + "ensemble.size = 1\noutput.dir = ens\n")
+    res = _cli(["scenario", "ensemble", str(cfg_file)], cwd=tmp_path, env={"NLSLAB_OUT": str(tmp_path)})
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr, res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_cli_ground_state(tmp_path):
