@@ -13,18 +13,28 @@ import numpy as np
 from . import diagnostics as diag
 from .evolution import FAILED_STOPS
 from .grid import make_grid, read_snapshot, write_snapshot
-from .ground_state import ground_profile, solve_ground_state, variational_identities
+from .ground_state import solve_ground_state, variational_identities
 from .scenario import (
     ConfigError,
     load_scenario,
+    open_run_dir,
     prepare_run,
-    resolve_outdir,
     run_ensemble,
+    run_profile,
     run_scenario,
     run_trajectory,
     write_summary_json,
     write_trajectory_artifacts,
 )
+
+
+def _load(config_file):
+    """The scenario of a config file; a schema violation exits 2."""
+    try:
+        return load_scenario(config_file)
+    except ConfigError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(2)
 
 
 @click.group()
@@ -66,13 +76,9 @@ def ground_state_cmd(dim, power, extent, points, tol, out):
 @main.command("evolve")
 @click.argument("config_file", type=click.Path(exists=True))
 def evolve_cmd(config_file):
-    """Integrate a scenario config; write diagnostics CSV and snapshots."""
-    try:
-        sc = load_scenario(config_file)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    outdir = resolve_outdir(sc)
+    """Integrate a scenario config; write config.txt, diagnostics CSV and snapshots."""
+    sc = _load(config_file)
+    outdir = open_run_dir(sc)
     prep = prepare_run(sc)
     traj = run_trajectory(sc, prep, sc.noise_seed)
     write_trajectory_artifacts(sc, traj, outdir / "traj_000")
@@ -90,8 +96,14 @@ def _read_csv(path: Path):
 @main.command("diagnose")
 @click.argument("run_dir", type=click.Path(exists=True, file_okay=False))
 def diagnose_cmd(run_dir):
-    """Re-run the diagnostic battery on dumped trajectory artifacts."""
+    """Re-run the diagnostic battery on dumped trajectory artifacts.
+
+    The ground profile is the run's own (``grid.d`` and ``physics.p`` of its
+    ``config.txt``); without that file, the critical one of the snapshot's d.
+    """
     run_dir = Path(run_dir)
+    config = run_dir / "config.txt"
+    sc = _load(config) if config.exists() else None
     tdir = run_dir / "traj_000"
     if not tdir.exists():
         tdir = run_dir
@@ -148,7 +160,7 @@ def diagnose_cmd(run_dir):
     final_snap = tdir / "snapshot_final.txt"
     if final_snap.exists():
         fld, t_fin = read_snapshot(final_snap)
-        profile = ground_profile(fld.grid.d)
+        profile = run_profile(sc.d, sc.p) if sc is not None else run_profile(fld.grid.d)
         try:
             mf = diag.modulation_fit(fld, profile)
             conc = diag.localized_mass(fld, mf.center, 1.0)
@@ -184,11 +196,7 @@ def scenario():
 @click.argument("config_file", type=click.Path(exists=True))
 def scenario_run(config_file):
     """Run one scenario and its diagnostic battery."""
-    try:
-        sc = load_scenario(config_file)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
+    sc = _load(config_file)
     summary, code = run_scenario(sc)
     click.echo(json.dumps(summary, sort_keys=True))
     sys.exit(code)
@@ -198,11 +206,7 @@ def scenario_run(config_file):
 @click.argument("config_file", type=click.Path(exists=True))
 def scenario_ensemble(config_file):
     """Run a seed ensemble of one scenario."""
-    try:
-        sc = load_scenario(config_file)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
+    sc = _load(config_file)
     try:
         summary, code = run_ensemble(sc)
     except ConfigError as exc:

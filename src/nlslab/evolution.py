@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 import scipy.fft as sfft
 
-from .grid import ComplexField, GridSpec, gradient_values, l2_norm_sq
+from .grid import ComplexField, GridSpec, grad_norm_sq, gradient_values, l2_norm_sq
 from .ground_state import ground_profile
 from .noise import (
     Coefficients,
@@ -100,6 +100,18 @@ def _step_strang_values(grid: GridSpec, values: np.ndarray, dt: float, p: float)
     return _nonlinear_half(v, 0.5 * dt, p)
 
 
+def march_strang(
+    grid: GridSpec, values: np.ndarray, t: float, t_to: float, dt0: float, p: float
+) -> tuple:
+    """Fixed Strang steps of dt0 from t to t_to, the last one shortened to
+    land on t_to; returns (values, t)."""
+    while t < t_to - 1e-12:
+        dt = min(dt0, t_to - t)
+        values = _step_strang_values(grid, values, dt, p)
+        t += dt
+    return values, t
+
+
 def step_strang(f: ComplexField, dt: float, p: float) -> ComplexField:
     """One Strang step of i v_t + Lap v + |v|^{p-1} v = 0."""
     if dt <= 0:
@@ -171,7 +183,7 @@ class _BrownianDrive:
             raise EvolveError("time span must be an integer multiple of the path step")
         times = t0 + np.arange(n + 1) * base_dt
         # level 1 immediately: every step needs its midpoint weight
-        self.path = sample_brownian(seed, times, n_modes_of(profiles)).refine()
+        self.path = sample_brownian(seed, times, profiles.n_modes).refine()
 
     def ensure(self, t: float) -> None:
         guard = 0
@@ -192,10 +204,6 @@ class _SinDrive:
 
     def value(self, t: float) -> np.ndarray:
         return np.sin((np.arange(self.n_modes) + 1.0) * t)
-
-
-def n_modes_of(profiles: NoiseProfileSet) -> int:
-    return profiles.n_modes
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +556,8 @@ def backward_solve(
     grid = zstar.grid
     if smallness_ref is None:
         q = ground_profile(grid.d).sample(grid)
-        smallness_ref = math.sqrt(l2_norm_sq(q) + _grad_sq(q))
-    z_h1 = math.sqrt(l2_norm_sq(zstar) + _grad_sq(zstar))
+        smallness_ref = math.sqrt(l2_norm_sq(q) + grad_norm_sq(q))
+    z_h1 = math.sqrt(l2_norm_sq(zstar) + grad_norm_sq(zstar))
     if z_h1 > 0.1 * smallness_ref + 1e-12:
         raise EvolveError(
             f"backward data too large: H1 norm {z_h1:.4g} exceeds "
@@ -560,14 +568,5 @@ def backward_solve(
         raise EvolveError("backward solve requires t0 < blow-up time")
     if not np.any(zstar.values):
         return zstar.copy()
-    values = np.conj(zstar.values)
-    t = 0.0
-    while t < span - 1e-12:
-        dt = min(dt0, span - t)
-        values = _step_strang_values(grid, values, dt, p)
-        t += dt
+    values, _ = march_strang(grid, np.conj(zstar.values), 0.0, span, dt0, p)
     return ComplexField(grid, np.conj(values))
-
-
-def _grad_sq(f: ComplexField) -> float:
-    return sum(float(np.sum(np.abs(g) ** 2)) for g in gradient_values(f.grid, f.values)) * f.grid.dvol

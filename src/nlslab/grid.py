@@ -150,10 +150,6 @@ def make_grid(d: int, extent: float, points: int) -> GridSpec:
     return GridSpec(d=d, extent=float(extent), points=int(points))
 
 
-def make_field(grid: GridSpec, values) -> ComplexField:
-    return ComplexField(grid, np.asarray(values))
-
-
 # ---------------------------------------------------------------------------
 # spectral derivatives
 

@@ -15,7 +15,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .evolution import (
     Trajectory,
     backward_solve,
     integrate,
+    march_strang,
 )
 from .exact import (
     BlowupParams,
@@ -38,7 +39,7 @@ from .exact import (
     solitary_wave,
 )
 from .grid import ComplexField, GridSpec, l2_norm_sq, make_grid, write_snapshot
-from .ground_state import critical_exponent, ground_profile
+from .ground_state import GroundProfile, critical_exponent, ground_profile
 from .noise import ProfileSpec
 
 SCENARIO_KINDS = (
@@ -49,7 +50,6 @@ SCENARIO_KINDS = (
     "nonpure_soliton",
     "snls_gauge_check",
     "loglog_supercritical",
-    "custom",
 )
 
 OUTPUT_ROOT_ENV = "NLSLAB_OUT"
@@ -59,12 +59,8 @@ class ConfigError(ValueError):
     """Schema violation in a scenario config (exit code 2)."""
 
 
-class RunFailure(RuntimeError):
-    """Numerical failure during a run (exit code 3); partial artifacts kept."""
-
-
 # ---------------------------------------------------------------------------
-# config parsing
+# config schema: one row per key drives parsing, defaults and rendering
 
 
 def parse_config_text(text: str) -> dict:
@@ -86,16 +82,23 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def _get(cfg: dict, key: str, cast, default=None, required=False):
-    if key not in cfg:
-        if required:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    raw = cfg.pop(key)
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"key {key!r}: cannot parse {raw!r} ({exc})") from exc
+def _fmt(x) -> str:
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{float(x):.17g}"
+
+
+def _parse_kind(raw: str, d) -> str:
+    if raw not in SCENARIO_KINDS:
+        raise ConfigError(f"scenario.kind must be one of {SCENARIO_KINDS}, got {raw!r}")
+    return raw
+
+
+def _parse_dim(raw: str, d) -> int:
+    d = int(raw)
+    if d not in (1, 2):
+        raise ConfigError("grid.d must be 1 or 2")
+    return d
 
 
 def _parse_point(raw: str, d: int):
@@ -105,20 +108,33 @@ def _parse_point(raw: str, d: int):
     return tuple(parts)
 
 
+def _render_point(point) -> str:
+    return ",".join(_fmt(c) for c in point)
+
+
+def _parse_points(raw: str, d: int):
+    return tuple(_parse_point(c, d) for c in raw.split(";"))
+
+
+def _render_points(points) -> str:
+    return ";".join(_render_point(pt) for pt in points)
+
+
 def _parse_bubbles(raw: str, d: int):
     bubbles = []
     for chunk in raw.split(";"):
         fields = chunk.strip().split(":")
         if len(fields) != 3:
             raise ValueError(f"bubble needs position:width:phase, got {chunk!r}")
-        bubbles.append(
-            Bubble(
-                position=_parse_point(fields[0], d),
-                width=float(fields[1]),
-                phase=float(fields[2]),
-            )
-        )
+        position, width, phase = fields
+        bubbles.append(Bubble(_parse_point(position, d), float(width), float(phase)))
     return tuple(bubbles)
+
+
+def _render_bubbles(bubbles) -> str:
+    return ";".join(
+        ":".join([_render_point(b.position), _fmt(b.width), _fmt(b.phase)]) for b in bubbles
+    )
 
 
 def _parse_solitons(raw: str, d: int):
@@ -129,15 +145,72 @@ def _parse_solitons(raw: str, d: int):
             raise ValueError(
                 f"soliton needs velocity:width:phase:position, got {chunk!r}"
             )
+        velocity, width, phase, position0 = fields
         waves.append(
-            Soliton(
-                velocity=_parse_point(fields[0], d),
-                width=float(fields[1]),
-                phase=float(fields[2]),
-                position0=_parse_point(fields[3], d),
-            )
+            Soliton(_parse_point(velocity, d), float(width), float(phase), _parse_point(position0, d))
         )
     return tuple(waves)
+
+
+def _render_solitons(waves) -> str:
+    return ";".join(
+        ":".join([_render_point(s.velocity), _fmt(s.width), _fmt(s.phase), _render_point(s.position0)])
+        for s in waves
+    )
+
+
+class _Key(NamedTuple):
+    """One config key: ``parse(raw, d)`` reads it, ``render`` writes it back.
+
+    ``default`` is a value, a function of the fields parsed before this row,
+    or ``REQUIRED``.
+    """
+
+    key: str
+    field: str
+    parse: Callable
+    render: Callable
+    default: object
+
+
+REQUIRED = object()
+# (parse, render) of the scalar keys
+_FLOAT = (lambda raw, d: float(raw), _fmt)
+_INT = (lambda raw, d: int(raw), str)
+_STR = (lambda raw, d: raw, str)
+
+SCHEMA = (
+    _Key("scenario.kind", "kind", _parse_kind, str, REQUIRED),
+    _Key("grid.d", "d", _parse_dim, str, 1),
+    _Key("grid.L", "extent", *_FLOAT, 40.0),
+    _Key("grid.N", "points", *_INT, 1024),
+    _Key("physics.p", "p", *_FLOAT, lambda f: critical_exponent(f["d"])),
+    _Key("blowup.bubbles", "bubbles", _parse_bubbles, _render_bubbles, ()),
+    _Key("blowup.T", "blowup_time", *_FLOAT, 1.0),
+    _Key("soliton.waves", "solitons", _parse_solitons, _render_solitons, ()),
+    _Key("zstar.amplitude_rel", "zstar_amplitude_rel", *_FLOAT, 0.05),
+    _Key("zstar.center", "zstar_center", _parse_point, _render_point, lambda f: (10.0,) * f["d"]),
+    _Key("zstar.width", "zstar_width", *_FLOAT, 1.0),
+    _Key("noise.kind", "noise_kind", *_STR, "none"),
+    _Key("noise.amplitude", "noise_amplitude", *_FLOAT, 0.0),
+    _Key("noise.modes", "noise_modes", *_INT, 1),
+    _Key("noise.seed", "noise_seed", *_INT, 0),
+    _Key("noise.flat_points", "noise_flat_points", _parse_points, _render_points, ()),
+    _Key("noise.sigma", "noise_sigma", *_FLOAT, None),
+    _Key("noise.drive", "noise_drive", *_STR, "brownian"),
+    _Key("init.mass_sq_ratio", "init_mass_sq_ratio", *_FLOAT, 1.2),
+    _Key("init.width", "init_width", *_FLOAT, 1.0),
+    _Key("evolve.t0", "t0", *_FLOAT, 0.0),
+    _Key("evolve.t1", "t1", *_FLOAT, REQUIRED),
+    _Key("evolve.dt0", "dt0", *_FLOAT, 1e-3),
+    _Key("evolve.gmax", "g_max", *_FLOAT, 1e5),
+    _Key("evolve.width_factor", "width_factor", *_FLOAT, 4.0),
+    _Key("evolve.cadence", "cadence", *_INT, 100),
+    _Key("output.dir", "out_dir", *_STR, lambda f: f"runs/{f['kind']}"),
+    _Key("output.snapshots", "snapshots", *_STR, "final"),
+    _Key("ensemble.size", "ensemble_size", *_INT, 1),
+    _Key("ensemble.workers", "ensemble_workers", *_INT, None),
+)
 
 
 @dataclass
@@ -191,63 +264,36 @@ class ScenarioConfig:
 
 def build_scenario(cfg: dict) -> ScenarioConfig:
     cfg = dict(cfg)
-    kind = _get(cfg, "scenario.kind", str, required=True)
-    if kind not in SCENARIO_KINDS:
-        raise ConfigError(f"scenario.kind must be one of {SCENARIO_KINDS}, got {kind!r}")
-    d = _get(cfg, "grid.d", int, default=1)
-    if d not in (1, 2):
-        raise ConfigError("grid.d must be 1 or 2")
-    extent = _get(cfg, "grid.L", float, default=40.0)
-    points = _get(cfg, "grid.N", int, default=1024)
-    p = _get(cfg, "physics.p", float, default=critical_exponent(d))
-
-    bubbles = _get(cfg, "blowup.bubbles", lambda s: _parse_bubbles(s, d), default=())
-    blowup_time = _get(cfg, "blowup.T", float, default=1.0)
-    solitons = _get(cfg, "soliton.waves", lambda s: _parse_solitons(s, d), default=())
-
-    sc = ScenarioConfig(
-        kind=kind,
-        d=d,
-        extent=extent,
-        points=points,
-        p=p,
-        blowup_time=blowup_time,
-        bubbles=bubbles,
-        solitons=solitons,
-        zstar_amplitude_rel=_get(cfg, "zstar.amplitude_rel", float, default=0.05),
-        zstar_center=_get(
-            cfg, "zstar.center", lambda s: _parse_point(s, d), default=(10.0,) * d
-        ),
-        zstar_width=_get(cfg, "zstar.width", float, default=1.0),
-        noise_kind=_get(cfg, "noise.kind", str, default="none"),
-        noise_amplitude=_get(cfg, "noise.amplitude", float, default=0.0),
-        noise_modes=_get(cfg, "noise.modes", int, default=1),
-        noise_seed=_get(cfg, "noise.seed", int, default=0),
-        noise_flat_points=_get(
-            cfg,
-            "noise.flat_points",
-            lambda s: tuple(_parse_point(c, d) for c in s.split(";")),
-            default=(),
-        ),
-        noise_sigma=_get(cfg, "noise.sigma", float, default=None),
-        noise_drive=_get(cfg, "noise.drive", str, default="brownian"),
-        init_mass_sq_ratio=_get(cfg, "init.mass_sq_ratio", float, default=1.2),
-        init_width=_get(cfg, "init.width", float, default=1.0),
-        t0=_get(cfg, "evolve.t0", float, default=0.0),
-        t1=_get(cfg, "evolve.t1", float, required=True),
-        dt0=_get(cfg, "evolve.dt0", float, default=1e-3),
-        g_max=_get(cfg, "evolve.gmax", float, default=1e5),
-        width_factor=_get(cfg, "evolve.width_factor", float, default=4.0),
-        cadence=_get(cfg, "evolve.cadence", int, default=100),
-        out_dir=_get(cfg, "output.dir", str, default=f"runs/{kind}"),
-        snapshots=_get(cfg, "output.snapshots", str, default="final"),
-        ensemble_size=_get(cfg, "ensemble.size", int, default=1),
-        ensemble_workers=_get(cfg, "ensemble.workers", int, default=None),
-    )
+    fields: dict = {}
+    for row in SCHEMA:
+        if row.key in cfg:
+            raw = cfg.pop(row.key)
+            try:
+                fields[row.field] = row.parse(raw, fields.get("d"))
+            except ConfigError:
+                raise
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"key {row.key!r}: cannot parse {raw!r} ({exc})") from exc
+        elif row.default is REQUIRED:
+            raise ConfigError(f"missing required key {row.key!r}")
+        else:
+            fields[row.field] = row.default(fields) if callable(row.default) else row.default
     if cfg:
         raise ConfigError(f"unknown config keys: {sorted(cfg)}")
+    sc = ScenarioConfig(**fields)
     _validate_scenario(sc)
     return sc
+
+
+def render_config(sc: ScenarioConfig) -> str:
+    """Every key whose value is set, defaults resolved, in schema order:
+    loading the text gives back an equal ``ScenarioConfig``."""
+    lines = []
+    for row in SCHEMA:
+        value = getattr(sc, row.field)
+        if value is not None and value != ():
+            lines.append(f"{row.key} = {row.render(value)}")
+    return "\n".join(lines) + "\n"
 
 
 def _validate_scenario(sc: ScenarioConfig) -> None:
@@ -286,6 +332,12 @@ def load_scenario(path) -> ScenarioConfig:
     return build_scenario(parse_config_text(Path(path).read_text()))
 
 
+def run_profile(d: int, p: Optional[float] = None) -> GroundProfile:
+    """The ground profile a run compares against: exponent ``p`` in 1-d
+    (default critical), the critical one in 2-d."""
+    return ground_profile(d, p if d == 1 else None)
+
+
 # ---------------------------------------------------------------------------
 # initial data per scenario kind
 
@@ -320,7 +372,7 @@ def _zstar_field(sc: ScenarioConfig, grid: GridSpec, profile) -> ComplexField:
 
 def prepare_run(sc: ScenarioConfig) -> PreparedRun:
     grid = sc.grid
-    profile = ground_profile(sc.d, sc.p if sc.d == 1 else None)
+    profile = run_profile(sc.d, sc.p)
     blowup = None
     solitons = None
     z0 = None
@@ -348,11 +400,6 @@ def prepare_run(sc: ScenarioConfig) -> PreparedRun:
         initial = ComplexField(grid, wave_part.values + ztilde0.values)
         ztilde = dict(z_state=z_at_s0, z_time=s0)
     elif sc.kind == "loglog_supercritical":
-        profile_mass = profile.mass_sq
-        initial = _gaussian_with_mass(
-            grid, sc.init_width, sc.init_mass_sq_ratio * profile_mass
-        )
-    elif sc.kind == "custom":
         initial = _gaussian_with_mass(
             grid, sc.init_width, sc.init_mass_sq_ratio * profile.mass_sq
         )
@@ -364,7 +411,7 @@ def prepare_run(sc: ScenarioConfig) -> PreparedRun:
 
 
 def evolve_config_for(sc: ScenarioConfig, initial: ComplexField, seed: int, force_dyadic=False) -> EvolveConfig:
-    profile = ground_profile(sc.d, sc.p if sc.d == 1 else None)
+    profile = run_profile(sc.d, sc.p)
     spec = sc.noise_spec()
     noise = None
     if spec is not None:
@@ -387,12 +434,6 @@ def evolve_config_for(sc: ScenarioConfig, initial: ComplexField, seed: int, forc
 
 # ---------------------------------------------------------------------------
 # artifact writing
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
 
 
 def write_diagnostics_csv(path, traj: Trajectory) -> None:
@@ -478,7 +519,7 @@ def _json_safe(x):
 
 
 def run_battery(sc: ScenarioConfig, prep: PreparedRun, traj: Trajectory, outdir: Path) -> dict:
-    profile = ground_profile(sc.d, sc.p if sc.d == 1 else None)
+    profile = run_profile(sc.d, sc.p)
     q_mass = math.sqrt(profile.mass_sq)
     summary: dict = {
         "kind": sc.kind,
@@ -580,7 +621,7 @@ def _blowup_residual_series(sc, prep, traj, outdir, summary, profile):
     centers = [b.position for b in prep.blowup.bubbles]
     times, l2s, h1s = [], [], []
     per_bubble_h1 = []
-    z_state = prep.z0
+    z_values = prep.z0.values if prep.z0 is not None else None
     z_time = sc.t0
     for t, snap in traj.snapshots:
         try:
@@ -588,9 +629,9 @@ def _blowup_residual_series(sc, prep, traj, outdir, summary, profile):
         except Exception:
             break
         z_field = None
-        if z_state is not None:
-            z_field, z_time = _advance(z_state, z_time, t, sc)
-            z_state = z_field
+        if z_values is not None:
+            z_values, z_time = march_strang(grid, z_values, z_time, t, sc.dt0, sc.p)
+            z_field = ComplexField(grid, z_values)
         res = diag.profile_residuals(snap, ref, centers, z=z_field)
         times.append(t)
         l2s.append(res.l2)
@@ -606,23 +647,10 @@ def _blowup_residual_series(sc, prep, traj, outdir, summary, profile):
         summary["profile_residual_max_h1_per_bubble"] = float(np.max(per_bubble_h1))
 
 
-def _advance(state: ComplexField, t_from: float, t_to: float, sc) -> tuple:
-    """March the regular profile forward to the comparison time."""
-    from .evolution import _step_strang_values
-
-    values = state.values
-    t = t_from
-    while t < t_to - 1e-12:
-        dt = min(sc.dt0, t_to - t)
-        values = _step_strang_values(state.grid, values, dt, sc.p)
-        t += dt
-    return ComplexField(state.grid, values), t
-
-
 def _soliton_residual_series(sc, prep, traj, outdir, summary, profile):
     grid = sc.grid
     times, l2s, h1s = [], [], []
-    z_state = prep.ztilde_ref["z_state"] if prep.ztilde_ref else None
+    z_values = prep.ztilde_ref["z_state"].values if prep.ztilde_ref else None
     z_time = prep.ztilde_ref["z_time"] if prep.ztilde_ref else None
     for t, snap in traj.snapshots:
         try:
@@ -630,10 +658,12 @@ def _soliton_residual_series(sc, prep, traj, outdir, summary, profile):
         except Exception:
             break
         z_field = None
-        if z_state is not None:
+        if z_values is not None:
             s_target = 1.0 - 1.0 / t
-            z_state, z_time = _advance(z_state, z_time, s_target, sc)
-            z_field, _ = pseudo_conformal_map(z_state, t, 1.0, direction="inverse")
+            z_values, z_time = march_strang(grid, z_values, z_time, s_target, sc.dt0, sc.p)
+            z_field, _ = pseudo_conformal_map(
+                ComplexField(grid, z_values), t, 1.0, direction="inverse"
+            )
         centers = [
             np.asarray(s.position0, dtype=float) + np.asarray(s.velocity, dtype=float) * t
             for s in prep.solitons.solitons
@@ -670,6 +700,15 @@ def resolve_outdir(sc: ScenarioConfig) -> Path:
     return out if out.is_absolute() else Path(root) / out
 
 
+def open_run_dir(sc: ScenarioConfig, outdir: Optional[Path] = None) -> Path:
+    """Create the run directory (default: ``output.dir``) and record the
+    run's resolved config in it as ``config.txt``."""
+    outdir = Path(outdir) if outdir is not None else resolve_outdir(sc)
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "config.txt").write_text(render_config(sc))
+    return outdir
+
+
 def run_trajectory(sc: ScenarioConfig, prep: PreparedRun, seed: int) -> Trajectory:
     cfg = evolve_config_for(sc, prep.initial, seed)
     return integrate(cfg)
@@ -697,9 +736,7 @@ def mass_budget(sc: ScenarioConfig) -> float:
 
 def run_scenario(sc: ScenarioConfig, outdir: Optional[Path] = None) -> tuple:
     """Execute one scenario; returns (summary, exit_code)."""
-    outdir = Path(outdir) if outdir is not None else resolve_outdir(sc)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "config.txt").write_text(render_config(sc))
+    outdir = open_run_dir(sc, outdir)
 
     prep = prepare_run(sc)
     traj = run_trajectory(sc, prep, sc.noise_seed)
@@ -750,56 +787,6 @@ def _gauge_check(sc: ScenarioConfig, prep: PreparedRun, noisy: Trajectory, summa
     summary["gauge_same_stop_step"] = bool(
         noisy.n_steps == det.n_steps and noisy.stop_reason == det.stop_reason
     )
-
-
-def render_config(sc: ScenarioConfig) -> str:
-    lines = [
-        f"scenario.kind = {sc.kind}",
-        f"grid.d = {sc.d}",
-        f"grid.L = {_fmt(sc.extent)}",
-        f"grid.N = {sc.points}",
-        f"physics.p = {_fmt(sc.p)}",
-        f"evolve.t0 = {_fmt(sc.t0)}",
-        f"evolve.t1 = {_fmt(sc.t1)}",
-        f"evolve.dt0 = {_fmt(sc.dt0)}",
-        f"evolve.gmax = {_fmt(sc.g_max)}",
-        f"evolve.width_factor = {_fmt(sc.width_factor)}",
-        f"evolve.cadence = {sc.cadence}",
-        f"noise.kind = {sc.noise_kind}",
-        f"output.snapshots = {sc.snapshots}",
-        f"ensemble.size = {sc.ensemble_size}",
-    ]
-    if sc.bubbles:
-        chunk = ";".join(
-            ":".join([",".join(_fmt(c) for c in b.position), _fmt(b.width), _fmt(b.phase)])
-            for b in sc.bubbles
-        )
-        lines.append(f"blowup.T = {_fmt(sc.blowup_time)}")
-        lines.append(f"blowup.bubbles = {chunk}")
-    if sc.solitons:
-        chunk = ";".join(
-            ":".join(
-                [
-                    ",".join(_fmt(c) for c in s.velocity),
-                    _fmt(s.width),
-                    _fmt(s.phase),
-                    ",".join(_fmt(c) for c in s.position0),
-                ]
-            )
-            for s in sc.solitons
-        )
-        lines.append(f"soliton.waves = {chunk}")
-    if sc.noise_kind != "none":
-        lines.append(f"noise.amplitude = {_fmt(sc.noise_amplitude)}")
-        lines.append(f"noise.modes = {sc.noise_modes}")
-        lines.append(f"noise.seed = {sc.noise_seed}")
-        lines.append(f"noise.drive = {sc.noise_drive}")
-        if sc.noise_sigma is not None:
-            lines.append(f"noise.sigma = {_fmt(sc.noise_sigma)}")
-        if sc.noise_flat_points:
-            chunk = ";".join(",".join(_fmt(c) for c in pt) for pt in sc.noise_flat_points)
-            lines.append(f"noise.flat_points = {chunk}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -853,9 +840,7 @@ def run_ensemble(sc: ScenarioConfig, outdir: Optional[Path] = None) -> tuple:
     """
     if sc.ensemble_size < 2:
         raise ConfigError(f"an ensemble needs ensemble.size >= 2, got {sc.ensemble_size}")
-    outdir = Path(outdir) if outdir is not None else resolve_outdir(sc)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "config.txt").write_text(render_config(sc))
+    outdir = open_run_dir(sc, outdir)
     jobs = [(sc, i) for i in range(sc.ensemble_size)]
     workers = sc.ensemble_workers or os.cpu_count() or 1
     if workers > 1:

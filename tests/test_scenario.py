@@ -7,18 +7,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nlslab
 import nlslab.scenario as scenario
+from nlslab import cli
 from nlslab.scenario import (
+    SCENARIO_KINDS,
+    SCHEMA,
     ConfigError,
     build_scenario,
     ensemble_summary,
     load_scenario,
     parse_config_text,
+    render_config,
     run_ensemble,
     run_scenario,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 GAUGE_CHECK = """
 scenario.kind = snls_gauge_check
@@ -65,8 +74,135 @@ def test_parse_rejects_malformed():
         parse_config_text("a = 1\na = 2")
     with pytest.raises(ConfigError):
         build_scenario(parse_config_text("scenario.kind = bogus\nevolve.t1 = 1"))
-    with pytest.raises(ConfigError):
-        build_scenario(parse_config_text("scenario.kind = custom\nevolve.t1 = 1\nmystery.key = 3"))
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        build_scenario(
+            parse_config_text("scenario.kind = loglog_supercritical\nevolve.t1 = 1\nmystery.key = 3")
+        )
+
+
+def test_custom_kind_rejected():
+    assert "custom" not in SCENARIO_KINDS
+    with pytest.raises(ConfigError, match="scenario.kind must be one of"):
+        build_scenario(parse_config_text("scenario.kind = custom\nevolve.t1 = 1"))
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_rendered_config_loads_back_equal(path):
+    sc = load_scenario(path)
+    text = render_config(sc)
+    assert build_scenario(parse_config_text(text)) == sc
+    assert render_config(build_scenario(parse_config_text(text))) == text
+
+
+_floats = st.floats(allow_nan=False, width=64)
+
+
+def _point(d):
+    return st.lists(_floats, min_size=d, max_size=d).map(lambda xs: ",".join(map(repr, xs)))
+
+
+@st.composite
+def _config_text(draw):
+    """Config text that sets every schema key to a valid value; keys with a
+    default may be left out."""
+    kind = draw(st.sampled_from(SCENARIO_KINDS))
+    d = draw(st.sampled_from([1, 2]))
+    critical = 1.0 + 4.0 / d
+    subcritical_ok = d == 1 and kind not in (
+        "critical_blowup", "multi_bubble", "bourgain_wang", "loglog_supercritical"
+    )
+    p = draw(st.floats(1.0, critical, exclude_min=True)) if subcritical_ok else critical
+    pt = _point(d)
+    bubble = st.tuples(pt, _floats, _floats).map(lambda b: f"{b[0]}:{b[1]!r}:{b[2]!r}")
+    wave = st.tuples(pt, _floats, _floats, pt).map(
+        lambda w: f"{w[0]}:{w[1]!r}:{w[2]!r}:{w[3]}"
+    )
+    noise = "none" if kind == "bourgain_wang" else draw(
+        st.sampled_from(["none", "constant", "schwartz", "flat"])
+    )
+    values = {
+        "scenario.kind": kind,
+        "grid.d": d,
+        "grid.L": repr(draw(_floats)),
+        "grid.N": draw(st.integers()),
+        "physics.p": repr(p),
+        "blowup.bubbles": ";".join(draw(st.lists(bubble, min_size=2, max_size=3))),
+        "blowup.T": repr(draw(_floats)),
+        "soliton.waves": ";".join(draw(st.lists(wave, min_size=1, max_size=3))),
+        "zstar.amplitude_rel": repr(draw(st.floats(max_value=0.1, allow_nan=False))),
+        "zstar.center": draw(pt),
+        "zstar.width": repr(draw(_floats)),
+        "noise.kind": noise,
+        "noise.amplitude": repr(draw(_floats)),
+        "noise.modes": draw(st.integers()),
+        "noise.seed": draw(st.integers(0, 2**64 - 1)),
+        "noise.flat_points": ";".join(draw(st.lists(pt, min_size=1, max_size=3))),
+        "noise.sigma": repr(draw(_floats)),
+        "noise.drive": draw(st.sampled_from(["brownian", "sin"])),
+        "init.mass_sq_ratio": repr(draw(_floats)),
+        "init.width": repr(draw(_floats)),
+        "evolve.t0": repr(draw(st.floats(min_value=0.0, exclude_min=True, allow_nan=False))),
+        "evolve.t1": repr(draw(_floats)),
+        "evolve.dt0": repr(draw(_floats)),
+        "evolve.gmax": repr(draw(_floats)),
+        "evolve.width_factor": repr(draw(_floats)),
+        "evolve.cadence": draw(st.integers()),
+        "output.dir": draw(st.text("abcXYZ019_-./", min_size=1)),
+        "output.snapshots": draw(st.sampled_from(["none", "final", "all"])),
+        "ensemble.size": draw(st.integers(min_value=1)),
+        "ensemble.workers": draw(st.integers(min_value=1)),
+    }
+    assert set(values) == {row.key for row in SCHEMA}
+    keep = {"scenario.kind", "grid.d", "evolve.t1", "blowup.bubbles", "soliton.waves", "evolve.t0"}
+    dropped = draw(st.sets(st.sampled_from(sorted(set(values) - keep))))
+    return "".join(f"{k} = {v}\n" for k, v in values.items() if k not in dropped)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_config_text())
+def test_config_parse_render_parse_roundtrip(text):
+    sc = build_scenario(parse_config_text(text))
+    assert build_scenario(parse_config_text(render_config(sc))) == sc
+
+
+def test_run_config_txt_replays_the_run(tmp_path):
+    text = """
+scenario.kind = loglog_supercritical
+grid.L = 40
+grid.N = 256
+init.mass_sq_ratio = 1.5
+init.width = 1.0
+zstar.amplitude_rel = 0.08
+zstar.width = 2
+evolve.t1 = 0.01
+evolve.cadence = 5
+ensemble.workers = 2
+output.dir = runs/loglog
+"""
+    sc = build_scenario(parse_config_text(text))
+    outdir = tmp_path / "run"
+    run_scenario(sc, outdir)
+    assert load_scenario(outdir / "config.txt") == sc
+
+
+def test_diagnose_uses_the_runs_ground_profile(tmp_path):
+    # p = 3: the critical profile of d = 1 would give another mass
+    text = (CONFIGS / "multi_soliton_subcritical.cfg").read_text().replace(
+        "evolve.t1 = 5.0", "evolve.t1 = 0.2"
+    )
+    sc = build_scenario(parse_config_text(text))
+    assert sc.p == 3.0 and sc.t1 == 0.2
+    run_scenario(sc, tmp_path / "run")
+    res = CliRunner().invoke(cli.main, ["diagnose", str(tmp_path / "run")])
+    assert res.exit_code == 0, res.output
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["concentration"]["fraction"] == summary["concentration"]["fraction"]
+
+    (tmp_path / "run" / "config.txt").write_text("scenario.kind = nosuch\nevolve.t1 = 1\n")
+    res = CliRunner().invoke(cli.main, ["diagnose", str(tmp_path / "run")])
+    assert res.exit_code == 2
+    assert "config error" in res.output
 
 
 def test_kind_specific_validation():
@@ -280,6 +416,7 @@ def test_cli_evolve(tmp_path):
     res = _cli(["evolve", str(cfg_file)], cwd=tmp_path, env={"NLSLAB_OUT": str(tmp_path)})
     assert res.returncode == 0, res.stderr
     assert (tmp_path / "evo" / "traj_000" / "diagnostics.csv").exists()
+    assert load_scenario(tmp_path / "evo" / "config.txt") == load_scenario(cfg_file)
 
 
 def test_ensemble_amplitude_sweep_reports_trend(tmp_path):
