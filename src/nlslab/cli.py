@@ -3,6 +3,7 @@ reports, and config-driven scenarios."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -28,13 +29,20 @@ from .scenario import (
 )
 
 
-def _load(config_file):
-    """The scenario of a config file; a schema violation exits 2."""
+@contextlib.contextmanager
+def _config_errors():
+    """A ConfigError raised inside exits 2 with ``config error``."""
     try:
-        return load_scenario(config_file)
+        yield
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
+
+
+def _load(config_file):
+    """The scenario of a config file; a schema violation exits 2."""
+    with _config_errors():
+        return load_scenario(config_file)
 
 
 @click.group()
@@ -79,7 +87,8 @@ def evolve_cmd(config_file):
     """Integrate a scenario config; write config.txt, diagnostics CSV and snapshots."""
     sc = _load(config_file)
     outdir = open_run_dir(sc)
-    prep = prepare_run(sc)
+    with _config_errors():
+        prep = prepare_run(sc)
     traj = run_trajectory(sc, prep, sc.noise_seed)
     write_trajectory_artifacts(sc, traj, outdir / "traj_000")
     click.echo(f"stop_reason={traj.stop_reason} steps={traj.n_steps} out={outdir}")
@@ -197,7 +206,8 @@ def scenario():
 def scenario_run(config_file):
     """Run one scenario and its diagnostic battery."""
     sc = _load(config_file)
-    summary, code = run_scenario(sc)
+    with _config_errors():
+        summary, code = run_scenario(sc)
     click.echo(json.dumps(summary, sort_keys=True))
     sys.exit(code)
 
@@ -207,11 +217,8 @@ def scenario_run(config_file):
 def scenario_ensemble(config_file):
     """Run a seed ensemble of one scenario."""
     sc = _load(config_file)
-    try:
+    with _config_errors():
         summary, code = run_ensemble(sc)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
     click.echo(json.dumps(summary, sort_keys=True))
     sys.exit(code)
 

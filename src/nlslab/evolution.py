@@ -26,7 +26,14 @@ from typing import Optional
 import numpy as np
 import scipy.fft as sfft
 
-from .grid import ComplexField, GridSpec, grad_norm_sq, gradient_values, l2_norm_sq
+from .grid import (
+    ComplexField,
+    GridSpec,
+    grad_norm_sq,
+    gradient_moments,
+    gradient_values,
+    l2_norm_sq,
+)
 from .ground_state import ground_profile
 from .noise import (
     Coefficients,
@@ -54,18 +61,28 @@ _LONGDOUBLE = np.dtype(np.longdouble).itemsize > 8
 _REAL = np.longdouble if _LONGDOUBLE else np.float64
 
 
+# the deterministic adaptive step is dt0 * 2^(-l / LADDER_LEVELS), l >= 0
+LADDER_LEVELS = 8
+# phases kept: a run steps on a few neighbouring levels at a time
+PHASE_CACHE_LEVELS = 4
+
+
 def _nonlinear_half(values: np.ndarray, dt_half: float, p: float) -> np.ndarray:
-    return values * np.exp(1j * np.abs(values) ** (p - 1.0) * dt_half)
+    """values * exp(i |v|^(p-1) dt_half), |v|^2 taken as re^2 + im^2."""
+    dens = values.real**2 + values.imag**2
+    theta = (dens * dens if p == 5.0 else dens ** (0.5 * (p - 1.0))) * dt_half
+    return values * (np.cos(theta) + 1j * np.sin(theta))
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=PHASE_CACHE_LEVELS)
 def _phase(grid: GridSpec, dt: float, real: type) -> np.ndarray:
     """exp(-i k^2 dt) with k^2 and dt in precision ``real``; read-only.
 
     k^2 at index j and N - j is the same double, so the phase is evaluated
     on the non-negative half of each axis (N/2 + 1 points) and mirrored,
-    bitwise equal to the full evaluation.  The last phase is kept: noise
-    runs step on a few dyadic levels, so nearly every step reuses it.
+    bitwise equal to the full evaluation.  The phases of the last few step
+    sizes are kept: deterministic runs step on the levels of the dt ladder
+    and noise runs on dyadic levels, so nearly every step reuses one.
     """
     h = grid.points // 2 + 1
     k2 = grid.k_squared()[(slice(0, h),) * grid.d].astype(real)
@@ -296,8 +313,8 @@ def _peak_center_abs(grid: GridSpec, absv: np.ndarray) -> np.ndarray:
 
 def _ball_mass(grid: GridSpec, dens: np.ndarray, center, radius: float) -> float:
     """Mass of the density |v|^2 within ``radius`` of ``center``."""
-    r2 = grid.radius_squared(center)
-    return float(np.sum((r2 <= radius * radius) * dens)) * grid.dvol
+    r2 = sum((xj - cj) ** 2 for xj, cj in zip(grid.mesh(), center))
+    return float(np.sum(dens[r2 <= radius * radius])) * grid.dvol
 
 
 class _Recorder:
@@ -312,7 +329,6 @@ class _Recorder:
         self.smear = []
         self.snapshots = []
         self.mass0 = None
-        self.pe = 2.0 + 4.0 / config.grid.d
 
     def record(self, t: float, values: np.ndarray, weights, snapshot: bool):
         grid = self.config.grid
@@ -324,22 +340,26 @@ class _Recorder:
         mass = math.sqrt(mass_sq)
         if self.mass0 is None:
             self.mass0 = mass
-        grads = gradient_values(grid, values)
-        grad_sq = sum(float(np.sum(np.abs(g) ** 2)) for g in grads) * dvol
-        # momentum of the gauged-back field: Im int conj(X) d_j X
-        mom = np.array([
-            float(np.sum((np.conj(values) * g).imag)) * dvol for g in grads
-        ])
-        lp_sum = float(np.sum(absv**self.pe)) * dvol
+        # |v|^(2 + 4/d)
+        lp_sum = float(np.sum(dens * dens if grid.d == 2 else dens * dens * dens)) * dvol
 
-        if self.profiles is not None:
+        if self.profiles is None:
+            # one FFT, by Parseval; the noise terms below need grad v pointwise
+            grad_sq, mom = gradient_moments(grid, values)
+            kinetic = grad_sq
+        else:
+            grads = gradient_values(grid, values)
+            grad_sq = sum(float(np.sum(np.abs(g) ** 2)) for g in grads) * dvol
+            # momentum of the gauged-back field: Im int conj(X) d_j X
+            mom = np.array([
+                float(np.sum((np.conj(values) * g).imag)) * dvol for g in grads
+            ])
             # gauge back: X = e^{i psi} v; |X| = |v|, grad X picks up i grad(psi) X
             gpsi = self.profiles.grad_psi(weights)
-            gx_sq = sum(
+            kinetic = sum(
                 float(np.sum(np.abs(g + 1j * gp * values) ** 2))
                 for g, gp in zip(grads, gpsi)
             ) * dvol
-            ham = 0.5 * gx_sq - grid.d / (2.0 * grid.d + 4.0) * lp_sum
             mom = mom + np.array(
                 [float(np.sum(gp * dens)) * dvol for gp in gpsi]
             )
@@ -358,9 +378,8 @@ class _Recorder:
             self.marty.append(marty_row)
             self.smear.append(smear_row)
             self.rows["weights"].append(np.array(weights, dtype=float))
-        else:
-            ham = 0.5 * grad_sq - grid.d / (2.0 * grid.d + 4.0) * lp_sum
 
+        ham = 0.5 * kinetic - grid.d / (2.0 * grid.d + 4.0) * lp_sum
         grad_norm = math.sqrt(grad_sq)
         center = _peak_center_abs(grid, absv)
         lam = self.config.grad_ref / grad_norm if (
@@ -498,7 +517,9 @@ def integrate(config: EvolveConfig) -> Trajectory:
                 dt = base_dt * 2.0**-j
                 dpos = 2 ** (POS_LEVEL - j)
         else:
-            dt = min(dt_target, t1 - t)
+            # round down to the ladder, so that steps repeat a few cached phases
+            level = max(0, math.ceil(LADDER_LEVELS * math.log2(config.dt0 / dt_target)))
+            dt = min(config.dt0 * 2.0 ** (-level / LADDER_LEVELS), t1 - t)
 
         attempts = 0
         while True:

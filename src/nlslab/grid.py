@@ -10,10 +10,12 @@ spectrally accurate for smooth decaying fields.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.fft as sfft
 
 
 class GridError(ValueError):
@@ -164,6 +166,22 @@ def gradient_values(grid: GridSpec, values: np.ndarray) -> list:
     return [np.fft.ifftn(ikj * vhat) for ikj in ik]
 
 
+def gradient_moments(grid: GridSpec, values: np.ndarray) -> tuple:
+    """||grad v||^2 and the momenta Im int conj(v) d_j v dx, by Parseval.
+
+    One forward transform; the spectral weights are the gradient's own
+    multipliers i k_j (Nyquist included), so the sums equal those over
+    ``gradient_values`` to rounding.
+    """
+    sp = _spectral(grid)
+    vhat = np.fft.fft(values) if grid.d == 1 else np.fft.fftn(values)
+    power = vhat.real**2 + vhat.imag**2
+    scale = grid.dvol / power.size
+    grad_sq = float(np.sum(sp.k_squared * power)) * scale
+    momentum = np.array([float(np.sum(kj * power)) for kj in sp.k_mesh]) * scale
+    return grad_sq, momentum
+
+
 def laplacian_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     vhat = np.fft.fftn(values)
     return np.fft.ifftn(-grid.k_squared() * vhat)
@@ -242,14 +260,17 @@ def l2_inner(f: ComplexField, g: ComplexField) -> complex:
 
 # ---------------------------------------------------------------------------
 # trigonometric (Fourier) interpolation
+#
+# The interpolant of values with DFT coefficients c is
+#   f(t) = (1/N) sum_k c_k e^{i k (t + L/2)},
+# with the Nyquist mode taken as a cosine so real fields interpolate to real
+# values.  On an affine uniform target grid t_m = start + m*step it is one
+# chirp-z transform (Bluestein's convolution), O(N log N) per axis; arbitrary
+# targets take the direct sum.
 
 
 def _interp_matrix(grid: GridSpec, targets: np.ndarray) -> np.ndarray:
-    """Rows evaluate the trigonometric interpolant at arbitrary points.
-
-    The Nyquist mode is evaluated as a cosine so real fields interpolate
-    to real values.
-    """
+    """Rows evaluate the trigonometric interpolant at arbitrary points."""
     n = grid.points
     k = grid.wavenumbers()
     shift = targets[:, None] + 0.5 * grid.extent
@@ -258,16 +279,70 @@ def _interp_matrix(grid: GridSpec, targets: np.ndarray) -> np.ndarray:
     return mat / n
 
 
-def fourier_interp_1d(grid: GridSpec, values: np.ndarray, targets) -> np.ndarray:
+def _affine_targets(targets: np.ndarray):
+    """(start, step) when ``targets`` is start + step*m, m = 0..M-1 with
+    M >= 2, to rounding; otherwise None."""
+    if targets.ndim != 1 or targets.size < 2:
+        return None
+    start = float(targets[0])
+    step = float(targets[-1] - targets[0]) / (targets.size - 1)
+    fit = start + step * np.arange(targets.size)
+    if np.abs(targets - fit).max() > 1e-14 * np.abs(targets).max():
+        return None
+    return start, step
+
+
+def _half_turns(c: float, j: np.ndarray) -> np.ndarray:
+    """c*j modulo 2 for integer-valued j with |j| < 2^32.
+
+    c is split into a 21-bit head, whose product with j is exact and is
+    reduced exactly, and a tail; so exp(i*pi*result) keeps full accuracy
+    where c*j is thousands of half turns.
+    """
+    mant, exp2 = math.frexp(c)
+    head = math.ldexp(round(mant * 2**20), exp2 - 20)
+    return np.mod(head * j, 2.0) + (c - head) * j
+
+
+def _chirp_z(grid: GridSpec, chat: np.ndarray, start: float, step: float, count: int) -> np.ndarray:
+    """The interpolant along axis 0 of the DFT coefficients ``chat`` at
+    t_m = start + m*step, m < count (trailing axes are batched).
+
+    With signed modes q in [-N/2, N/2] (the Nyquist coefficient halved at
+    both ends: its cosine), s = (start + L/2)/L and r = step/L,
+    f(t_m) = (1/N) sum_q c_q e^{i pi (2 s q + 2 r q m)}.  Bluestein's
+    2 q m = q^2 + m^2 - (m - q)^2 turns the sum into a convolution with the
+    chirp e^{-i pi r j^2}, j = m - q, made circular on count + N points.
+    """
+    n = grid.points
+    half = n // 2
+    batch = (slice(None),) + (None,) * (chat.ndim - 1)
+    coef = np.concatenate((chat[half:], chat[:half], chat[half : half + 1]))
+    coef[0] *= 0.5
+    coef[-1] *= 0.5
+    s = (start + 0.5 * grid.extent) / grid.extent
+    r = step / grid.extent
+    q = np.arange(-half, half + 1, dtype=float)
+    m = np.arange(count, dtype=float)
+    size = sfft.next_fast_len(count + n)
+    lag = np.arange(-n, count)  # m - (q + N/2), stored modulo size
+    chirp = np.zeros(size, dtype=np.complex128)
+    chirp[lag % size] = np.exp(-1j * np.pi * _half_turns(r, (lag + float(half)) ** 2))
+    a = coef * np.exp(1j * np.pi * (_half_turns(2.0 * s, q) + _half_turns(r, q * q)))[batch]
+    conv = sfft.ifft(sfft.fft(a, size, axis=0) * sfft.fft(chirp)[batch], axis=0)[:count]
+    return np.exp(1j * np.pi * _half_turns(r, m * m))[batch] * conv / n
+
+
+def _interp_axis(grid: GridSpec, chat: np.ndarray, targets, axis: int) -> np.ndarray:
+    """Replace ``axis`` of the DFT coefficients by interpolant values."""
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    vhat = np.fft.fft(values)
-    out = np.empty(targets.shape, dtype=np.complex128)
-    # chunked to bound the evaluation-matrix size on large grids
-    step = max(1, 2**22 // grid.points)
-    for i in range(0, targets.size, step):
-        block = targets[i : i + step]
-        out[i : i + block.size] = _interp_matrix(grid, block) @ vhat
-    return out
+    chat = np.moveaxis(chat, axis, 0)
+    affine = _affine_targets(targets)
+    if affine is None:
+        out = np.tensordot(_interp_matrix(grid, targets), chat, axes=1)
+    else:
+        out = _chirp_z(grid, chat, *affine, targets.size)
+    return np.moveaxis(out, 0, axis)
 
 
 def fourier_interp_axes(field: ComplexField, axes_targets) -> np.ndarray:
@@ -278,14 +353,10 @@ def fourier_interp_axes(field: ComplexField, axes_targets) -> np.ndarray:
     Targets outside the box wrap periodically.
     """
     grid = field.grid
-    if grid.d == 1:
-        return fourier_interp_1d(grid, field.values, axes_targets[0])
-    tx = np.atleast_1d(np.asarray(axes_targets[0], dtype=float))
-    ty = np.atleast_1d(np.asarray(axes_targets[1], dtype=float))
-    fhat = np.fft.fft2(field.values)
-    ex = _interp_matrix(grid, tx)
-    ey = _interp_matrix(grid, ty)
-    return (ex @ fhat) @ ey.T
+    out = np.fft.fftn(field.values)
+    for axis, targets in enumerate(axes_targets[: grid.d]):
+        out = _interp_axis(grid, out, targets, axis)
+    return out
 
 
 # ---------------------------------------------------------------------------

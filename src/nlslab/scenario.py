@@ -13,6 +13,7 @@ import concurrent.futures
 import json
 import math
 import os
+import shutil
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -23,6 +24,7 @@ from . import diagnostics as diag
 from .evolution import (
     FAILED_STOPS,
     EvolveConfig,
+    EvolveError,
     NoiseSetup,
     Trajectory,
     backward_solve,
@@ -38,7 +40,7 @@ from .exact import (
     pseudo_conformal_map,
     solitary_wave,
 )
-from .grid import ComplexField, GridSpec, l2_norm_sq, make_grid, write_snapshot
+from .grid import ComplexField, GridSpec, l2_norm_sq, make_grid, norm_suite, write_snapshot
 from .ground_state import GroundProfile, critical_exponent, ground_profile
 from .noise import ProfileSpec
 
@@ -358,16 +360,24 @@ def _gaussian_with_mass(grid: GridSpec, width: float, mass_sq: float) -> Complex
     return ComplexField(grid, vals * math.sqrt(mass_sq / l2_norm_sq(f)))
 
 
-def _zstar_field(sc: ScenarioConfig, grid: GridSpec, profile) -> ComplexField:
-    from .grid import norm_suite
+def _regular_profile(
+    sc: ScenarioConfig, grid: GridSpec, profile, blowup_time: float, t0: float
+) -> ComplexField:
+    """The solution at t0 that equals z* at ``blowup_time``.
 
+    z* is a Gaussian whose H1 norm is ``zstar.amplitude_rel`` times the run
+    profile's, and the smallness check measures it against that same norm.
+    Data the backward solve refuses is a config error.
+    """
     r2 = grid.radius_squared(sc.zstar_center)
     vals = np.exp(-r2 / sc.zstar_width**2).astype(np.complex128)
-    f = ComplexField(grid, vals)
-    q = profile.sample(grid)
-    q_h1 = norm_suite(q).h1
-    scale = sc.zstar_amplitude_rel * q_h1 / norm_suite(f).h1
-    return ComplexField(grid, vals * scale)
+    q_h1 = norm_suite(profile.sample(grid)).h1
+    scale = sc.zstar_amplitude_rel * q_h1 / norm_suite(ComplexField(grid, vals)).h1
+    zstar = ComplexField(grid, vals * scale)
+    try:
+        return backward_solve(zstar, blowup_time, t0, sc.p, dt0=sc.dt0, smallness_ref=q_h1)
+    except EvolveError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def prepare_run(sc: ScenarioConfig) -> PreparedRun:
@@ -383,8 +393,7 @@ def prepare_run(sc: ScenarioConfig) -> PreparedRun:
     elif sc.kind == "bourgain_wang":
         blowup = BlowupParams(blowup_time=sc.blowup_time, bubbles=sc.bubbles)
         bubble_part = pseudo_conformal_blowup(blowup, sc.t0, grid, profile)
-        zstar = _zstar_field(sc, grid, profile)
-        z0 = backward_solve(zstar, sc.blowup_time, sc.t0, sc.p, dt0=sc.dt0)
+        z0 = _regular_profile(sc, grid, profile, sc.blowup_time, sc.t0)
         initial = ComplexField(grid, bubble_part.values + z0.values)
     elif sc.kind in ("multi_soliton", "snls_gauge_check"):
         solitons = SolitonParams(solitons=sc.solitons, p=sc.p)
@@ -392,10 +401,9 @@ def prepare_run(sc: ScenarioConfig) -> PreparedRun:
     elif sc.kind == "nonpure_soliton":
         solitons = SolitonParams(solitons=sc.solitons, p=sc.p)
         wave_part = solitary_wave(solitons, sc.t0, grid, profile)
-        zstar = _zstar_field(sc, grid, profile)
         # regular profile in the blow-up frame lives on s in [0, 1); T = 1
         s0 = 1.0 - 1.0 / sc.t0
-        z_at_s0 = backward_solve(zstar, 1.0, s0, sc.p, dt0=sc.dt0)
+        z_at_s0 = _regular_profile(sc, grid, profile, 1.0, s0)
         ztilde0, _ = pseudo_conformal_map(z_at_s0, sc.t0, 1.0, direction="inverse")
         initial = ComplexField(grid, wave_part.values + ztilde0.values)
         ztilde = dict(z_state=z_at_s0, z_time=s0)
@@ -700,11 +708,22 @@ def resolve_outdir(sc: ScenarioConfig) -> Path:
     return out if out.is_absolute() else Path(root) / out
 
 
+# what a run or ``nlslab diagnose`` writes into a run directory
+_RUN_ARTIFACTS = ("traj_*", "*.csv", "summary.json", "ensemble_summary.json", "report.json")
+
+
 def open_run_dir(sc: ScenarioConfig, outdir: Optional[Path] = None) -> Path:
-    """Create the run directory (default: ``output.dir``) and record the
-    run's resolved config in it as ``config.txt``."""
+    """Create the run directory (default: ``output.dir``), remove the
+    artifacts an earlier run left in it and record the run's resolved
+    config as ``config.txt``."""
     outdir = Path(outdir) if outdir is not None else resolve_outdir(sc)
     outdir.mkdir(parents=True, exist_ok=True)
+    for pattern in _RUN_ARTIFACTS:
+        for path in outdir.glob(pattern):
+            if path.is_dir():
+                shutil.rmtree(path)
+            else:
+                path.unlink()
     (outdir / "config.txt").write_text(render_config(sc))
     return outdir
 

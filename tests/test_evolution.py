@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from nlslab.evolution import (
+    LADDER_LEVELS,
+    PHASE_CACHE_LEVELS,
     _phase,
     EvolveConfig,
     EvolveError,
@@ -261,3 +265,92 @@ def test_step_underflow_has_its_own_stop_reason(profile):
     traj = integrate(cfg)
     assert traj.stop_reason == "step_underflow"
     assert traj.n_steps == 0
+
+
+def _bubble_config(n=1024, t1=1.0, **kw):
+    profile = ground_profile(1)
+    g = make_grid(1, 40, n)
+    bp = BlowupParams(blowup_time=1.0, bubbles=(Bubble(position=(0.0,), width=1.0),))
+    return EvolveConfig(
+        grid=g, p=5.0, v0=pseudo_conformal_blowup(bp, 0.0, g, profile), t0=0.0, t1=t1,
+        dt0=4e-3, grad_ref=np.sqrt(profile.grad_sq), cadence=10**9, keep_snapshots=False,
+        **kw,
+    )
+
+
+def _targets(cfg, traj):
+    """The adaptive target dt0 * min(1, (g0/g)^2) before each step."""
+    g = traj.grad_norm[:-1]
+    return cfg.dt0 * np.minimum(1.0, (traj.grad_norm[0] / g) ** 2)
+
+
+def test_adaptive_steps_lie_on_the_ladder():
+    cfg = _bubble_config()
+    _phase.cache_clear()
+    traj = integrate(cfg)
+    info = _phase.cache_info()
+    assert traj.stop_reason == "width_resolution" and traj.n_steps > 500
+    dt = np.diff(traj.times)
+    level = LADDER_LEVELS * np.log2(cfg.dt0 / dt)
+    assert np.abs(level - np.round(level)).max() < 1e-6
+    assert np.round(level).min() == 0 and np.round(level).max() >= 2 * LADDER_LEVELS
+    # rounded down from the target, by less than one level
+    target = _targets(cfg, traj)
+    assert np.all(dt <= target * (1 + 1e-12))
+    assert np.all(dt > target * 2.0 ** (-1.0 / LADDER_LEVELS))
+    # the phase cache holds a few levels and serves nearly every step
+    assert info.maxsize == PHASE_CACHE_LEVELS <= 8
+    assert info.currsize <= PHASE_CACHE_LEVELS
+    assert info.misses <= np.unique(np.round(level)).size + 2
+    assert info.hits + info.misses == traj.n_steps
+
+
+def test_ladder_clips_only_the_last_step_to_the_span():
+    cfg = _bubble_config(t1=0.5)
+    traj = integrate(cfg)
+    assert traj.stop_reason == "reached_end"
+    assert abs(traj.final_time - 0.5) < 1e-12
+    dt = np.diff(traj.times)
+    level = LADDER_LEVELS * np.log2(cfg.dt0 / dt[:-1])
+    assert np.abs(level - np.round(level)).max() < 1e-6
+    assert dt[-1] < cfg.dt0 * 2.0 ** (-np.round(level[-1]) / LADDER_LEVELS)
+
+
+def test_fixed_step_clock_unchanged():
+    cfg = _bubble_config(n=512, t1=0.3013, adaptive=False)
+    traj = integrate(cfg)
+    want = [cfg.t0]
+    while want[-1] < cfg.t1 - 1e-12:
+        want.append(want[-1] + min(cfg.dt0, cfg.t1 - want[-1]))
+    assert np.array_equal(traj.times, want)
+
+
+def _dyadic_times(cfg, traj, base_dt):
+    """The clock of noise runs and their twins, replayed from the recorded
+    gradient norms: dt = base_dt 2^-j at the coarsest level j >= j0 not above
+    the adaptive target, refined further to stay inside the span."""
+    pos_level = 30
+    unit = base_dt * 2.0**-pos_level
+    end = int(round((cfg.t1 - cfg.t0) / unit))
+    j0 = int(round(math.log2(base_dt / cfg.dt0)))
+    pos, times = 0, [cfg.t0]
+    for target in _targets(cfg, traj):
+        j = max(j0, math.ceil(math.log2(base_dt / target) - 1e-12))
+        while pos + 2 ** (pos_level - j) > end:
+            j += 1
+        pos += 2 ** (pos_level - j)
+        times.append(cfg.t0 + pos * unit)
+    return np.array(times)
+
+
+def test_noise_and_twin_runs_keep_the_dyadic_clock():
+    noise = NoiseSetup(profiles=ProfileSpec(kind="schwartz", amplitude=0.2, n_modes=2), seed=3)
+    noisy_cfg = _bubble_config(n=512, noise=noise)
+    twin_cfg = _bubble_config(n=512, force_dyadic=True)
+    for cfg in (noisy_cfg, twin_cfg):
+        traj = integrate(cfg)
+        assert traj.n_steps > 100
+        assert np.array_equal(traj.times, _dyadic_times(cfg, traj, cfg.dt0))
+        # dyadic levels only: dt0 / 2^j
+        level = np.log2(cfg.dt0 / np.diff(traj.times))
+        assert np.abs(level - np.round(level)).max() < 1e-6

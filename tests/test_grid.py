@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import nlslab
 
 from nlslab.grid import (
     ComplexField,
@@ -7,6 +14,7 @@ from nlslab.grid import (
     GridSpec,
     _spectral,
     fourier_interp_axes,
+    gradient_moments,
     gradient_values,
     l2_inner,
     l2_norm_sq,
@@ -155,6 +163,79 @@ def test_fourier_interpolation_shifted_gaussian():
     out = fourier_interp_axes(f, [pts])
     exact = np.exp(-(pts**2) / 2) * np.exp(0.3j * pts)
     assert np.abs(out - exact).max() < 1e-12
+
+
+def _direct_interp(g, chat, targets):
+    """(1/N) sum_k chat_k e^{i k (t + L/2)} term by term along axis 0, the
+    Nyquist mode as a cosine."""
+    k = g.wavenumbers()
+    out = 0.0
+    for j in range(g.points):
+        wave = np.exp(1j * k[j] * (targets + 0.5 * g.extent))
+        if j == g.points // 2:
+            wave = wave.real
+        out = out + np.multiply.outer(wave, chat[j])
+    return out / g.points
+
+
+@pytest.mark.parametrize("d,n", [(1, 64), (1, 4096), (2, 32)])
+@pytest.mark.parametrize("scale,shift", [(1.0, 0.0), (0.37, 1.234), (1.7, -0.5)])
+def test_chirp_z_matches_direct_sum(d, n, scale, shift):
+    g = make_grid(d, 20.0, n)
+    x = g.axis()
+    r2 = sum((xj - 0.4 * j) ** 2 for j, xj in enumerate(g.mesh()))
+    f = ComplexField(g, np.exp(-r2) * np.exp(0.8j * g.mesh()[0]))
+    targets = scale * x + shift
+    out = fourier_interp_axes(f, [targets] * d)
+    assert out.shape == (n,) * d
+    # the direct sum at every 16th target of each axis
+    pick = slice(None, None, max(1, n // 256))
+    want = _direct_interp(g, np.fft.fftn(f.values), targets[pick])
+    if d == 2:
+        want = _direct_interp(g, np.moveaxis(want, 0, 1), targets[pick]).T
+    got = out[(pick,) * d]
+    assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+
+def test_chirp_z_keeps_a_real_field_real():
+    g = make_grid(1, 20.0, 64)
+    v = np.random.default_rng(5).standard_normal(64)  # strong Nyquist content
+    targets = 0.7 * g.axis() + 0.3
+    out = fourier_interp_axes(ComplexField(g, v), [targets])
+    want = _direct_interp(g, np.fft.fft(v), targets)
+    assert np.abs(want.imag).max() <= 1e-13 * np.abs(want).max()
+    assert np.abs(out.imag).max() <= 1e-13 * np.abs(out).max()
+    assert np.abs(out - want).max() <= 1e-11 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("d,n", [(1, 64), (1, 4096), (2, 32)])
+def test_parseval_gradient_moments_match_gradient_sums(d, n):
+    g = make_grid(d, 40, n)
+    rng = np.random.default_rng(n)
+    r2 = sum((xj - 1.0) ** 2 for xj in g.mesh())
+    boost = sum(c * xj for c, xj in zip((1.3, -0.4), g.mesh()))
+    v = np.exp(-r2 + 1j * boost) + 1e-3 * (
+        rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    )
+    grad_sq, momentum = gradient_moments(g, v)
+    grads = gradient_values(g, v)
+    want_sq = sum(float(np.sum(np.abs(gj) ** 2)) for gj in grads) * g.dvol
+    want_mom = [float(np.sum((np.conj(v) * gj).imag)) * g.dvol for gj in grads]
+    assert abs(grad_sq - want_sq) <= 1e-14 * want_sq
+    for got, want in zip(momentum, want_mom):
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal takes about 1.6 s to import, more than the whole package
+    pkg_root = str(Path(nlslab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    code = "import sys, nlslab.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_snapshot_roundtrip(tmp_path):

@@ -284,6 +284,44 @@ def test_nonpure_soliton_scenario(tmp_path):
     assert summary["stop_reason"] == "reached_end"
 
 
+def test_subcritical_regular_profile_measured_against_its_own_ground_state():
+    # at p = 3 the smallness bound is a tenth of ||Q_3||_H1 (2.309), not of
+    # the critical ||Q_5||_H1 (2.020); z* sits exactly on that bound
+    text = NONPURE_RUN.replace("zstar.amplitude_rel = 0.05", "zstar.amplitude_rel = 0.1")
+    sc = build_scenario(parse_config_text(text + "physics.p = 3\n"))
+    prep = scenario.prepare_run(sc)
+    assert prep.ztilde_ref is not None
+    assert np.all(np.isfinite(prep.initial.values))
+
+
+def test_cli_backward_data_too_large_exit_2(tmp_path):
+    cfg_file = tmp_path / "big.cfg"
+    text = NONPURE_RUN.replace("zstar.amplitude_rel = 0.05", "zstar.amplitude_rel = 0.5")
+    cfg_file.write_text(text + "output.dir = big\n")
+    res = _cli(["scenario", "run", str(cfg_file)], cwd=tmp_path, env={"NLSLAB_OUT": str(tmp_path)})
+    assert res.returncode == 2, res.stderr
+    assert "config error: backward data too large" in res.stderr, res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_rerun_removes_the_previous_runs_artifacts(tmp_path):
+    base = load_scenario(CONFIGS / "critical_blowup.cfg")
+    base = dataclasses.replace(base, dt0=4e-3, cadence=250, snapshots="all")
+    out = tmp_path / "run"
+    first, _ = run_scenario(dataclasses.replace(base, points=1024, width_factor=1.0), out)
+    assert first["T_est"] is not None and (out / "virial.csv").exists()
+    (out / "traj_001").mkdir()  # an earlier ensemble's trajectory
+    (out / "report.json").write_text("{}")  # an earlier diagnose report
+    second, _ = run_scenario(dataclasses.replace(base, points=2048), out)
+    assert second["T_est"] is None  # this run writes no virial.csv
+    assert sorted(p.name for p in out.iterdir()) == [
+        "config.txt", "profile_residuals.csv", "summary.json", "traj_000",
+    ]
+    # the initial state, every 250th step and the final state of this run
+    snaps = sorted((out / "traj_000").glob("snapshot_0*.txt"))
+    assert second["n_steps"] % 250 and len(snaps) == second["n_steps"] // 250 + 2
+
+
 def test_ensemble_zero_amplitude_identical(tmp_path):
     text = GAUGE_CHECK.replace("noise.amplitude = 0.5", "noise.amplitude = 0.0")
     text += "ensemble.size = 3\nensemble.workers = 2\n"
