@@ -92,7 +92,7 @@ class GridSpec:
         for xj, cj in zip(self.mesh(), center):
             term = (xj - cj) ** 2
             out = term if out is None else out + term
-        return out + np.zeros(self.shape)
+        return out
 
 
 class _Spectral(NamedTuple):
@@ -305,8 +305,8 @@ def _half_turns(c: float, j: np.ndarray) -> np.ndarray:
 
 
 def _chirp_z(grid: GridSpec, chat: np.ndarray, start: float, step: float, count: int) -> np.ndarray:
-    """The interpolant along axis 0 of the DFT coefficients ``chat`` at
-    t_m = start + m*step, m < count (trailing axes are batched).
+    """The interpolant along the last axis of the DFT coefficients ``chat``
+    at t_m = start + m*step, m < count (leading axes are batched).
 
     With signed modes q in [-N/2, N/2] (the Nyquist coefficient halved at
     both ends: its cosine), s = (start + L/2)/L and r = step/L,
@@ -316,10 +316,7 @@ def _chirp_z(grid: GridSpec, chat: np.ndarray, start: float, step: float, count:
     """
     n = grid.points
     half = n // 2
-    batch = (slice(None),) + (None,) * (chat.ndim - 1)
-    coef = np.concatenate((chat[half:], chat[:half], chat[half : half + 1]))
-    coef[0] *= 0.5
-    coef[-1] *= 0.5
+    coef = np.concatenate((chat[..., half:], chat[..., :half], chat[..., half : half + 1]), axis=-1)
     s = (start + 0.5 * grid.extent) / grid.extent
     r = step / grid.extent
     q = np.arange(-half, half + 1, dtype=float)
@@ -328,21 +325,30 @@ def _chirp_z(grid: GridSpec, chat: np.ndarray, start: float, step: float, count:
     lag = np.arange(-n, count)  # m - (q + N/2), stored modulo size
     chirp = np.zeros(size, dtype=np.complex128)
     chirp[lag % size] = np.exp(-1j * np.pi * _half_turns(r, (lag + float(half)) ** 2))
-    a = coef * np.exp(1j * np.pi * (_half_turns(2.0 * s, q) + _half_turns(r, q * q)))[batch]
-    conv = sfft.ifft(sfft.fft(a, size, axis=0) * sfft.fft(chirp)[batch], axis=0)[:count]
-    return np.exp(1j * np.pi * _half_turns(r, m * m))[batch] * conv / n
+    pre = np.exp(1j * np.pi * (_half_turns(2.0 * s, q) + _half_turns(r, q * q)))
+    pre[0] *= 0.5
+    pre[-1] *= 0.5
+    coef *= pre
+    spec = sfft.fft(coef, size, axis=-1)
+    spec *= sfft.fft(chirp)
+    conv = sfft.ifft(spec, axis=-1, overwrite_x=True)[..., :count]
+    return conv * (np.exp(1j * np.pi * _half_turns(r, m * m)) / n)
 
 
 def _interp_axis(grid: GridSpec, chat: np.ndarray, targets, axis: int) -> np.ndarray:
-    """Replace ``axis`` of the DFT coefficients by interpolant values."""
+    """Replace ``axis`` of the DFT coefficients by interpolant values.
+
+    The axis is moved last and made contiguous: in 2-d, transforms along
+    the contiguous axis run faster than strided ones.
+    """
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    chat = np.moveaxis(chat, axis, 0)
+    chat = np.ascontiguousarray(np.moveaxis(chat, axis, -1))
     affine = _affine_targets(targets)
     if affine is None:
-        out = np.tensordot(_interp_matrix(grid, targets), chat, axes=1)
+        out = chat @ _interp_matrix(grid, targets).T
     else:
         out = _chirp_z(grid, chat, *affine, targets.size)
-    return np.moveaxis(out, 0, axis)
+    return np.moveaxis(out, -1, axis)
 
 
 def fourier_interp_axes(field: ComplexField, axes_targets) -> np.ndarray:

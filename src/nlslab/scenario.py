@@ -13,6 +13,7 @@ import concurrent.futures
 import json
 import math
 import os
+import re
 import shutil
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -708,22 +709,27 @@ def resolve_outdir(sc: ScenarioConfig) -> Path:
     return out if out.is_absolute() else Path(root) / out
 
 
-# what a run or ``nlslab diagnose`` writes into a run directory
-_RUN_ARTIFACTS = ("traj_*", "*.csv", "summary.json", "ensemble_summary.json", "report.json")
+# what a run or ``nlslab diagnose`` writes at the top of a run directory;
+# trajectories go to traj_NNN/
+_RUN_FILES = (
+    "hevo_residual.csv", "virial.csv", "profile_residuals.csv", "ensemble.csv",
+    "hevo_residual_check.csv", "virial_check.csv",
+    "summary.json", "ensemble_summary.json", "report.json",
+)
+_TRAJ_DIR = re.compile(r"traj_\d{3}")
 
 
 def open_run_dir(sc: ScenarioConfig, outdir: Optional[Path] = None) -> Path:
     """Create the run directory (default: ``output.dir``), remove the
     artifacts an earlier run left in it and record the run's resolved
-    config as ``config.txt``."""
+    config as ``config.txt``.  Files nlslab does not write are kept."""
     outdir = Path(outdir) if outdir is not None else resolve_outdir(sc)
     outdir.mkdir(parents=True, exist_ok=True)
-    for pattern in _RUN_ARTIFACTS:
-        for path in outdir.glob(pattern):
-            if path.is_dir():
-                shutil.rmtree(path)
-            else:
-                path.unlink()
+    for name in _RUN_FILES:
+        (outdir / name).unlink(missing_ok=True)
+    for path in outdir.glob("traj_*"):
+        if path.is_dir() and _TRAJ_DIR.fullmatch(path.name):
+            shutil.rmtree(path)
     (outdir / "config.txt").write_text(render_config(sc))
     return outdir
 

@@ -310,13 +310,21 @@ def test_rerun_removes_the_previous_runs_artifacts(tmp_path):
     out = tmp_path / "run"
     first, _ = run_scenario(dataclasses.replace(base, points=1024, width_factor=1.0), out)
     assert first["T_est"] is not None and (out / "virial.csv").exists()
-    (out / "traj_001").mkdir()  # an earlier ensemble's trajectory
+    (out / "traj_001").mkdir()  # a trajectory directory by nlslab's naming
     (out / "report.json").write_text("{}")  # an earlier diagnose report
+    (out / "virial_check.csv").write_text("t,virial\n")
+    # what nlslab does not write stays
+    (out / "notes.csv").write_text("mine\n")
+    (out / "traj_notes").mkdir()
+    (out / "traj_notes" / "a.csv").write_text("mine\n")
     second, _ = run_scenario(dataclasses.replace(base, points=2048), out)
     assert second["T_est"] is None  # this run writes no virial.csv
     assert sorted(p.name for p in out.iterdir()) == [
-        "config.txt", "profile_residuals.csv", "summary.json", "traj_000",
+        "config.txt", "notes.csv", "profile_residuals.csv", "summary.json",
+        "traj_000", "traj_notes",
     ]
+    assert (out / "notes.csv").read_text() == "mine\n"
+    assert (out / "traj_notes" / "a.csv").read_text() == "mine\n"
     # the initial state, every 250th step and the final state of this run
     snaps = sorted((out / "traj_000").glob("snapshot_0*.txt"))
     assert second["n_steps"] % 250 and len(snaps) == second["n_steps"] // 250 + 2
