@@ -109,7 +109,9 @@ def _linear_full(grid: GridSpec, values: np.ndarray, dt: float) -> np.ndarray:
     """
     phase = _phase(grid, dt, _REAL)
     if _LONGDOUBLE:
-        out = sfft.ifftn(phase * sfft.fftn(values.astype(np.clongdouble)))
+        # 1-d: fft/ifft, the transforms fftn/ifftn make there
+        fwd, inv = (sfft.fft, sfft.ifft) if grid.d == 1 else (sfft.fftn, sfft.ifftn)
+        out = inv(phase * fwd(values.astype(np.clongdouble)))
         return out.astype(np.complex128)
     return np.fft.ifftn(phase * np.fft.fftn(values))
 
@@ -139,15 +141,19 @@ def step_strang(f: ComplexField, dt: float, p: float) -> ComplexField:
     return ComplexField(f.grid, _step_strang_values(f.grid, f.values, dt, p))
 
 
-def _coefficient_rhs(grid: GridSpec, values: np.ndarray, coeffs: Coefficients) -> np.ndarray:
-    grads = gradient_values(grid, values)
+def _coefficient_rhs(grid: GridSpec, values: np.ndarray, coeffs: Coefficients, grads=None) -> np.ndarray:
+    if grads is None:
+        grads = gradient_values(grid, values)
     adv = sum(a * g for a, g in zip(coeffs.a1, grads))
     return 1j * (adv + coeffs.a0 * values)
 
 
-def _coefficient_substep(grid: GridSpec, values: np.ndarray, tau: float, coeffs: Coefficients) -> np.ndarray:
-    """RK4 on v_t = i (a1 . grad v + a0 v) with frozen coefficients."""
-    k1 = _coefficient_rhs(grid, values, coeffs)
+def _coefficient_substep(
+    grid: GridSpec, values: np.ndarray, tau: float, coeffs: Coefficients, grads=None
+) -> np.ndarray:
+    """RK4 on v_t = i (a1 . grad v + a0 v) with frozen coefficients;
+    ``grads``, when given, is gradient_values(grid, values)."""
+    k1 = _coefficient_rhs(grid, values, coeffs, grads)
     k2 = _coefficient_rhs(grid, values + 0.5 * tau * k1, coeffs)
     k3 = _coefficient_rhs(grid, values + 0.5 * tau * k2, coeffs)
     k4 = _coefficient_rhs(grid, values + tau * k3, coeffs)
@@ -155,11 +161,14 @@ def _coefficient_substep(grid: GridSpec, values: np.ndarray, tau: float, coeffs:
 
 
 def _step_gnls_values(
-    grid: GridSpec, values: np.ndarray, dt: float, p: float, coeffs: Coefficients
+    grid: GridSpec, values: np.ndarray, dt: float, p: float, coeffs: Coefficients, grads=None
 ) -> np.ndarray:
+    """One gauged step; ``grads``, when given, is gradient_values(grid,
+    values), which the recorder has already computed, and serves as the
+    first RK4 stage of the leading coefficient sub-step."""
     if coeffs.is_zero:
         return _step_strang_values(grid, values, dt, p)
-    v = _coefficient_substep(grid, values, 0.5 * dt, coeffs)
+    v = _coefficient_substep(grid, values, 0.5 * dt, coeffs, grads)
     v = _nonlinear_half(v, 0.5 * dt, p)
     v = _linear_full(grid, v, dt)
     v = _nonlinear_half(v, 0.5 * dt, p)
@@ -196,34 +205,47 @@ class NoiseSetup:
     path_dt: Optional[float] = None
 
 
+# Noise runs and their twins keep time as an integer position, in units of
+# the path step / 2^POS_LEVEL; a step of base_dt 2^-j moves it 2^(POS_LEVEL - j).
+POS_LEVEL = 30
+
+
 class _BrownianDrive:
-    def __init__(self, profiles: NoiseProfileSet, seed: int, t0: float, t1: float, base_dt: float):
-        n = int(round((t1 - t0) / base_dt))
-        if abs(n * base_dt - (t1 - t0)) > 1e-9 * max(1.0, abs(t1 - t0)):
+    """Brownian weights looked up by dyadic position.
+
+    Position ``pos`` lies on refinement level ``L`` of the path when its
+    low POS_LEVEL - L bits are zero; its weight is then
+    ``values[pos >> (POS_LEVEL - L)]``.  The path is refined (globally, by
+    bridge sampling) until the position lies on it, so the level never
+    passes POS_LEVEL.
+    """
+
+    def __init__(self, profiles: NoiseProfileSet, seed: int, t0: float, base_dt: float, end_pos: int):
+        n, rest = divmod(end_pos, 1 << POS_LEVEL)
+        if n < 1 or rest:
             raise EvolveError("time span must be an integer multiple of the path step")
         times = t0 + np.arange(n + 1) * base_dt
         # level 1 immediately: every step needs its midpoint weight
         self.path = sample_brownian(seed, times, profiles.n_modes).refine()
 
-    def ensure(self, t: float) -> None:
-        guard = 0
-        while not self.path.has_time(t):
-            self.path = self.path.refine()
-            guard += 1
-            if guard > 40:
-                raise EvolveError(f"time {t} cannot be reached by dyadic refinement")
-
-    def value(self, t: float) -> np.ndarray:
-        self.ensure(t)
-        return self.path.value_at(t)
+    def value(self, pos: int) -> np.ndarray:
+        path = self.path
+        while pos & ((1 << (POS_LEVEL - path.level)) - 1):
+            path = path.refine()
+        self.path = path
+        return path.values[pos >> (POS_LEVEL - path.level)]
 
 
 class _SinDrive:
-    def __init__(self, n_modes: int):
-        self.n_modes = n_modes
+    """h_l(t) = sin((l + 1) t) at the time of a dyadic position."""
 
-    def value(self, t: float) -> np.ndarray:
-        return np.sin((np.arange(self.n_modes) + 1.0) * t)
+    def __init__(self, n_modes: int, t0: float, unit: float):
+        self.n_modes = n_modes
+        self.t0 = t0
+        self.unit = unit
+
+    def value(self, pos: int) -> np.ndarray:
+        return np.sin((np.arange(self.n_modes) + 1.0) * (self.t0 + pos * self.unit))
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +269,9 @@ class EvolveConfig:
     max_steps: Optional[int] = None
     keep_snapshots: bool = True
     force_dyadic: bool = False  # step exactly like a noise run (twin comparisons)
+    # record only t, ||grad v||, lambda and the mass (an ensemble row); the
+    # other series of the trajectory are None
+    lean_record: bool = False
 
     def __post_init__(self):
         if self.dt0 <= 0:
@@ -264,13 +289,15 @@ class Trajectory:
     config: EvolveConfig
     times: np.ndarray
     mass: np.ndarray
-    hamiltonian: np.ndarray
+    # hamiltonian, center, loc_mass, momentum and the noise extras are None
+    # for a config.lean_record run
+    hamiltonian: Optional[np.ndarray]
     grad_norm: np.ndarray
     lam: np.ndarray
-    center: np.ndarray  # (n, d)
-    loc_mass: np.ndarray
+    center: Optional[np.ndarray]  # (n, d)
+    loc_mass: Optional[np.ndarray]
     residual: np.ndarray  # relative mass drift
-    momentum: np.ndarray  # (n, d): Im int conj(v) d_j v dx
+    momentum: Optional[np.ndarray]  # (n, d): Im int conj(v) d_j v dx
     snapshots: list  # [(t, ComplexField)]
     stop_reason: str
     n_steps: int
@@ -323,6 +350,7 @@ class _Recorder:
     def __init__(self, config: EvolveConfig, profiles: Optional[NoiseProfileSet]):
         self.config = config
         self.profiles = profiles
+        self.lean = config.lean_record
         self.rows = {k: [] for k in (
             "t", "mass", "ham", "grad", "lam", "loc", "res", "weights")}
         self.centers = []
@@ -331,8 +359,14 @@ class _Recorder:
         self.smear = []
         self.snapshots = []
         self.mass0 = None
+        # |grad phi_l|^2 per mode and axis, for the smear series
+        self.grad_phi_sq = None if profiles is None else [
+            [g**2 for g in grad] for grad in profiles.grad
+        ]
 
     def record(self, t: float, values: np.ndarray, weights, snapshot: bool):
+        """Record the state at t; returns (||grad v||, lambda, grads), where
+        grads is gradient_values(grid, values) for noise runs, else None."""
         grid = self.config.grid
         dvol = grid.dvol
         # |v| and |v|^2 once per step, shared by every sum below
@@ -342,9 +376,8 @@ class _Recorder:
         mass = math.sqrt(mass_sq)
         if self.mass0 is None:
             self.mass0 = mass
-        # |v|^(2 + 4/d)
-        lp_sum = float(np.sum(dens * dens if grid.d == 2 else dens * dens * dens)) * dvol
 
+        grads = None
         if self.profiles is None:
             # one FFT, by Parseval; the noise terms below need grad v pointwise
             grad_sq, mom = gradient_moments(grid, values)
@@ -352,53 +385,65 @@ class _Recorder:
         else:
             grads = gradient_values(grid, values)
             grad_sq = sum(float(np.sum(np.abs(g) ** 2)) for g in grads) * dvol
-            # momentum of the gauged-back field: Im int conj(X) d_j X
-            mom = np.array([
-                float(np.sum((np.conj(values) * g).imag)) * dvol for g in grads
-            ])
-            # gauge back: X = e^{i psi} v; |X| = |v|, grad X picks up i grad(psi) X
-            gpsi = self.profiles.grad_psi(weights)
-            kinetic = sum(
-                float(np.sum(np.abs(g + 1j * gp * values) ** 2))
-                for g, gp in zip(grads, gpsi)
-            ) * dvol
-            mom = mom + np.array(
-                [float(np.sum(gp * dens)) * dvol for gp in gpsi]
-            )
-            marty_row, smear_row = [], []
-            for l in range(self.profiles.n_modes):
-                gl = self.profiles.grad[l]
-                # Im int X grad(conj X) . grad(phi_l) on the gauged-back field
-                acc = 0.0
-                sm = 0.0
-                for j in range(grid.d):
-                    acc += float(np.sum((values * np.conj(grads[j])).imag * gl[j]))
-                    acc -= float(np.sum(gpsi[j] * gl[j] * dens))
-                    sm += float(np.sum(gl[j] ** 2 * dens))
-                marty_row.append(acc * dvol)
-                smear_row.append(sm * dvol)
-            self.marty.append(marty_row)
-            self.smear.append(smear_row)
-            self.rows["weights"].append(np.array(weights, dtype=float))
+            if not self.lean:
+                kinetic, mom = self._gauged_back(values, dens, grads, weights)
 
-        ham = 0.5 * kinetic - grid.d / (2.0 * grid.d + 4.0) * lp_sum
         grad_norm = math.sqrt(grad_sq)
-        center = _peak_center_abs(grid, absv)
         lam = self.config.grad_ref / grad_norm if (
             self.config.grad_ref is not None and grad_norm > 0
         ) else np.nan
         self.rows["t"].append(t)
         self.rows["mass"].append(mass)
-        self.rows["ham"].append(ham)
         self.rows["grad"].append(grad_norm)
         self.rows["lam"].append(lam)
-        self.rows["loc"].append(_ball_mass(grid, dens, center, 1.0))
         self.rows["res"].append(abs(mass - self.mass0) / self.mass0)
-        self.centers.append(center)
-        self.momenta.append(mom)
+        if not self.lean:
+            # |v|^(2 + 4/d)
+            lp_sum = float(np.sum(dens * dens if grid.d == 2 else dens * dens * dens)) * dvol
+            center = _peak_center_abs(grid, absv)
+            self.rows["ham"].append(0.5 * kinetic - grid.d / (2.0 * grid.d + 4.0) * lp_sum)
+            self.rows["loc"].append(_ball_mass(grid, dens, center, 1.0))
+            self.centers.append(center)
+            self.momenta.append(mom)
         if snapshot and self.config.keep_snapshots:
             self.snapshots.append((t, ComplexField(grid, values.copy())))
-        return grad_norm, lam
+        return grad_norm, lam, grads
+
+    def _gauged_back(self, values, dens, grads, weights) -> tuple:
+        """Kinetic energy and momenta of the gauged-back field X = e^{i psi} v;
+        appends the Marty and smear rows and the weights."""
+        grid = self.config.grid
+        dvol = grid.dvol
+        # momentum of the gauged-back field: Im int conj(X) d_j X
+        mom = np.array([
+            float(np.sum((np.conj(values) * g).imag)) * dvol for g in grads
+        ])
+        # gauge back: X = e^{i psi} v; |X| = |v|, grad X picks up i grad(psi) X
+        gpsi = self.profiles.grad_psi(weights)
+        kinetic = sum(
+            float(np.sum(np.abs(g + 1j * gp * values) ** 2))
+            for g, gp in zip(grads, gpsi)
+        ) * dvol
+        mom = mom + np.array(
+            [float(np.sum(gp * dens)) * dvol for gp in gpsi]
+        )
+        # Im(v conj(d_j v)) does not depend on the mode
+        cross = [(values * np.conj(g)).imag for g in grads]
+        marty_row, smear_row = [], []
+        for gl, gsq in zip(self.profiles.grad, self.grad_phi_sq):
+            # Im int X grad(conj X) . grad(phi_l) on the gauged-back field
+            acc = 0.0
+            sm = 0.0
+            for j in range(grid.d):
+                acc += float(np.sum(cross[j] * gl[j]))
+                acc -= float(np.sum(gpsi[j] * gl[j] * dens))
+                sm += float(np.sum(gsq[j] * dens))
+            marty_row.append(acc * dvol)
+            smear_row.append(sm * dvol)
+        self.marty.append(marty_row)
+        self.smear.append(smear_row)
+        self.rows["weights"].append(np.array(weights, dtype=float))
+        return kinetic, mom
 
     def build(self, stop_reason: str, n_steps: int, final_t, final_values) -> Trajectory:
         # the final state is always retained, whatever the snapshot policy
@@ -406,25 +451,29 @@ class _Recorder:
             self.snapshots.append(
                 (final_t, ComplexField(self.config.grid, final_values.copy()))
             )
+
+        def series(rows):
+            return None if self.lean else np.array(rows)
+
         noise_part = {}
         if self.profiles is not None:
             noise_part = dict(
-                noise_values=np.array(self.rows["weights"]),
-                marty=np.array(self.marty),
-                smear=np.array(self.smear),
+                noise_values=series(self.rows["weights"]),
+                marty=series(self.marty),
+                smear=series(self.smear),
                 profiles=self.profiles,
             )
         return Trajectory(
             config=self.config,
             times=np.array(self.rows["t"]),
             mass=np.array(self.rows["mass"]),
-            hamiltonian=np.array(self.rows["ham"]),
+            hamiltonian=series(self.rows["ham"]),
             grad_norm=np.array(self.rows["grad"]),
             lam=np.array(self.rows["lam"]),
-            center=np.array(self.centers),
-            loc_mass=np.array(self.rows["loc"]),
+            center=series(self.centers),
+            loc_mass=series(self.rows["loc"]),
             residual=np.array(self.rows["res"]),
-            momentum=np.array(self.momenta),
+            momentum=series(self.momenta),
             snapshots=self.snapshots,
             stop_reason=stop_reason,
             n_steps=n_steps,
@@ -451,33 +500,33 @@ def integrate(config: EvolveConfig) -> Trajectory:
     base_dt = config.dt0
     j0 = 0
     if config.noise is not None:
-        profiles = build_profiles(config.noise.profiles, grid)
         base_dt = config.noise.path_dt or config.dt0
         ratio = math.log2(base_dt / config.dt0)
         j0 = int(round(ratio))
         if j0 < 0 or abs(ratio - j0) > 1e-9:
             raise EvolveError("dt0 must be the path step divided by a power of two")
+    dyadic = config.noise is not None or config.force_dyadic
+    # dyadic bookkeeping: position in units of base_dt / 2^POS_LEVEL
+    unit = base_dt * 2.0**-POS_LEVEL
+    pos = 0
+    end_pos = int(round((t1 - t0) / unit))
+    if config.noise is not None:
+        profiles = build_profiles(config.noise.profiles, grid)
         if config.noise.drive == "brownian":
-            drive = _BrownianDrive(profiles, config.noise.seed, t0, t1, base_dt)
+            drive = _BrownianDrive(profiles, config.noise.seed, t0, base_dt, end_pos)
         elif config.noise.drive == "sin":
-            drive = _SinDrive(profiles.n_modes)
+            drive = _SinDrive(profiles.n_modes, t0, unit)
         else:
             raise EvolveError(f"unknown drive {config.noise.drive!r}")
 
     rec = _Recorder(config, profiles)
-    dyadic = config.noise is not None or config.force_dyadic
-
-    # dyadic bookkeeping: position in units of base_dt / 2^POS_LEVEL
-    POS_LEVEL = 30
-    unit = base_dt * 2.0**-POS_LEVEL
-    pos = 0
 
     def now() -> float:
         return t0 + pos * unit if dyadic else t_float
 
     t_float = t0
-    weights0 = drive.value(t0) if drive is not None else None
-    g, lam = rec.record(t0, v, weights0, snapshot=True)
+    weights0 = drive.value(0) if drive is not None else None
+    g, lam, grads = rec.record(t0, v, weights0, snapshot=True)
     g0 = g
     if config.g_max <= g0:
         raise EvolveError("gradient stop threshold must exceed the initial gradient norm")
@@ -487,7 +536,7 @@ def integrate(config: EvolveConfig) -> Trajectory:
     span_eps = 1e-12 * max(1.0, abs(t1))
     while True:
         t = now()
-        if t >= t1 - span_eps:
+        if (pos >= end_pos) if dyadic else (t >= t1 - span_eps):
             stop_reason = "reached_end"
             break
         if g >= config.g_max:
@@ -513,7 +562,6 @@ def integrate(config: EvolveConfig) -> Trajectory:
             dt = base_dt * 2.0**-j
             dpos = 2 ** (POS_LEVEL - j)
             # do not overshoot the end of the span
-            end_pos = int(round((t1 - t0) / unit))
             while pos + dpos > end_pos:
                 j += 1
                 dt = base_dt * 2.0**-j
@@ -526,12 +574,13 @@ def integrate(config: EvolveConfig) -> Trajectory:
         attempts = 0
         while True:
             if profiles is not None:
-                t_mid = t0 + (pos + (dpos // 2)) * unit if dyadic else t + 0.5 * dt
-                coeffs = coefficient_fields(profiles, drive.value(t_mid))
-                v_new = _step_gnls_values(grid, v, dt, config.p, coeffs)
+                # weights frozen at the step midpoint
+                coeffs = coefficient_fields(profiles, drive.value(pos + dpos // 2))
+                v_new = _step_gnls_values(grid, v, dt, config.p, coeffs, grads)
             else:
                 v_new = _step_strang_values(grid, v, dt, config.p)
-            if np.all(np.isfinite(v_new)):
+            finite = bool(np.all(np.isfinite(v_new)))
+            if finite:
                 break
             attempts += 1
             if attempts > 3:
@@ -541,7 +590,7 @@ def integrate(config: EvolveConfig) -> Trajectory:
                 dpos //= 2
                 if dpos == 0:
                     break
-        if not np.all(np.isfinite(v_new)):
+        if not finite:
             stop_reason = "nonfinite"
             break
 
@@ -551,9 +600,8 @@ def integrate(config: EvolveConfig) -> Trajectory:
         else:
             t_float = t_float + dt
         steps += 1
-        t = now()
-        weights = drive.value(t) if drive is not None else None
-        g, lam = rec.record(t, v, weights, snapshot=(steps % config.cadence == 0))
+        weights = drive.value(pos) if drive is not None else None
+        g, lam, grads = rec.record(now(), v, weights, snapshot=(steps % config.cadence == 0))
 
     return rec.build(stop_reason, steps, now(), v)
 

@@ -160,8 +160,9 @@ def gradient_values(grid: GridSpec, values: np.ndarray) -> list:
     """Spectral gradient components as raw arrays."""
     ik = _spectral(grid).ik
     if grid.d == 1:
-        # the same transform fftn would make, without its n-d wrapper
-        return [np.fft.ifft(ik[0] * np.fft.fft(values))]
+        # the transform numpy's fftn makes, bitwise, with less wrapper cost;
+        # for complex input only (scipy's real-input transform differs)
+        return [sfft.ifft(ik[0] * sfft.fft(values))]
     vhat = np.fft.fftn(values)
     return [np.fft.ifftn(ikj * vhat) for ikj in ik]
 

@@ -322,13 +322,6 @@ class BrownianPath:
     def value_at(self, t: float) -> np.ndarray:
         return self.values[self.index_of(t)]
 
-    def has_time(self, t: float) -> bool:
-        try:
-            self.index_of(t)
-            return True
-        except NoiseError:
-            return False
-
     def refine(self) -> "BrownianPath":
         """Split every interval at its midpoint by bridge sampling."""
         n = self.times.size
@@ -410,7 +403,7 @@ def coefficient_fields(profiles: NoiseProfileSet, weights) -> Coefficients:
     a1 = [2j * g for g in grad_psi]
     a0 = -sum(g**2 for g in grad_psi) + 1j * lap_psi
     is_zero = all(not np.any(g) for g in grad_psi) and not np.any(lap_psi)
-    return Coefficients(a1=a1, a0=a0.astype(np.complex128), mu=profiles.mu, is_zero=is_zero)
+    return Coefficients(a1=a1, a0=a0, mu=profiles.mu, is_zero=is_zero)
 
 
 def lower_order_coefficients(profiles: NoiseProfileSet, path: BrownianPath, t: float) -> Coefficients:

@@ -734,8 +734,13 @@ def open_run_dir(sc: ScenarioConfig, outdir: Optional[Path] = None) -> Path:
     return outdir
 
 
-def run_trajectory(sc: ScenarioConfig, prep: PreparedRun, seed: int) -> Trajectory:
+def run_trajectory(sc: ScenarioConfig, prep: PreparedRun, seed: int, lean: bool = False) -> Trajectory:
+    """Integrate one trajectory.  ``lean`` records only what an ensemble row
+    needs (the clock, ||grad v|| and the mass drift) and keeps no snapshot
+    but the final state; its dt sequence is the full run's."""
     cfg = evolve_config_for(sc, prep.initial, seed)
+    if lean:
+        cfg = replace(cfg, lean_record=True, keep_snapshots=False)
     return integrate(cfg)
 
 
@@ -821,7 +826,7 @@ def _gauge_check(sc: ScenarioConfig, prep: PreparedRun, noisy: Trajectory, summa
 def _ensemble_worker(args):
     sc, index = args
     prep = prepare_run(sc)
-    traj = run_trajectory(sc, prep, sc.noise_seed + index)
+    traj = run_trajectory(sc, prep, sc.noise_seed + index, lean=True)
     try:
         t_est = diag.extrapolate_blowup_time(traj.times, traj.grad_norm)
     except diag.DiagnosticsError:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from nlslab.evolution import (
     LADDER_LEVELS,
     PHASE_CACHE_LEVELS,
+    POS_LEVEL,
     _phase,
+    _step_gnls_values,
     EvolveConfig,
     EvolveError,
     NoiseSetup,
@@ -18,7 +21,7 @@ from nlslab.evolution import (
 from nlslab.exact import Bubble, BlowupParams, Soliton, SolitonParams, pseudo_conformal_blowup, solitary_wave
 from nlslab.grid import ComplexField, l2_norm_sq, make_grid, norm_suite
 from nlslab.ground_state import ground_profile
-from nlslab.noise import ProfileSpec, build_profiles, coefficient_fields, sample_brownian
+from nlslab.noise import NoiseError, ProfileSpec, build_profiles, coefficient_fields, sample_brownian
 
 
 @pytest.fixture(scope="module")
@@ -354,3 +357,97 @@ def test_noise_and_twin_runs_keep_the_dyadic_clock():
         # dyadic levels only: dt0 / 2^j
         level = np.log2(cfg.dt0 / np.diff(traj.times))
         assert np.abs(level - np.round(level)).max() < 1e-6
+
+
+def _off_grid_span_config(**kw):
+    # t1 lies 1.5e-12 past the tenth path step, closer to it than half a
+    # position unit (4e-3 / 2^31): the span is accepted and ends at 0.04
+    g = make_grid(1, 40, 256)
+    return EvolveConfig(
+        grid=g, p=5.0, v0=ground_profile(1).sample(g), t0=0.0, t1=0.0400000000015,
+        dt0=4e-3, cadence=10**9, keep_snapshots=False, max_steps=200, **kw,
+    )
+
+
+@pytest.mark.parametrize("kw", [
+    dict(noise=NoiseSetup(profiles=ProfileSpec(kind="schwartz", amplitude=0.2, n_modes=2), seed=3)),
+    dict(force_dyadic=True),
+], ids=["noise", "twin"])
+def test_dyadic_run_ends_at_the_end_position(kw):
+    traj = integrate(_off_grid_span_config(**kw))
+    assert traj.stop_reason == "reached_end"
+    assert traj.n_steps == 10
+    assert np.all(np.diff(traj.times) > 0)
+    assert traj.final_time == 10 * 2**POS_LEVEL * (4e-3 * 2.0**-POS_LEVEL)
+
+
+def _replay_path(cfg, base_dt):
+    """The run's Brownian path, refined (by time) until it holds t."""
+    n = int(round((cfg.t1 - cfg.t0) / base_dt))
+    path = sample_brownian(cfg.noise.seed, cfg.t0 + np.arange(n + 1) * base_dt,
+                           cfg.noise.profiles.n_modes).refine()
+
+    def value_at(t):
+        nonlocal path
+        while True:
+            try:
+                return path.value_at(t)
+            except NoiseError:
+                path = path.refine()
+
+    return value_at
+
+
+def _assert_steps_replay(cfg, base_dt):
+    """Every recorded step equals a fresh gauged step from the previous
+    snapshot, with the weights looked up by time at the step midpoint."""
+    traj = integrate(cfg)
+    assert len(traj.snapshots) == traj.n_steps + 1
+    unit = base_dt * 2.0**-POS_LEVEL
+    value_at = _replay_path(cfg, base_dt)
+    for (ta, a), (tb, b) in zip(traj.snapshots, traj.snapshots[1:]):
+        pa, pb = (int(round((t - cfg.t0) / unit)) for t in (ta, tb))
+        dpos = pb - pa
+        dt = base_dt * 2.0 ** -(POS_LEVEL - dpos.bit_length() + 1)
+        weights = value_at(cfg.t0 + (pa + dpos // 2) * unit)
+        coeffs = coefficient_fields(traj.profiles, weights)
+        assert not coeffs.is_zero
+        want = _step_gnls_values(cfg.grid, a.values, dt, cfg.p, coeffs)
+        assert _same_bits(b.values, want)
+    return traj
+
+
+def test_gauged_steps_replay_bitwise_1d():
+    # path step 2 dt0, so the midpoints need refinement level 2 and deeper
+    noise = NoiseSetup(profiles=ProfileSpec(kind="schwartz", amplitude=0.2, n_modes=2),
+                       seed=3, path_dt=8e-3)
+    cfg = dataclasses.replace(_bubble_config(n=256, noise=noise), cadence=1, keep_snapshots=True)
+    traj = _assert_steps_replay(cfg, 8e-3)
+    assert traj.stop_reason == "width_resolution"
+    levels = np.round(np.log2(8e-3 / np.diff(traj.times)))
+    assert levels.min() == 1 and levels.max() >= 2
+
+
+def test_gauged_steps_replay_bitwise_2d():
+    g = make_grid(2, 20, 32)
+    r2 = g.radius_squared()
+    v0 = ComplexField(g, np.exp(-r2 + 0.3j * g.mesh()[0]))
+    noise = NoiseSetup(profiles=ProfileSpec(kind="schwartz", amplitude=0.3, n_modes=2), seed=9)
+    cfg = EvolveConfig(grid=g, p=3.0, v0=v0, t0=0.0, t1=0.04, dt0=2e-3, cadence=1)
+    cfg = dataclasses.replace(cfg, noise=noise)
+    traj = _assert_steps_replay(cfg, 2e-3)
+    assert traj.stop_reason == "reached_end" and traj.n_steps > 20  # dt shrinks
+
+
+def test_lean_record_keeps_the_clock_and_drops_the_rest():
+    noise = NoiseSetup(profiles=ProfileSpec(kind="schwartz", amplitude=0.2, n_modes=2), seed=4)
+    full = integrate(_bubble_config(n=256, noise=noise))
+    lean = integrate(_bubble_config(n=256, noise=noise, lean_record=True))
+    assert (lean.n_steps, lean.stop_reason) == (full.n_steps, full.stop_reason)
+    for key in ("times", "mass", "grad_norm", "lam", "residual"):
+        assert np.array_equal(getattr(lean, key), getattr(full, key), equal_nan=True)
+    assert lean.final_time == full.final_time
+    assert _same_bits(lean.final_state.values, full.final_state.values)
+    for key in ("hamiltonian", "center", "loc_mass", "momentum", "noise_values", "marty", "smear"):
+        assert getattr(lean, key) is None
+        assert getattr(full, key) is not None

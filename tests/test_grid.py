@@ -250,15 +250,18 @@ def test_snapshot_roundtrip(tmp_path):
     assert f2.grid == g
 
 
-@pytest.mark.parametrize("d,n", [(1, 8), (1, 1024), (2, 16)])
+@pytest.mark.parametrize("d,n", [(1, 8), (1, 1024), (1, 4096), (2, 16)])
 def test_gradient_bitwise_equals_nd_transform(d, n):
+    # numpy.fft is the reference; 1-d runs on scipy.fft, bitwise equal for
+    # complex input, contiguous or strided
     g = make_grid(d, 40, n)
     rng = np.random.default_rng(n)
-    v = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-    vhat = np.fft.fftn(v)
-    for got, kj in zip(gradient_values(g, v), g.k_mesh()):
-        want = np.fft.ifftn(1j * kj * vhat)
-        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+    w = rng.standard_normal((2 * n,) * d) + 1j * rng.standard_normal((2 * n,) * d)
+    for v in (w[(slice(0, n),) * d], w[(slice(None, None, 2),) * d]):
+        vhat = np.fft.fftn(v)
+        for got, kj in zip(gradient_values(g, v), g.k_mesh()):
+            want = np.fft.ifftn(1j * kj * vhat)
+            assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
 
 @pytest.mark.parametrize("d", [1, 2])

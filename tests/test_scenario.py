@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import nlslab
 import nlslab.scenario as scenario
+from nlslab import diagnostics as diag
 from nlslab import cli
 from nlslab.scenario import (
     SCENARIO_KINDS,
@@ -367,7 +368,9 @@ def test_ensemble_of_one_rejected_before_any_trajectory(tmp_path, monkeypatch):
 def _altered_ensemble(tmp_path, monkeypatch, alter):
     """A 2-seed gauge-check ensemble in this process, each trajectory altered."""
     run = scenario.run_trajectory
-    monkeypatch.setattr(scenario, "run_trajectory", lambda sc, prep, seed: alter(run(sc, prep, seed)))
+    monkeypatch.setattr(
+        scenario, "run_trajectory", lambda sc, prep, seed, **kw: alter(run(sc, prep, seed, **kw))
+    )
     sc = build_scenario(parse_config_text(GAUGE_CHECK + "ensemble.size = 2\nensemble.workers = 1\n"))
     return run_ensemble(sc, tmp_path / "ens")
 
@@ -463,6 +466,48 @@ def test_cli_evolve(tmp_path):
     assert res.returncode == 0, res.stderr
     assert (tmp_path / "evo" / "traj_000" / "diagnostics.csv").exists()
     assert load_scenario(tmp_path / "evo" / "config.txt") == load_scenario(cfg_file)
+
+
+NOISY_BLOWUP = """
+scenario.kind = critical_blowup
+grid.d = 1
+grid.L = 40
+grid.N = 256
+blowup.T = 1.0
+blowup.bubbles = 0:1:0
+noise.kind = schwartz
+noise.amplitude = 0.1
+noise.modes = 2
+noise.seed = 40
+evolve.t1 = 1.0
+evolve.dt0 = 4e-3
+ensemble.size = 2
+ensemble.workers = 1
+"""
+
+
+def test_lean_ensemble_rows_equal_full_trajectory_rows():
+    sc = build_scenario(parse_config_text(NOISY_BLOWUP))
+    prep = scenario.prepare_run(sc)
+    for index in (0, 1):
+        row = scenario._ensemble_worker((sc, index))
+        full = scenario.run_trajectory(sc, prep, sc.noise_seed + index)
+        assert full.hamiltonian is not None and full.noise_values is not None
+        want = {
+            "index": index,
+            "seed": sc.noise_seed + index,
+            "stop_time": float(full.final_time),
+            "stop_reason": full.stop_reason,
+            "n_steps": full.n_steps,
+            "t_est": float(diag.extrapolate_blowup_time(full.times, full.grad_norm)),
+            "mass_drift": float(full.residual.max()),
+        }
+        assert row == want  # every float bitwise (none is NaN)
+    lean = scenario.run_trajectory(sc, prep, sc.noise_seed, lean=True)
+    assert lean.config.lean_record and not lean.config.keep_snapshots
+    assert [t for t, _ in lean.snapshots] == [lean.final_time]
+    for key in ("hamiltonian", "center", "loc_mass", "momentum", "noise_values", "marty", "smear"):
+        assert getattr(lean, key) is None
 
 
 def test_ensemble_amplitude_sweep_reports_trend(tmp_path):
