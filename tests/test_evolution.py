@@ -381,6 +381,15 @@ def test_dyadic_run_ends_at_the_end_position(kw):
     assert traj.final_time == 10 * 2**POS_LEVEL * (4e-3 * 2.0**-POS_LEVEL)
 
 
+def test_brownian_span_off_the_path_grid_rejected():
+    # 1e-10 past the tenth path step is more than half a position unit: the
+    # drive would need weights past its last path point
+    noise = NoiseSetup(profiles=ProfileSpec(kind="schwartz", amplitude=0.2, n_modes=2), seed=3)
+    cfg = dataclasses.replace(_off_grid_span_config(noise=noise), t1=0.0400000001)
+    with pytest.raises(EvolveError, match="integer multiple of the path step"):
+        integrate(cfg)
+
+
 def _replay_path(cfg, base_dt):
     """The run's Brownian path, refined (by time) until it holds t."""
     n = int(round((cfg.t1 - cfg.t0) / base_dt))
