@@ -11,17 +11,17 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import diagnostics as diag
 from .evolution import FAILED_STOPS
-from .grid import make_grid, read_snapshot, write_snapshot
+from .grid import make_grid, write_snapshot
 from .ground_state import solve_ground_state, variational_identities
 from .scenario import (
     ConfigError,
+    MissingTrajectory,
+    diagnose_run,
     load_scenario,
     open_run_dir,
     prepare_run,
     run_ensemble,
-    run_profile,
     run_scenario,
     run_trajectory,
     write_summary_json,
@@ -95,13 +95,6 @@ def evolve_cmd(config_file):
     sys.exit(3 if traj.stop_reason in FAILED_STOPS else 0)
 
 
-def _read_csv(path: Path):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return header, data
-
-
 @main.command("diagnose")
 @click.argument("run_dir", type=click.Path(exists=True, file_okay=False))
 def diagnose_cmd(run_dir):
@@ -109,90 +102,15 @@ def diagnose_cmd(run_dir):
 
     The ground profile is the run's own (``grid.d`` and ``physics.p`` of its
     ``config.txt``); without that file, the critical one of the snapshot's d.
+    A directory without a trajectory exits 2.
     """
-    run_dir = Path(run_dir)
-    config = run_dir / "config.txt"
+    config = Path(run_dir) / "config.txt"
     sc = _load(config) if config.exists() else None
-    tdir = run_dir / "traj_000"
-    if not tdir.exists():
-        tdir = run_dir
-    header, data = _read_csv(tdir / "diagnostics.csv")
-    col = {name: data[:, i] for i, name in enumerate(header)}
-    t, grad = col["t"], col["grad_norm"]
-    report = {
-        "banica_ok": None,
-        "h_evo_max_residual": None,
-        "T_est": None,
-        "alpha": None,
-        "loglog_score": None,
-        "virial_series": None,
-        "concentration": None,
-    }
-
-    if grad.max() >= 10.0 * grad.min():
-        mask = grad >= 1.2 * grad[0]
-        try:
-            fit = diag.blowup_rate_fit(t[mask], grad[mask])
-            report.update(
-                T_est=fit.t_est, alpha=fit.alpha, loglog_score=fit.loglog_score
-            )
-        except diag.DiagnosticsError as exc:
-            report["rate_fit_error"] = str(exc)
-
-    hevo = tdir / "hevo.csv"
-    if hevo.exists():
-        hh, hdata = _read_csv(hevo)
-        n = (len(hh) - 2) // 3
-        ham = hdata[:, 1]
-        smear = hdata[:, 2 : 2 + n]
-        marty = hdata[:, 2 + n : 2 + 2 * n]
-        weights = hdata[:, 2 + 2 * n :]
-        th = hdata[:, 0]
-        h1i = 0.5 * smear.sum(axis=1)
-        h1 = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(th) * (h1i[1:] + h1i[:-1]))])
-        db = np.diff(weights, axis=0)
-        h2 = np.concatenate([[0.0], np.cumsum(-np.sum(marty[:-1] * db, axis=1))])
-        resid = ham - ham[0] - h1 - h2
-        report["h_evo_max_residual"] = float(np.abs(resid).max())
-        lhs = np.abs(marty)
-        rhs = np.sqrt(2.0 * np.maximum(ham, 0.0)[:, None] * smear)
-        report["banica_ok"] = bool(np.max(lhs - rhs) <= 1e-10)
-        with open(run_dir / "hevo_residual_check.csv", "w") as fh:
-            fh.write("t,residual\n")
-            for ti, ri in zip(th, resid):
-                fh.write(f"{ti:.17g},{ri:.17g}\n")
-    else:
-        report["h_evo_max_residual"] = float(
-            np.abs(col["hamiltonian"] - col["hamiltonian"][0]).max()
-        )
-
-    final_snap = tdir / "snapshot_final.txt"
-    if final_snap.exists():
-        fld, t_fin = read_snapshot(final_snap)
-        profile = run_profile(sc.d, sc.p) if sc is not None else run_profile(fld.grid.d)
-        try:
-            mf = diag.modulation_fit(fld, profile)
-            conc = diag.localized_mass(fld, mf.center, 1.0)
-            report["concentration"] = {
-                "R": 1.0,
-                "fraction": conc / profile.mass_sq,
-            }
-            snaps = sorted(tdir.glob("snapshot_0*.txt"))
-            if snaps:
-                times, virs = [], []
-                for sp in snaps:
-                    f, ts = read_snapshot(sp)
-                    times.append(ts)
-                    virs.append(diag.virial(f, mf.center, None))
-                report["virial_series"] = {"t": times, "virial": virs}
-                with open(run_dir / "virial_check.csv", "w") as fh:
-                    fh.write("t,virial\n")
-                    for ti, vi in zip(times, virs):
-                        fh.write(f"{ti:.17g},{vi:.17g}\n")
-        except diag.DiagnosticsError as exc:
-            report["modulation_error"] = str(exc)
-
-    write_summary_json(run_dir / "report.json", report)
+    try:
+        report = diagnose_run(run_dir, sc)
+    except MissingTrajectory as exc:
+        click.echo(str(exc), err=True)
+        sys.exit(2)
     click.echo(json.dumps(report, sort_keys=True))
 
 

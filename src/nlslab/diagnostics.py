@@ -117,14 +117,16 @@ class BanicaSweep:
     n_checked: int
 
 
-def banica_sweep(traj: Trajectory, q_mass: float, slack: float = 1e-10) -> BanicaSweep:
+def banica_sweep(traj: Trajectory, q_mass: Optional[float], slack: float = 1e-10) -> BanicaSweep:
     """Check the pairing bound at every recorded step of a trajectory.
 
     Noise runs test against each noise profile (the recorded integrands are
-    exactly the two sides of the bound); deterministic runs test against the
-    coordinate functions, whose gradients are constant units.
+    exactly the two sides of the bound); every run with recorded momenta
+    also tests against the coordinate functions, whose gradients are
+    constant units.  The mass precondition is checked against ``q_mass``;
+    None skips it.
     """
-    if np.any(traj.mass > q_mass + 1e-8):
+    if q_mass is not None and np.any(traj.mass > q_mass + 1e-8):
         raise DiagnosticsError("trajectory mass exceeds the ground-state mass")
     ham = np.maximum(traj.hamiltonian, 0.0)
     worst = -np.inf
@@ -134,11 +136,11 @@ def banica_sweep(traj: Trajectory, q_mass: float, slack: float = 1e-10) -> Banic
         rhs = np.sqrt(2.0 * ham[:, None] * traj.smear)
         worst = float(np.max(lhs - rhs))
         count = lhs.size
-    # coordinate-function checks apply to any run
-    lhs_c = np.abs(traj.momentum)
-    rhs_c = np.sqrt(2.0 * ham * traj.mass**2)[:, None]
-    worst = max(worst, float(np.max(lhs_c - rhs_c)))
-    count += lhs_c.size
+    if traj.momentum is not None:
+        lhs_c = np.abs(traj.momentum)
+        rhs_c = np.sqrt(2.0 * ham * traj.mass**2)[:, None]
+        worst = max(worst, float(np.max(lhs_c - rhs_c)))
+        count += lhs_c.size
     return BanicaSweep(satisfied=worst <= slack, max_violation=worst, n_checked=count)
 
 

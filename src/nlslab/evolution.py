@@ -286,7 +286,7 @@ class EvolveConfig:
 class Trajectory:
     """Time-stamped snapshots plus per-step diagnostic series."""
 
-    config: EvolveConfig
+    config: Optional[EvolveConfig]  # None when read back from a run directory
     times: np.ndarray
     mass: np.ndarray
     # hamiltonian, center, loc_mass, momentum and the noise extras are None
@@ -299,7 +299,7 @@ class Trajectory:
     residual: np.ndarray  # relative mass drift
     momentum: Optional[np.ndarray]  # (n, d): Im int conj(v) d_j v dx
     snapshots: list  # [(t, ComplexField)]
-    stop_reason: str
+    stop_reason: Optional[str]  # None when read back from a run directory
     n_steps: int
     # noise extras (None for deterministic runs)
     noise_values: Optional[np.ndarray] = None  # (n, modes) drive weights at step times

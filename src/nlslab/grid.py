@@ -388,5 +388,6 @@ def read_snapshot(path):
         d, n, extent, t = int(header[0]), int(header[1]), float(header[2]), float(header[3])
         data = np.loadtxt(fh, delimiter=",")
     grid = make_grid(d, extent, n)
-    values = (data[:, 0] + 1j * data[:, 1]).reshape(grid.shape)
+    # the (re, im) pairs as complex128, bit for bit (signed zeros included)
+    values = data.view(np.complex128).reshape(grid.shape)
     return ComplexField(grid, values), t

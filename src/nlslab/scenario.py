@@ -41,7 +41,9 @@ from .exact import (
     pseudo_conformal_map,
     solitary_wave,
 )
-from .grid import ComplexField, GridSpec, l2_norm_sq, make_grid, norm_suite, write_snapshot
+from .grid import (
+    ComplexField, GridSpec, l2_norm_sq, make_grid, norm_suite, read_snapshot, write_snapshot,
+)
 from .ground_state import GroundProfile, critical_exponent, ground_profile
 from .noise import ProfileSpec
 
@@ -86,6 +88,8 @@ def parse_config_text(text: str) -> dict:
 
 
 def _fmt(x) -> str:
+    if isinstance(x, str):
+        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.17g}"
@@ -442,70 +446,106 @@ def evolve_config_for(sc: ScenarioConfig, initial: ComplexField, seed: int, forc
 
 
 # ---------------------------------------------------------------------------
-# artifact writing
+# the run-directory format: write_csv writes every CSV; the tables below lay
+# out the trajectory files and read_trajectory reads them back
 
 
-def write_diagnostics_csv(path, traj: Trajectory) -> None:
-    d = traj.config.grid.d
-    center_cols = ["center_x"] if d == 1 else ["center_x", "center_y"]
-    header = ["t", "mass", "hamiltonian", "grad_norm", "lambda"] + center_cols + [
-        "loc_mass",
-        "residual",
-    ]
+class MissingTrajectory(FileNotFoundError):
+    """A directory holds no trajectory to diagnose (exit code 2)."""
+
+
+def write_csv(path, columns: dict) -> None:
+    """The column names, then one line per row.  Numbers have 17 significant
+    digits, so reading them back gives every double exactly."""
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(traj.times.size):
-            row = [
-                traj.times[i],
-                traj.mass[i],
-                traj.hamiltonian[i],
-                traj.grad_norm[i],
-                traj.lam[i],
-                *traj.center[i],
-                traj.loc_mass[i],
-                traj.residual[i],
-            ]
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*columns.values()):
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def write_path_csv(path, traj: Trajectory) -> None:
-    n_modes = traj.noise_values.shape[1]
-    header = ["t"] + [f"B_{l + 1}" for l in range(n_modes)]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(traj.times.size):
-            fh.write(
-                ",".join(_fmt(x) for x in (traj.times[i], *traj.noise_values[i])) + "\n"
+def _read_csv(path) -> dict:
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return dict(zip(header, np.ascontiguousarray(data.T)))
+
+
+# (column, Trajectory series) per file; a 2-d series takes one column per
+# axis (center_x, center_y) or per noise mode (B_1, B_2, ...)
+_DIAGNOSTICS_COLUMNS = (
+    ("t", "times"), ("mass", "mass"), ("hamiltonian", "hamiltonian"),
+    ("grad_norm", "grad_norm"), ("lambda", "lam"), ("center", "center"),
+    ("loc_mass", "loc_mass"), ("residual", "residual"),
+)
+_PATH_COLUMNS = (("t", "times"), ("B", "noise_values"))
+_HEVO_COLUMNS = (
+    ("t", "times"), ("hamiltonian", "hamiltonian"), ("smear", "smear"),
+    ("marty", "marty"), ("B", "noise_values"),
+)
+
+
+def _columns(traj: Trajectory, layout) -> dict:
+    cols = {}
+    for name, attr in layout:
+        series = getattr(traj, attr)
+        if series.ndim == 1:
+            cols[name] = series
+        else:
+            labels = "xy" if attr == "center" else range(1, series.shape[1] + 1)
+            for label, column in zip(labels, series.T):
+                cols[f"{name}_{label}"] = column
+    return cols
+
+
+def _series(cols: dict, layout) -> dict:
+    out = {}
+    for name, attr in layout:
+        if name in cols:
+            out[attr] = cols[name]
+        else:
+            out[attr] = np.column_stack(
+                [c for key, c in cols.items() if key.rsplit("_", 1)[0] == name]
             )
+    return out
 
 
-def write_hevo_csv(path, traj: Trajectory) -> None:
-    n = traj.marty.shape[1]
-    header = (
-        ["t", "hamiltonian"]
-        + [f"smear_{l + 1}" for l in range(n)]
-        + [f"marty_{l + 1}" for l in range(n)]
-        + [f"B_{l + 1}" for l in range(n)]
+def _snapshot_files(tdir: Path) -> list:
+    """The snapshots of an ``output.snapshots = all`` run, in time order."""
+    return sorted(tdir.glob("snapshot_0*.txt"))
+
+
+def write_trajectory_artifacts(sc: ScenarioConfig, traj: Trajectory, tdir: Path) -> None:
+    tdir.mkdir(parents=True, exist_ok=True)
+    write_csv(tdir / "diagnostics.csv", _columns(traj, _DIAGNOSTICS_COLUMNS))
+    if traj.noise_values is not None:
+        write_csv(tdir / "path.csv", _columns(traj, _PATH_COLUMNS))
+        write_csv(tdir / "hevo.csv", _columns(traj, _HEVO_COLUMNS))
+    if sc.snapshots != "none" and traj.snapshots:
+        t_fin, snap = traj.snapshots[-1]
+        write_snapshot(tdir / "snapshot_final.txt", snap, t_fin)
+        if sc.snapshots == "all":
+            for i, (t, s) in enumerate(traj.snapshots):
+                write_snapshot(tdir / f"snapshot_{i:06d}.txt", s, t)
+
+
+def read_trajectory(tdir) -> Trajectory:
+    """The trajectory ``write_trajectory_artifacts`` wrote to ``tdir``: every
+    series bitwise, and every written snapshot (all of them, or the final
+    one).  What is not on disk reads back as None: the evolve config, the
+    momenta, the noise profiles and the stop reason."""
+    tdir = Path(tdir)
+    if not (tdir / "diagnostics.csv").exists():
+        raise MissingTrajectory(f"no trajectory: {tdir} holds no diagnostics.csv")
+    series = _series(_read_csv(tdir / "diagnostics.csv"), _DIAGNOSTICS_COLUMNS)
+    if (tdir / "hevo.csv").exists():
+        series.update(_series(_read_csv(tdir / "hevo.csv"), _HEVO_COLUMNS))
+    final = tdir / "snapshot_final.txt"
+    paths = _snapshot_files(tdir) or ([final] if final.exists() else [])
+    snapshots = [(t, field) for field, t in map(read_snapshot, paths)]
+    return Trajectory(
+        config=None, momentum=None, snapshots=snapshots, stop_reason=None,
+        n_steps=series["times"].size - 1, **series,
     )
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(traj.times.size):
-            row = (
-                traj.times[i],
-                traj.hamiltonian[i],
-                *traj.smear[i],
-                *traj.marty[i],
-                *traj.noise_values[i],
-            )
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
-
-
-def write_residual_csv(path, times, rows: dict) -> None:
-    keys = list(rows)
-    with open(path, "w") as fh:
-        fh.write(",".join(["t"] + keys) + "\n")
-        for i, t in enumerate(times):
-            fh.write(",".join(_fmt(x) for x in [t] + [rows[k][i] for k in keys]) + "\n")
 
 
 def write_summary_json(path, summary: dict) -> None:
@@ -525,6 +565,45 @@ def _json_safe(x):
     if isinstance(x, (np.integer,)):
         return int(x)
     return x
+
+
+def _grew(traj: Trajectory) -> bool:
+    """||grad v|| grew by a decade, enough for a blow-up rate fit."""
+    return traj.grad_norm.max() >= 10.0 * traj.grad_norm.min()
+
+
+def _rate_fit(traj: Trajectory, out: dict) -> Optional[diag.RateFit]:
+    """Fit the blow-up rate to ||grad v|| from 1.2 times its start on; sets
+    ``T_est``, ``alpha`` and ``loglog_score``, or ``rate_fit_error``."""
+    mask = traj.grad_norm >= 1.2 * traj.grad_norm[0]
+    try:
+        fit = diag.blowup_rate_fit(traj.times[mask], traj.grad_norm[mask])
+    except diag.DiagnosticsError as exc:
+        out["rate_fit_error"] = str(exc)
+        return None
+    out.update(T_est=fit.t_est, alpha=fit.alpha, loglog_score=fit.loglog_score)
+    return fit
+
+
+def _hevo_residual(traj: Trajectory, out: dict, path: Path) -> None:
+    """Sets ``h_evo_max_residual``; a noise run writes the series to ``path``."""
+    t_r, r = diag.hamiltonian_evolution_residual(traj)
+    out["h_evo_max_residual"] = float(np.abs(r).max())
+    if traj.marty is not None:
+        write_csv(path, {"t": t_r, "residual": r})
+
+
+def _fit_final_state(traj: Trajectory, profile: GroundProfile) -> tuple:
+    """The modulation fit of the final state and its mass within R = 1 of
+    the fitted centre."""
+    mf = diag.modulation_fit(traj.final_state, profile)
+    return mf, diag.localized_mass(traj.final_state, mf.center, 1.0)
+
+
+def _virial_series(traj: Trajectory, center) -> tuple:
+    """The uncut virial about ``center`` at every snapshot."""
+    times = np.array([t for t, _ in traj.snapshots])
+    return times, np.array([diag.virial(s, center, None) for _, s in traj.snapshots])
 
 
 def run_battery(sc: ScenarioConfig, prep: PreparedRun, traj: Trajectory, outdir: Path) -> dict:
@@ -552,24 +631,14 @@ def run_battery(sc: ScenarioConfig, prep: PreparedRun, traj: Trajectory, outdir:
         summary["banica_applicable"] = True
         summary["banica_max_violation"] = sweep.max_violation
 
-    # Hamiltonian evolution residual
-    t_r, r = diag.hamiltonian_evolution_residual(traj)
-    summary["h_evo_max_residual"] = float(np.abs(r).max())
-    if traj.marty is not None:
-        write_residual_csv(outdir / "hevo_residual.csv", t_r, {"residual": r})
+    _hevo_residual(traj, summary, outdir / "hevo_residual.csv")
 
     # blow-up rate fits when the run actually blew up
-    grew = traj.grad_norm.max() >= 10.0 * traj.grad_norm.min()
+    grew = _grew(traj)
     if grew:
-        mask = traj.grad_norm >= 1.2 * traj.grad_norm[0]
-        try:
-            fit = diag.blowup_rate_fit(traj.times[mask], traj.grad_norm[mask])
-            summary["T_est"] = fit.t_est
-            summary["alpha"] = fit.alpha
-            summary["loglog_score"] = fit.loglog_score
+        fit = _rate_fit(traj, summary)
+        if fit is not None:
             summary["rate_class"] = diag.classify_rate(fit)
-        except diag.DiagnosticsError as exc:
-            summary["rate_fit_error"] = str(exc)
         try:
             summary["T_extrapolated"] = diag.extrapolate_blowup_time(
                 traj.times, traj.grad_norm
@@ -579,7 +648,7 @@ def run_battery(sc: ScenarioConfig, prep: PreparedRun, traj: Trajectory, outdir:
 
     # modulation + concentration at the final state
     try:
-        mf = diag.modulation_fit(traj.final_state, profile)
+        mf, conc = _fit_final_state(traj, profile)
         summary["modulation"] = {
             "scale": mf.scale,
             "center": [float(c) for c in mf.center],
@@ -588,18 +657,14 @@ def run_battery(sc: ScenarioConfig, prep: PreparedRun, traj: Trajectory, outdir:
             "resid_h1": mf.resid_h1,
             "ambiguous_center": bool(mf.ambiguous_center),
         }
-        conc = diag.localized_mass(traj.final_state, mf.center, 1.0)
         summary["concentration"] = {
             "R": 1.0,
             "fraction": conc / profile.mass_sq,
             "mass_sq": conc,
         }
         if grew and summary.get("T_est"):
-            times = np.array([t for t, _ in traj.snapshots])
-            vir = np.array(
-                [diag.virial(s, mf.center, None) for _, s in traj.snapshots]
-            )
-            write_residual_csv(outdir / "virial.csv", times, {"virial": vir})
+            times, vir = _virial_series(traj, mf.center)
+            write_csv(outdir / "virial.csv", {"t": times, "virial": vir})
             try:
                 summary["virial_beta"] = diag.fit_time_power(
                     times[:-1], vir[:-1], summary["T_est"]
@@ -612,10 +677,30 @@ def run_battery(sc: ScenarioConfig, prep: PreparedRun, traj: Trajectory, outdir:
         summary["modulation_error"] = str(exc)
 
     # profile residual series against the exact families
+    grid = sc.grid
     if sc.kind in ("multi_bubble", "critical_blowup", "bourgain_wang") and prep.blowup:
-        _blowup_residual_series(sc, prep, traj, outdir, summary, profile)
+        _residual_series(
+            sc, traj, outdir, summary,
+            reference=lambda t: pseudo_conformal_blowup(prep.blowup, t, grid, profile),
+            centers=lambda t: [b.position for b in prep.blowup.bubbles],
+            z=None if prep.z0 is None else (prep.z0.values, sc.t0, lambda t: t, lambda z, t: z),
+            per_bubble=True,
+        )
     if sc.kind in ("multi_soliton", "nonpure_soliton") and prep.solitons:
-        _soliton_residual_series(sc, prep, traj, outdir, summary, profile)
+        # the regular profile lives in the blow-up frame, s = 1 - 1/t
+        ref = prep.ztilde_ref
+        _residual_series(
+            sc, traj, outdir, summary,
+            reference=lambda t: solitary_wave(prep.solitons, t, grid, profile),
+            centers=lambda t: [
+                np.asarray(s.position0, dtype=float) + np.asarray(s.velocity, dtype=float) * t
+                for s in prep.solitons.solitons
+            ],
+            z=None if not ref else (
+                ref["z_state"].values, ref["z_time"], lambda t: 1.0 - 1.0 / t,
+                lambda z, t: pseudo_conformal_map(z, t, 1.0, direction="inverse")[0],
+            ),
+        )
 
     for key, val in list(summary.items()):
         if isinstance(val, dict):
@@ -625,66 +710,76 @@ def run_battery(sc: ScenarioConfig, prep: PreparedRun, traj: Trajectory, outdir:
     return summary
 
 
-def _blowup_residual_series(sc, prep, traj, outdir, summary, profile):
-    grid = sc.grid
-    centers = [b.position for b in prep.blowup.bubbles]
-    times, l2s, h1s = [], [], []
-    per_bubble_h1 = []
-    z_values = prep.z0.values if prep.z0 is not None else None
-    z_time = sc.t0
+def _residual_series(sc, traj, outdir, summary, reference, centers, z=None, per_bubble=False):
+    """Profile residuals of each snapshot against ``reference(t)`` with
+    profile centres ``centers(t)``, until the reference cannot be evaluated.
+    With ``z = (values, time, clock, frame)`` the regular profile, marched by
+    Strang steps from ``time`` to ``clock(t)`` and seen as ``frame(z, t)``,
+    is taken off too."""
+    if z:
+        z_values, z_time, clock, frame = z
+    times, l2s, h1s, per = [], [], [], []
     for t, snap in traj.snapshots:
         try:
-            ref = pseudo_conformal_blowup(prep.blowup, t, grid, profile)
+            ref = reference(t)
         except Exception:
             break
         z_field = None
-        if z_values is not None:
-            z_values, z_time = march_strang(grid, z_values, z_time, t, sc.dt0, sc.p)
-            z_field = ComplexField(grid, z_values)
-        res = diag.profile_residuals(snap, ref, centers, z=z_field)
+        if z:
+            z_values, z_time = march_strang(sc.grid, z_values, z_time, clock(t), sc.dt0, sc.p)
+            z_field = frame(ComplexField(sc.grid, z_values), t)
+        res = diag.profile_residuals(snap, ref, centers(t), z=z_field)
         times.append(t)
         l2s.append(res.l2)
         h1s.append(res.h1)
-        per_bubble_h1.append([b[1] for b in res.per_bubble])
-    if times:
-        rows = {"l2": l2s, "h1": h1s}
-        for kk in range(len(centers)):
-            rows[f"h1_bubble_{kk}"] = [pb[kk] for pb in per_bubble_h1]
-        write_residual_csv(outdir / "profile_residuals.csv", times, rows)
-        summary["profile_residual_max_l2"] = float(np.max(l2s))
-        summary["profile_residual_max_h1"] = float(np.max(h1s))
-        summary["profile_residual_max_h1_per_bubble"] = float(np.max(per_bubble_h1))
+        per.append([b[1] for b in res.per_bubble])
+    if not times:
+        return
+    rows = {"t": times, "l2": l2s, "h1": h1s}
+    if per_bubble:
+        for k in range(len(per[0])):
+            rows[f"h1_bubble_{k}"] = [pb[k] for pb in per]
+        summary["profile_residual_max_h1_per_bubble"] = float(np.max(per))
+    write_csv(outdir / "profile_residuals.csv", rows)
+    summary["profile_residual_max_l2"] = float(np.max(l2s))
+    summary["profile_residual_max_h1"] = float(np.max(h1s))
 
 
-def _soliton_residual_series(sc, prep, traj, outdir, summary, profile):
-    grid = sc.grid
-    times, l2s, h1s = [], [], []
-    z_values = prep.ztilde_ref["z_state"].values if prep.ztilde_ref else None
-    z_time = prep.ztilde_ref["z_time"] if prep.ztilde_ref else None
-    for t, snap in traj.snapshots:
+def diagnose_run(run_dir: Path, sc: Optional[ScenarioConfig] = None) -> dict:
+    """The battery's checks that need no rerun, on the trajectory in
+    ``run_dir/traj_000`` (or ``run_dir``), as ``report.json`` (also
+    returned).  The ground profile is the run's own (``sc``), else the
+    critical one of the snapshot's d.  ``banica_ok`` stays None without
+    ``hevo.csv``: the momenta the other half of the sweep needs are not on
+    disk."""
+    run_dir = Path(run_dir)
+    tdir = run_dir / "traj_000"
+    if not tdir.exists():
+        tdir = run_dir
+    traj = read_trajectory(tdir)
+    report = dict.fromkeys((
+        "banica_ok", "h_evo_max_residual", "T_est", "alpha", "loglog_score",
+        "virial_series", "concentration",
+    ))
+    if _grew(traj):
+        _rate_fit(traj, report)
+    _hevo_residual(traj, report, run_dir / "hevo_residual_check.csv")
+    if traj.marty is not None:
+        # the noise half of the sweep, without the run's mass precondition
+        report["banica_ok"] = bool(diag.banica_sweep(traj, None).satisfied)
+    if traj.snapshots:
+        profile = run_profile(sc.d, sc.p) if sc is not None else run_profile(traj.final_state.grid.d)
         try:
-            ref = solitary_wave(prep.solitons, t, grid, profile)
-        except Exception:
-            break
-        z_field = None
-        if z_values is not None:
-            s_target = 1.0 - 1.0 / t
-            z_values, z_time = march_strang(grid, z_values, z_time, s_target, sc.dt0, sc.p)
-            z_field, _ = pseudo_conformal_map(
-                ComplexField(grid, z_values), t, 1.0, direction="inverse"
-            )
-        centers = [
-            np.asarray(s.position0, dtype=float) + np.asarray(s.velocity, dtype=float) * t
-            for s in prep.solitons.solitons
-        ]
-        res = diag.profile_residuals(snap, ref, centers, z=z_field)
-        times.append(t)
-        l2s.append(res.l2)
-        h1s.append(res.h1)
-    if times:
-        write_residual_csv(outdir / "profile_residuals.csv", times, {"l2": l2s, "h1": h1s})
-        summary["profile_residual_max_l2"] = float(np.max(l2s))
-        summary["profile_residual_max_h1"] = float(np.max(h1s))
+            mf, conc = _fit_final_state(traj, profile)
+            report["concentration"] = {"R": 1.0, "fraction": conc / profile.mass_sq}
+            if _snapshot_files(tdir):
+                times, vir = _virial_series(traj, mf.center)
+                report["virial_series"] = {"t": times.tolist(), "virial": vir.tolist()}
+                write_csv(run_dir / "virial_check.csv", {"t": times, "virial": vir})
+        except diag.DiagnosticsError as exc:
+            report["modulation_error"] = str(exc)
+    write_summary_json(run_dir / "report.json", report)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -742,20 +837,6 @@ def run_trajectory(sc: ScenarioConfig, prep: PreparedRun, seed: int, lean: bool 
     if lean:
         cfg = replace(cfg, lean_record=True, keep_snapshots=False)
     return integrate(cfg)
-
-
-def write_trajectory_artifacts(sc: ScenarioConfig, traj: Trajectory, tdir: Path) -> None:
-    tdir.mkdir(parents=True, exist_ok=True)
-    write_diagnostics_csv(tdir / "diagnostics.csv", traj)
-    if traj.noise_values is not None:
-        write_path_csv(tdir / "path.csv", traj)
-        write_hevo_csv(tdir / "hevo.csv", traj)
-    if sc.snapshots != "none" and traj.snapshots:
-        t_fin, snap = traj.snapshots[-1]
-        write_snapshot(tdir / "snapshot_final.txt", snap, t_fin)
-        if sc.snapshots == "all":
-            for i, (t, s) in enumerate(traj.snapshots):
-                write_snapshot(tdir / f"snapshot_{i:06d}.txt", s, t)
 
 
 def mass_budget(sc: ScenarioConfig) -> float:
@@ -879,13 +960,8 @@ def run_ensemble(sc: ScenarioConfig, outdir: Optional[Path] = None) -> tuple:
     else:
         results = [_ensemble_worker(j) for j in jobs]
     summary = ensemble_summary(results)
-    with open(outdir / "ensemble.csv", "w") as fh:
-        fh.write("index,seed,stop_time,stop_reason,n_steps,t_est,mass_drift\n")
-        for r in sorted(results, key=lambda x: x["index"]):
-            fh.write(
-                f"{r['index']},{r['seed']},{_fmt(r['stop_time'])},{r['stop_reason']},"
-                f"{r['n_steps']},{_fmt(r['t_est'])},{_fmt(r['mass_drift'])}\n"
-            )
+    ordered = sorted(results, key=lambda r: r["index"])
+    write_csv(outdir / "ensemble.csv", {key: [r[key] for r in ordered] for key in ordered[0]})
     write_summary_json(outdir / "ensemble_summary.json", summary)
     budget = mass_budget(sc)
     failed = any(

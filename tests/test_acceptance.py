@@ -42,6 +42,13 @@ def criterion(num: int, ok: bool, detail: str):
     assert ok, line
 
 
+def _runtime(num: int, elapsed: float, cap: float) -> str:
+    """Print a criterion's runtime, which varies from run to run and so stays
+    out of the committed report; returns "under" or "over" the cap."""
+    print(f"[criterion {num:02d}] runtime {elapsed:.2f}s (cap {cap:g}s)", flush=True)
+    return "under" if elapsed < cap else "over"
+
+
 _N_CRITERIA = 16
 
 
@@ -189,10 +196,11 @@ def test_criterion_01_ground_state_oracle(gs_solve_1d):
     x = gs.field.grid.axis()
     target = 3**0.25 * np.cosh(2.0 * x) ** -0.5
     err = np.abs(gs.field.values.real - target).max()
+    runtime = _runtime(1, elapsed, 10.0)
     criterion(
         1,
-        err < 1e-8 and elapsed < 10.0,
-        f"1d ground state: Linf error {err:.2e} (tol 1e-8), runtime {elapsed:.2f}s (cap 10s)",
+        err < 1e-8 and runtime == "under",
+        f"1d ground state: Linf error {err:.2e} (tol 1e-8), runtime {runtime} the 10s cap",
     )
 
 
@@ -259,10 +267,11 @@ def test_criterion_04_mass_exactness_and_h_drift(
 def test_criterion_05_soliton_oracle(soliton_run):
     err = soliton_run["err"]
     elapsed = soliton_run["elapsed"]
+    runtime = _runtime(5, elapsed, 60.0)
     criterion(
         5,
-        err < 1e-4 and elapsed < 60.0,
-        f"soliton L2 error {err:.3e} (tol 1e-4), runtime {elapsed:.1f}s (cap 60s); "
+        err < 1e-4 and runtime == "under",
+        f"soliton L2 error {err:.3e} (tol 1e-4), runtime {runtime} the 60s cap; "
         f"error is second-order in dt and meets 1e-4 at dt0=2.5e-4, not at the stated dt0=1e-3",
     )
 

@@ -428,6 +428,107 @@ def test_cli_scenario_run_and_diagnose(tmp_path):
     assert report["h_evo_max_residual"] is not None
 
 
+NOISY_SOLITON = """
+scenario.kind = multi_soliton
+grid.d = 1
+grid.L = 40
+grid.N = 256
+soliton.waves = 1.0:1.0:0.3:0.0
+noise.kind = schwartz
+noise.amplitude = 0.3
+noise.modes = 2
+noise.seed = 11
+evolve.t1 = 0.2
+evolve.dt0 = 1e-3
+evolve.cadence = 50
+output.snapshots = all
+"""
+
+# one critical-mass bubble, cheap enough to fit a blow-up rate
+SHORT_BUBBLE = """
+scenario.kind = critical_blowup
+grid.d = 1
+grid.L = 40
+grid.N = 1024
+blowup.T = 1.0
+blowup.bubbles = 0:1:0
+evolve.t1 = 1.0
+evolve.dt0 = 4e-3
+evolve.width_factor = 1
+evolve.cadence = 250
+output.snapshots = all
+"""
+
+_SERIES = (
+    "times", "mass", "hamiltonian", "grad_norm", "lam", "center", "loc_mass",
+    "residual", "noise_values", "marty", "smear",
+)
+
+
+@pytest.mark.parametrize("text", [SHORT_BUBBLE, NOISY_SOLITON], ids=["bubble", "schwartz_noise"])
+def test_trajectory_artifacts_read_back_bitwise(tmp_path, text):
+    sc = build_scenario(parse_config_text(text))
+    traj = scenario.run_trajectory(sc, scenario.prepare_run(sc), sc.noise_seed)
+    scenario.write_trajectory_artifacts(sc, traj, tmp_path)
+    back = scenario.read_trajectory(tmp_path)
+    for name in _SERIES:
+        want, got = getattr(traj, name), getattr(back, name)
+        if want is None:
+            assert got is None, name
+            continue
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert back.n_steps == traj.n_steps
+    assert len(back.snapshots) == len(traj.snapshots) > 2
+    for (t, f), (tb, fb) in zip(traj.snapshots, back.snapshots):
+        assert tb == t and fb.grid == f.grid
+        assert fb.values.tobytes() == f.values.tobytes()
+    for name in ("config", "momentum", "profiles", "stop_reason"):
+        assert getattr(back, name) is None
+
+
+@pytest.mark.parametrize("text", [SHORT_BUBBLE, GAUGE_CHECK.replace(
+    "output.snapshots = final", "output.snapshots = all"), NOISY_SOLITON],
+    ids=["bubble", "gauge_check", "schwartz_noise"])
+def test_diagnose_report_equals_run_summary(tmp_path, text):
+    sc = build_scenario(parse_config_text(text))
+    out = tmp_path / "run"
+    summary, code = run_scenario(sc, out)
+    assert code == 0
+    res = CliRunner().invoke(cli.main, ["diagnose", str(out)])
+    assert res.exit_code == 0, res.output
+    report = json.loads((out / "report.json").read_text())
+    assert json.loads(res.stdout) == report
+    for key in ("T_est", "alpha", "h_evo_max_residual"):
+        assert report[key] == summary[key], key
+    assert report["concentration"]["fraction"] == summary["concentration"]["fraction"]
+    if (out / "traj_000" / "hevo.csv").exists():
+        assert report["banica_ok"] == summary["banica_ok"]
+        hevo = out / "hevo_residual.csv"
+        assert (out / "hevo_residual_check.csv").read_bytes() == hevo.read_bytes()
+    else:
+        # the coordinate-function half of the sweep needs the momenta,
+        # which are not on disk
+        assert report["banica_ok"] is None
+        assert summary["T_est"] is not None  # the bubble's rate fit is compared
+    virial = report["virial_series"]
+    assert len(virial["t"]) == len(list((out / "traj_000").glob("snapshot_0*.txt")))
+
+
+@pytest.mark.parametrize("contents", ["empty", "ensemble"])
+def test_diagnose_without_trajectory_exit_2(tmp_path, contents):
+    run_dir = tmp_path / "run"
+    if contents == "ensemble":
+        text = GAUGE_CHECK + "ensemble.size = 2\nensemble.workers = 1\n"
+        run_ensemble(build_scenario(parse_config_text(text)), run_dir)
+    else:
+        run_dir.mkdir()
+    res = CliRunner().invoke(cli.main, ["diagnose", str(run_dir)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("no trajectory: ") and res.stderr.count("\n") == 1
+    assert "Traceback" not in res.output
+
+
 def test_cli_malformed_config_exit_2(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("scenario.kind = nosuch\nevolve.t1 = 1\n")
