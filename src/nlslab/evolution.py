@@ -3,9 +3,11 @@
 The deterministic equation is advanced by Strang splitting: the nonlinear
 flow is an exact pointwise phase (the modulus is invariant), the linear
 flow is exact in Fourier space, so the discrete mass is conserved to
-rounding.  First-order coefficient terms from the noise gauge are composed
-symmetrically around the core step and integrated by classical RK4 with
-the Brownian weights frozen at the step midpoint.
+rounding.  With the Brownian weights frozen at the step midpoint, the
+gauged linear operator e^{-i psi} Lap e^{i psi} has the free flow
+conjugated by e^{i psi} as its exact flow, and the nonlinear phase commutes
+with that unimodular factor, so a gauged step is the Strang step
+conjugated by e^{i psi}: unitary to rounding, like the plain one.
 
 Stochastic runs step on a dyadic subdivision of the Brownian path grid so
 that refining the step never changes already-sampled path values; the
@@ -36,7 +38,6 @@ from .grid import (
 )
 from .ground_state import ground_profile
 from .noise import (
-    Coefficients,
     NoiseProfileSet,
     ProfileSpec,
     build_profiles,
@@ -141,45 +142,23 @@ def step_strang(f: ComplexField, dt: float, p: float) -> ComplexField:
     return ComplexField(f.grid, _step_strang_values(f.grid, f.values, dt, p))
 
 
-def _coefficient_rhs(grid: GridSpec, values: np.ndarray, coeffs: Coefficients, grads=None) -> np.ndarray:
-    if grads is None:
-        grads = gradient_values(grid, values)
-    adv = sum(a * g for a, g in zip(coeffs.a1, grads))
-    return 1j * (adv + coeffs.a0 * values)
-
-
-def _coefficient_substep(
-    grid: GridSpec, values: np.ndarray, tau: float, coeffs: Coefficients, grads=None
-) -> np.ndarray:
-    """RK4 on v_t = i (a1 . grad v + a0 v) with frozen coefficients;
-    ``grads``, when given, is gradient_values(grid, values)."""
-    k1 = _coefficient_rhs(grid, values, coeffs, grads)
-    k2 = _coefficient_rhs(grid, values + 0.5 * tau * k1, coeffs)
-    k3 = _coefficient_rhs(grid, values + 0.5 * tau * k2, coeffs)
-    k4 = _coefficient_rhs(grid, values + tau * k3, coeffs)
-    return values + tau / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _step_gnls_values(
-    grid: GridSpec, values: np.ndarray, dt: float, p: float, coeffs: Coefficients, grads=None
+    grid: GridSpec, values: np.ndarray, dt: float, p: float, gauge: Optional[np.ndarray]
 ) -> np.ndarray:
-    """One gauged step; ``grads``, when given, is gradient_values(grid,
-    values), which the recorder has already computed, and serves as the
-    first RK4 stage of the leading coefficient sub-step."""
-    if coeffs.is_zero:
+    """e^{-i psi} S_dt(e^{i psi} v) with S the Strang step and ``gauge`` =
+    e^{i psi} from ``coefficient_fields``; None (psi constant in space) is
+    the Strang step itself, bitwise."""
+    if gauge is None:
         return _step_strang_values(grid, values, dt, p)
-    v = _coefficient_substep(grid, values, 0.5 * dt, coeffs, grads)
-    v = _nonlinear_half(v, 0.5 * dt, p)
-    v = _linear_full(grid, v, dt)
-    v = _nonlinear_half(v, 0.5 * dt, p)
-    return _coefficient_substep(grid, v, 0.5 * dt, coeffs)
+    return np.conj(gauge) * _step_strang_values(grid, gauge * values, dt, p)
 
 
-def step_gnls(f: ComplexField, dt: float, p: float, coeffs: Coefficients) -> ComplexField:
-    """One symmetric step with first-order coefficients at the step midpoint."""
+def step_gnls(f: ComplexField, dt: float, p: float, gauge: Optional[np.ndarray]) -> ComplexField:
+    """One gauged step with the weights frozen (``gauge`` from
+    ``coefficient_fields``)."""
     if dt <= 0:
         raise EvolveError("dt must be positive")
-    out = _step_gnls_values(f.grid, f.values, dt, p, coeffs)
+    out = _step_gnls_values(f.grid, f.values, dt, p, gauge)
     if not np.all(np.isfinite(out)):
         raise EvolveError("step produced non-finite values")
     return ComplexField(f.grid, out)
@@ -365,8 +344,7 @@ class _Recorder:
         ]
 
     def record(self, t: float, values: np.ndarray, weights, snapshot: bool):
-        """Record the state at t; returns (||grad v||, lambda, grads), where
-        grads is gradient_values(grid, values) for noise runs, else None."""
+        """Record the state at t; returns (||grad v||, lambda)."""
         grid = self.config.grid
         dvol = grid.dvol
         # |v| and |v|^2 once per step, shared by every sum below
@@ -377,16 +355,11 @@ class _Recorder:
         if self.mass0 is None:
             self.mass0 = mass
 
-        grads = None
-        if self.profiles is None:
-            # one FFT, by Parseval; the noise terms below need grad v pointwise
-            grad_sq, mom = gradient_moments(grid, values)
-            kinetic = grad_sq
-        else:
-            grads = gradient_values(grid, values)
-            grad_sq = sum(float(np.sum(np.abs(g) ** 2)) for g in grads) * dvol
-            if not self.lean:
-                kinetic, mom = self._gauged_back(values, dens, grads, weights)
+        # one FFT, by Parseval; only the gauged-back terms need grad v pointwise
+        grad_sq, mom = gradient_moments(grid, values)
+        kinetic = grad_sq
+        if self.profiles is not None and not self.lean:
+            kinetic, mom = self._gauged_back(values, dens, mom, weights)
 
         grad_norm = math.sqrt(grad_sq)
         lam = self.config.grad_ref / grad_norm if (
@@ -407,17 +380,15 @@ class _Recorder:
             self.momenta.append(mom)
         if snapshot and self.config.keep_snapshots:
             self.snapshots.append((t, ComplexField(grid, values.copy())))
-        return grad_norm, lam, grads
+        return grad_norm, lam
 
-    def _gauged_back(self, values, dens, grads, weights) -> tuple:
-        """Kinetic energy and momenta of the gauged-back field X = e^{i psi} v;
-        appends the Marty and smear rows and the weights."""
+    def _gauged_back(self, values, dens, mom, weights) -> tuple:
+        """Kinetic energy and momenta of the gauged-back field X = e^{i psi} v,
+        from v's momenta ``mom``; appends the Marty and smear rows and the
+        weights."""
         grid = self.config.grid
         dvol = grid.dvol
-        # momentum of the gauged-back field: Im int conj(X) d_j X
-        mom = np.array([
-            float(np.sum((np.conj(values) * g).imag)) * dvol for g in grads
-        ])
+        grads = gradient_values(grid, values)
         # gauge back: X = e^{i psi} v; |X| = |v|, grad X picks up i grad(psi) X
         gpsi = self.profiles.grad_psi(weights)
         kinetic = sum(
@@ -526,7 +497,7 @@ def integrate(config: EvolveConfig) -> Trajectory:
 
     t_float = t0
     weights0 = drive.value(0) if drive is not None else None
-    g, lam, grads = rec.record(t0, v, weights0, snapshot=True)
+    g, lam = rec.record(t0, v, weights0, snapshot=True)
     g0 = g
     if config.g_max <= g0:
         raise EvolveError("gradient stop threshold must exceed the initial gradient norm")
@@ -575,8 +546,8 @@ def integrate(config: EvolveConfig) -> Trajectory:
         while True:
             if profiles is not None:
                 # weights frozen at the step midpoint
-                coeffs = coefficient_fields(profiles, drive.value(pos + dpos // 2))
-                v_new = _step_gnls_values(grid, v, dt, config.p, coeffs, grads)
+                gauge = coefficient_fields(profiles, drive.value(pos + dpos // 2))
+                v_new = _step_gnls_values(grid, v, dt, config.p, gauge)
             else:
                 v_new = _step_strang_values(grid, v, dt, config.p)
             finite = bool(np.all(np.isfinite(v_new)))
@@ -601,7 +572,7 @@ def integrate(config: EvolveConfig) -> Trajectory:
             t_float = t_float + dt
         steps += 1
         weights = drive.value(pos) if drive is not None else None
-        g, lam, grads = rec.record(now(), v, weights, snapshot=(steps % config.cadence == 0))
+        g, lam = rec.record(now(), v, weights, snapshot=(steps % config.cadence == 0))
 
     return rec.build(stop_reason, steps, now(), v)
 

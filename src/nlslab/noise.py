@@ -1,14 +1,16 @@
-"""Wiener fields, Brownian paths, the phase gauge and first-order coefficients.
+"""Wiener fields, Brownian paths and the phase gauge.
 
 The noise enters as W(t,x) = sum_l i phi_l(x) B_l(t) with real bounded
 spatial profiles phi_l and independent Brownian motions B_l.  Since W is
 purely imaginary, the gauge e^{-W} is a pointwise phase and preserves every
-L^p norm exactly.  The gauged equation picks up first-order coefficients
+L^p norm exactly.  With psi = sum_l phi_l B_l the gauged linear operator is
 
-    a1 = 2i sum_l grad(phi_l) B_l,
-    a0 = -sum_j (sum_l d_j phi_l B_l)^2 + i sum_l Lap(phi_l) B_l,
+    e^{-i psi} Lap e^{i psi} = Lap + a1 . grad + a0,
+    a1 = 2i grad(psi),   a0 = -|grad psi|^2 + i Lap(psi),
 
-which this module evaluates from analytic profile derivatives.
+so with the weights frozen its flow is the free flow conjugated by e^{i psi};
+this module supplies that factor.  The profiles carry analytic gradients
+(for the gauged-back diagnostics) and Laplacians (for the flatness check).
 
 Path generation is deterministic per seed and single-threaded; distinct
 seeds can be generated and consumed in parallel.
@@ -16,7 +18,7 @@ seeds can be generated and consumed in parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -56,10 +58,6 @@ class NoiseProfileSet:
     phi_funcs: list  # callables on coordinate arrays, for derivative checks
     flat_points: tuple = ()
     flat_order: int = 5
-    mu: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.mu = 0.5 * sum(p**2 for p in self.phi)
 
     @property
     def n_modes(self) -> int:
@@ -360,7 +358,7 @@ def sample_brownian(seed: int, times, n_modes: int) -> BrownianPath:
 
 
 # ---------------------------------------------------------------------------
-# gauge and coefficients
+# the gauge
 
 
 def gauge_transform(
@@ -382,29 +380,11 @@ def gauge_transform(
     return ComplexField(X.grid, X.values * factor)
 
 
-@dataclass
-class Coefficients:
-    """First-order coefficient fields of the gauged equation at one time."""
-
-    a1: list  # d complex arrays
-    a0: np.ndarray  # complex array
-    mu: np.ndarray  # real array
-    is_zero: bool
-
-
-def coefficient_fields(profiles: NoiseProfileSet, weights) -> Coefficients:
-    """a1, a0, mu for mode weights (Brownian values or a smooth drive)."""
-    grid = profiles.grid
-    d = grid.d
-    grad_psi = profiles.grad_psi(weights)
-    lap_psi = np.zeros(grid.shape)
-    for lp, w in zip(profiles.lap, weights):
-        lap_psi = lap_psi + lp * w
-    a1 = [2j * g for g in grad_psi]
-    a0 = -sum(g**2 for g in grad_psi) + 1j * lap_psi
-    is_zero = all(not np.any(g) for g in grad_psi) and not np.any(lap_psi)
-    return Coefficients(a1=a1, a0=a0, mu=profiles.mu, is_zero=is_zero)
-
-
-def lower_order_coefficients(profiles: NoiseProfileSet, path: BrownianPath, t: float) -> Coefficients:
-    return coefficient_fields(profiles, path.value_at(t))
+def coefficient_fields(profiles: NoiseProfileSet, weights) -> np.ndarray | None:
+    """The factor e^{i psi} that conjugates a gauged step at the given mode
+    weights (Brownian values or a smooth drive), or None when psi is
+    constant in space: the gauged step is then the plain Strang step."""
+    psi = profiles.psi(weights)
+    if psi.min() == psi.max():
+        return None
+    return np.exp(1j * psi)

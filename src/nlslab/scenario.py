@@ -59,6 +59,10 @@ SCENARIO_KINDS = (
 
 OUTPUT_ROOT_ENV = "NLSLAB_OUT"
 
+# largest relative mass drift a run may show, with or without noise: every
+# step, gauged or not, is unitary to rounding
+MASS_BUDGET = 1e-12
+
 
 class ConfigError(ValueError):
     """Schema violation in a scenario config (exit code 2)."""
@@ -839,12 +843,6 @@ def run_trajectory(sc: ScenarioConfig, prep: PreparedRun, seed: int, lean: bool 
     return integrate(cfg)
 
 
-def mass_budget(sc: ScenarioConfig) -> float:
-    """Largest relative mass drift a run may show: gauged noise runs lose
-    a little to the RK4 coefficient sub-steps."""
-    return 1e-10 if sc.noise_spec() is not None else 1e-12
-
-
 def run_scenario(sc: ScenarioConfig, outdir: Optional[Path] = None) -> tuple:
     """Execute one scenario; returns (summary, exit_code)."""
     outdir = open_run_dir(sc, outdir)
@@ -870,14 +868,13 @@ def run_scenario(sc: ScenarioConfig, outdir: Optional[Path] = None) -> tuple:
     )
 
     failed = traj.stop_reason in FAILED_STOPS
-    mass_tol = mass_budget(sc)
     hard_ok = (
-        summary["mass_drift"] < mass_tol
+        summary["mass_drift"] < MASS_BUDGET
         and summary["banica_ok"]
         and summary["determinism_ok"]
         and not failed
     )
-    summary["mass_tolerance"] = mass_tol
+    summary["mass_tolerance"] = MASS_BUDGET
     summary["hard_checks_ok"] = bool(hard_ok)
     exit_code = 0 if hard_ok else 3
     summary["exit_code"] = exit_code
@@ -947,7 +944,7 @@ def run_ensemble(sc: ScenarioConfig, outdir: Optional[Path] = None) -> tuple:
     """Run the seed ensemble; returns (summary, exit_code).
 
     The exit code is 3 when any trajectory fails numerically or drifts in
-    mass by the run's budget or more, else 0.
+    mass by ``MASS_BUDGET`` or more, else 0.
     """
     if sc.ensemble_size < 2:
         raise ConfigError(f"an ensemble needs ensemble.size >= 2, got {sc.ensemble_size}")
@@ -963,8 +960,7 @@ def run_ensemble(sc: ScenarioConfig, outdir: Optional[Path] = None) -> tuple:
     ordered = sorted(results, key=lambda r: r["index"])
     write_csv(outdir / "ensemble.csv", {key: [r[key] for r in ordered] for key in ordered[0]})
     write_summary_json(outdir / "ensemble_summary.json", summary)
-    budget = mass_budget(sc)
     failed = any(
-        r["stop_reason"] in FAILED_STOPS or not r["mass_drift"] < budget for r in results
+        r["stop_reason"] in FAILED_STOPS or not r["mass_drift"] < MASS_BUDGET for r in results
     )
     return summary, 3 if failed else 0

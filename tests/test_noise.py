@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nlslab.grid import ComplexField, make_grid
+from nlslab.grid import ComplexField, gradient_values, laplacian_values, make_grid
 from nlslab.noise import (
     BrownianPath,
     NoiseError,
@@ -9,7 +9,6 @@ from nlslab.noise import (
     coefficient_fields,
     finite_difference_derivative,
     gauge_transform,
-    lower_order_coefficients,
     make_profiles,
     ProfileSpec,
     sample_brownian,
@@ -26,13 +25,13 @@ def grid():
 
 
 def test_constant_profiles_zero_coefficients(grid):
+    # psi is constant in space: no gauge factor, the step is plain Strang
     prof = make_profiles("constant", 0.7, (), grid, n_modes=3)
     path = sample_brownian(1, np.linspace(0, 1, 11), 3)
-    coeffs = lower_order_coefficients(prof, path, 0.5)
-    assert coeffs.is_zero
-    assert all(np.abs(a).max() == 0.0 for a in coeffs.a1)
-    assert np.abs(coeffs.a0).max() == 0.0
-    assert coeffs.mu.max() == pytest.approx(0.5 * 0.7**2 * 3)
+    w = path.value_at(0.5)
+    assert np.any(w != 0.0)
+    assert coefficient_fields(prof, w) is None
+    assert all(np.abs(g).max() == 0.0 for g in prof.grad_psi(w))
 
 
 @pytest.mark.parametrize("order,h", [(0, 0.02), (1, 0.02), (2, 0.02), (3, 0.02), (4, 5e-5), (5, 5e-5)])
@@ -154,7 +153,7 @@ def test_path_lookup(grid):
 
 
 # ---------------------------------------------------------------------------
-# gauge and coefficients
+# the gauge
 
 
 def test_gauge_preserves_modulus(grid):
@@ -170,26 +169,55 @@ def test_gauge_preserves_modulus(grid):
 
 
 def test_coefficient_structure(grid):
+    # the gauge factor is e^{i psi}: unimodular, so it keeps the modulus
     prof = make_profiles("schwartz", 0.5, (), grid, n_modes=2)
     path = sample_brownian(3, np.linspace(0, 1, 11), 2)
-    coeffs = lower_order_coefficients(prof, path, 0.4)
     w = path.value_at(0.4)
-    grad_psi = prof.grad_psi(w)
-    # a1 = 2i grad(psi): purely imaginary with the right magnitude
-    assert np.abs(coeffs.a1[0].real).max() == 0.0
-    assert np.abs(coeffs.a1[0].imag - 2.0 * grad_psi[0]).max() < 1e-14
-    # Re a0 = -|grad psi|^2 <= 0
-    assert np.all(coeffs.a0.real <= 0.0)
-    assert np.abs(coeffs.a0.real + grad_psi[0] ** 2).max() < 1e-14
+    gauge = coefficient_fields(prof, w)
+    assert gauge is not None
+    assert np.array_equal(gauge, np.exp(1j * prof.psi(w)))
+    assert np.abs(np.abs(gauge) - 1.0).max() < 1e-15
+    rng = np.random.default_rng(1)
+    v = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+    assert np.abs(np.abs(gauge * v) - np.abs(v)).max() < 1e-15 * np.abs(v).max()
 
 
 def test_coefficients_vanish_at_flat_points(grid):
+    # grad psi and Lap psi vanish at a flat point, and the factor is 1 there
     prof = make_profiles("flat", 0.5, ((0.0,),), grid, n_modes=1)
     path = sample_brownian(11, np.linspace(0, 1, 11), 1)
-    coeffs = lower_order_coefficients(prof, path, 0.5)
+    w = path.value_at(0.5)
     i0 = np.argmin(np.abs(grid.axis()))
-    assert abs(coeffs.a1[0][i0]) < 1e-12
-    assert abs(coeffs.a0[i0]) < 1e-12
+    assert abs(prof.grad_psi(w)[0][i0]) < 1e-12
+    assert abs(prof.lap[0][i0] * w[0]) < 1e-12
+    gauge = coefficient_fields(prof, w)
+    assert abs(gauge[i0] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", ["schwartz", "flat"])
+def test_gauge_conjugation_identity(d, kind):
+    # e^{-i psi} Lap(e^{i psi} v) = Lap v + a1 . grad v + a0 v with the gauged
+    # coefficients a1 = 2i grad(psi), a0 = -|grad psi|^2 + i Lap(psi), from the
+    # profiles' analytic derivatives: the identity behind the gauged step
+    g = make_grid(d, 20, 256)
+    flat_points = ((0.0,) * d, (3.0,) + (1.0,) * (d - 1)) if kind == "flat" else ()
+    prof = make_profiles(kind, 0.5, flat_points, g, n_modes=2)
+    w = np.array([0.7, -0.4])
+    v = np.exp(-0.5 * g.radius_squared() + 1j * g.mesh()[0])
+    psi = prof.psi(w)
+    grad_psi = prof.grad_psi(w)
+    lap_psi = sum(lap * wl for lap, wl in zip(prof.lap, w))
+    lhs = np.exp(-1j * psi) * laplacian_values(g, np.exp(1j * psi) * v)
+    a1 = [2j * gp for gp in grad_psi]
+    a0 = -sum(gp**2 for gp in grad_psi) + 1j * lap_psi
+    rhs = (
+        laplacian_values(g, v)
+        + sum(a * gv for a, gv in zip(a1, gradient_values(g, v)))
+        + a0 * v
+    )
+    assert np.abs(a0).max() > 0.01
+    assert np.linalg.norm(lhs - rhs) < 1e-10 * np.linalg.norm(rhs)
 
 
 def test_profile_spec_rejects_bad_modes(grid):

@@ -384,13 +384,13 @@ def test_ensemble_exit_3_on_failed_trajectory(tmp_path, monkeypatch):
 
 
 def test_ensemble_exit_3_when_mass_drift_reaches_budget(tmp_path, monkeypatch):
-    # gauged noise runs have a budget of 1e-10; reaching it is a failure
+    # noise runs share the budget of 1e-12; reaching it is a failure
     def drifted(traj):
-        return dataclasses.replace(traj, residual=np.full_like(traj.residual, 1e-10))
+        return dataclasses.replace(traj, residual=np.full_like(traj.residual, 1e-12))
 
     summary, code = _altered_ensemble(tmp_path, monkeypatch, drifted)
     assert code == 3
-    assert summary["max_mass_drift"] == 1e-10
+    assert summary["max_mass_drift"] == 1e-12
 
 
 def _cli(args, cwd, env=None):

@@ -1,6 +1,12 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and every package name the benchmark harness (``bench/``) imports or wraps
+exists, so a rename fails here rather than in a traced benchmark run."""
 
 import ast
+import importlib
+import importlib.util
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -31,3 +37,78 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+# ---------------------------------------------------------------------------
+# the names the benchmark harness reaches into
+
+BENCH = PACKAGE.parents[1] / "bench"
+
+
+def _tracing_module():
+    """bench/tracing.py executed into a fresh module, without a bytecode
+    cache written next to it."""
+    path = BENCH / "tracing.py"
+    mod = types.ModuleType("bench_tracing")
+    mod.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), mod.__dict__)
+    return mod
+
+
+def _tracing_table(name: str) -> tuple:
+    tree = ast.parse((BENCH / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"bench/tracing.py assigns no {name}")
+
+
+def _has_name(modname: str, name: str) -> bool:
+    """``from modname import name`` would succeed (an attribute or a submodule)."""
+    mod = importlib.import_module(modname)
+    if hasattr(mod, name):
+        return True
+    return hasattr(mod, "__path__") and importlib.util.find_spec(f"{modname}.{name}") is not None
+
+
+def test_bench_names_exist_in_package():
+    missing = [
+        f"tracing.py: {row[0]}.{row[1]}"
+        for row in _tracing_table("WRAPPED") + _tracing_table("KERNELS")
+        if not _has_name(row[0], row[1])
+    ]
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nlslab":
+                missing += [
+                    f"{path.name}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if not _has_name(node.module, alias.name)
+                ]
+    assert missing == []
+
+
+def test_bench_tracer_uninstall_restores_every_original():
+    tracing = _tracing_module()
+    for row in tracing.WRAPPED + tracing.KERNELS:
+        importlib.import_module(row[0])
+    modules = [m for n, m in sys.modules.items() if n == "nlslab" or n.startswith("nlslab.")]
+    before = [(m, dict(vars(m))) for m in modules]
+    path_cls = sys.modules["nlslab.noise"].BrownianPath
+    refine = path_cls.refine
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert path_cls.refine is not refine
+        assert any(
+            vars(m).get(k) is not v for m, snap in before for k, v in snap.items()
+        )
+    finally:
+        tracer.uninstall()
+    assert path_cls.refine is refine
+    changed = [
+        f"{m.__name__}.{k}" for m, snap in before for k, v in snap.items() if vars(m).get(k) is not v
+    ]
+    assert changed == []
