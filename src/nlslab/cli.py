@@ -11,9 +11,10 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .evolution import FAILED_STOPS
+from .evolution import FAILED_STOPS, EvolveError
 from .grid import make_grid, write_snapshot
 from .ground_state import solve_ground_state, variational_identities
+from .noise import NoiseError
 from .scenario import (
     ConfigError,
     MissingTrajectory,
@@ -31,10 +32,11 @@ from .scenario import (
 
 @contextlib.contextmanager
 def _config_errors():
-    """A ConfigError raised inside exits 2 with ``config error``."""
+    """A ConfigError, or an EvolveError or NoiseError from a config value,
+    raised inside exits 2 with ``config error``."""
     try:
         yield
-    except ConfigError as exc:
+    except (ConfigError, EvolveError, NoiseError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
 
@@ -89,7 +91,7 @@ def evolve_cmd(config_file):
     outdir = open_run_dir(sc)
     with _config_errors():
         prep = prepare_run(sc)
-    traj = run_trajectory(sc, prep, sc.noise_seed)
+        traj = run_trajectory(sc, prep, sc.noise_seed)
     write_trajectory_artifacts(sc, traj, outdir / "traj_000")
     click.echo(f"stop_reason={traj.stop_reason} steps={traj.n_steps} out={outdir}")
     sys.exit(3 if traj.stop_reason in FAILED_STOPS else 0)

@@ -23,6 +23,7 @@ from .grid import (
     ComplexField,
     GridSpec,
     fourier_interp_axes,
+    grad_norm_sq,
     gradient_values,
     l2_norm_sq,
     norm_suite,
@@ -370,7 +371,7 @@ def modulation_fit(v: ComplexField, profile: GroundProfile) -> ModulationFit:
     Residuals are L2 and H1 norms of the rescaled remainder.
     """
     grid = v.grid
-    gsq = sum(float(np.sum(np.abs(g) ** 2)) for g in gradient_values(grid, v.values)) * grid.dvol
+    gsq = grad_norm_sq(v)
     if gsq == 0.0 or not np.any(v.values):
         raise DiagnosticsError("modulation fit needs a nonzero field")
     lam = math.sqrt(profile.grad_sq / gsq)

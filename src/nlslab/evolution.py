@@ -9,10 +9,11 @@ conjugated by e^{i psi} as its exact flow, and the nonlinear phase commutes
 with that unimodular factor, so a gauged step is the Strang step
 conjugated by e^{i psi}: unitary to rounding, like the plain one.
 
-Stochastic runs step on a dyadic subdivision of the Brownian path grid so
-that refining the step never changes already-sampled path values; the
-trajectory keeps the per-step path values, Hamiltonian-evolution
-integrands and pointing diagnostics needed by the verification suite.
+Every run keeps time as an integer position; stochastic runs step on a
+dyadic subdivision of the Brownian path grid so that refining the step
+never changes already-sampled path values.  The trajectory keeps the
+per-step path values, Hamiltonian-evolution integrands and pointing
+diagnostics needed by the verification suite.
 
 One trajectory is a strictly sequential state machine; trajectories with
 distinct configs or seeds share no mutable state and may run in parallel.
@@ -184,8 +185,9 @@ class NoiseSetup:
     path_dt: Optional[float] = None
 
 
-# Noise runs and their twins keep time as an integer position, in units of
-# the path step / 2^POS_LEVEL; a step of base_dt 2^-j moves it 2^(POS_LEVEL - j).
+# Every run keeps time as an integer position in units of base_dt / 2^POS_LEVEL
+# (base_dt: the path step, or dt0 without noise); a level-l step moves it
+# floor(2^(POS_LEVEL - l / LADDER_LEVELS)) units, exactly 2^(POS_LEVEL - j) at l = 8j.
 POS_LEVEL = 30
 
 
@@ -455,12 +457,14 @@ class _Recorder:
 def integrate(config: EvolveConfig) -> Trajectory:
     """Advance the configured initial field, recording diagnostics per step.
 
-    The step is dt0 * min(1, (g0/g)^2) where g = ||grad v||; with noise the
-    step is clamped to the dyadic subdivision of the path grid.  Stops at
-    the end of the span, at the gradient threshold, when the fitted width
-    falls below width_factor * dx, on non-finite values (keeping the last
-    good state), or when a dyadic step would fall below the finest level of
-    the position grid (``step_underflow``).
+    t = t0 + pos * unit with the integer position pos (see POS_LEVEL).  The
+    target step dt0 * min(1, (g0/g)^2), g = ||grad v||, is rounded down to a
+    ladder level, or to a dyadic level of the path grid for a noise run or
+    its twin; a ladder step is clipped to the end of the span, a dyadic one
+    halved until it fits.  Stops at the end of the span, at the gradient
+    threshold, when the fitted width falls below width_factor * dx, on
+    non-finite values (keeping the last good state), or when the level
+    passes the finest but two of the position grid (``step_underflow``).
     """
     grid = config.grid
     v = config.v0.values.astype(np.complex128).copy()
@@ -477,7 +481,6 @@ def integrate(config: EvolveConfig) -> Trajectory:
         if j0 < 0 or abs(ratio - j0) > 1e-9:
             raise EvolveError("dt0 must be the path step divided by a power of two")
     dyadic = config.noise is not None or config.force_dyadic
-    # dyadic bookkeeping: position in units of base_dt / 2^POS_LEVEL
     unit = base_dt * 2.0**-POS_LEVEL
     pos = 0
     end_pos = int(round((t1 - t0) / unit))
@@ -491,11 +494,6 @@ def integrate(config: EvolveConfig) -> Trajectory:
             raise EvolveError(f"unknown drive {config.noise.drive!r}")
 
     rec = _Recorder(config, profiles)
-
-    def now() -> float:
-        return t0 + pos * unit if dyadic else t_float
-
-    t_float = t0
     weights0 = drive.value(0) if drive is not None else None
     g, lam = rec.record(t0, v, weights0, snapshot=True)
     g0 = g
@@ -504,10 +502,8 @@ def integrate(config: EvolveConfig) -> Trajectory:
 
     stop_reason = None
     steps = 0
-    span_eps = 1e-12 * max(1.0, abs(t1))
     while True:
-        t = now()
-        if (pos >= end_pos) if dyadic else (t >= t1 - span_eps):
+        if pos >= end_pos:
             stop_reason = "reached_end"
             break
         if g >= config.g_max:
@@ -526,24 +522,24 @@ def integrate(config: EvolveConfig) -> Trajectory:
 
         dt_target = config.dt0 * min(1.0, (g0 / g) ** 2) if config.adaptive else config.dt0
         if dyadic:
-            j = max(j0, math.ceil(math.log2(base_dt / dt_target) - 1e-12))
-            if j > POS_LEVEL - 2:
-                stop_reason = "step_underflow"
-                break
-            dt = base_dt * 2.0**-j
-            dpos = 2 ** (POS_LEVEL - j)
-            # do not overshoot the end of the span
-            while pos + dpos > end_pos:
-                j += 1
-                dt = base_dt * 2.0**-j
-                dpos = 2 ** (POS_LEVEL - j)
+            level = LADDER_LEVELS * max(j0, math.ceil(math.log2(base_dt / dt_target) - 1e-12))
         else:
             # round down to the ladder, so that steps repeat a few cached phases
             level = max(0, math.ceil(LADDER_LEVELS * math.log2(config.dt0 / dt_target)))
-            dt = min(config.dt0 * 2.0 ** (-level / LADDER_LEVELS), t1 - t)
+        if level > LADDER_LEVELS * (POS_LEVEL - 2):
+            stop_reason = "step_underflow"
+            break
+        dpos = int(2.0 ** (POS_LEVEL - level / LADDER_LEVELS))
+        if dyadic:
+            # stay on a dyadic level inside the span
+            while pos + dpos > end_pos:
+                dpos //= 2
+        else:
+            dpos = min(dpos, end_pos - pos)
 
         attempts = 0
         while True:
+            dt = dpos * unit
             if profiles is not None:
                 # weights frozen at the step midpoint
                 gauge = coefficient_fields(profiles, drive.value(pos + dpos // 2))
@@ -554,27 +550,20 @@ def integrate(config: EvolveConfig) -> Trajectory:
             if finite:
                 break
             attempts += 1
-            if attempts > 3:
+            dpos //= 2
+            if attempts > 3 or dpos == 0:
                 break
-            dt *= 0.5
-            if dyadic:
-                dpos //= 2
-                if dpos == 0:
-                    break
         if not finite:
             stop_reason = "nonfinite"
             break
 
         v = v_new
-        if dyadic:
-            pos += dpos
-        else:
-            t_float = t_float + dt
+        pos += dpos
         steps += 1
         weights = drive.value(pos) if drive is not None else None
-        g, lam = rec.record(now(), v, weights, snapshot=(steps % config.cadence == 0))
+        g, lam = rec.record(t0 + pos * unit, v, weights, snapshot=(steps % config.cadence == 0))
 
-    return rec.build(stop_reason, steps, now(), v)
+    return rec.build(stop_reason, steps, t0 + pos * unit, v)
 
 
 # ---------------------------------------------------------------------------

@@ -110,10 +110,10 @@ def _schwartz_modes(spec: ProfileSpec, grid: GridSpec):
 
 
 def _flat_factor(r2: np.ndarray, s: float):
-    """Radial factor r^6 exp(-r^2/s^2) with gradient prefactor and Laplacian parts.
+    """Radial factor F = r^6 exp(-r^2/s^2) and the parts of its derivatives.
 
-    Returns (F, G, H) where grad F = G * (x - x_k) and, for dimension d,
-    Lap F = H + (d-1+2) ... assembled by the caller from radial identities.
+    Returns (F, G, F'') with G = F'/r, so that grad F = G * (x - x_k) and,
+    in dimension d, Lap F = F'' + (d-1) G.
     """
     g = np.exp(-r2 / s**2)
     r4 = r2 * r2

@@ -35,6 +35,7 @@ from .evolution import (
 from .exact import (
     BlowupParams,
     Bubble,
+    ProfileError,
     Soliton,
     SolitonParams,
     pseudo_conformal_blowup,
@@ -56,6 +57,8 @@ SCENARIO_KINDS = (
     "snls_gauge_check",
     "loglog_supercritical",
 )
+# travelling-soliton kinds: lambda = ||grad Q||/||grad v|| measures no width there
+SOLITON_KINDS = ("multi_soliton", "nonpure_soliton", "snls_gauge_check")
 
 OUTPUT_ROOT_ENV = "NLSLAB_OUT"
 
@@ -321,7 +324,7 @@ def _validate_scenario(sc: ScenarioConfig) -> None:
         problems.append(f"{sc.kind} requires blowup.bubbles")
     if sc.kind == "multi_bubble" and len(sc.bubbles) < 2:
         problems.append("multi_bubble requires at least two bubbles")
-    if sc.kind in ("multi_soliton", "nonpure_soliton", "snls_gauge_check") and not sc.solitons:
+    if sc.kind in SOLITON_KINDS and not sc.solitons:
         problems.append(f"{sc.kind} requires soliton.waves")
     if sc.kind == "bourgain_wang":
         if sc.noise_kind != "none":
@@ -442,7 +445,7 @@ def evolve_config_for(sc: ScenarioConfig, initial: ComplexField, seed: int, forc
         dt0=sc.dt0,
         g_max=sc.g_max,
         width_factor=sc.width_factor,
-        grad_ref=math.sqrt(profile.grad_sq),
+        grad_ref=None if sc.kind in SOLITON_KINDS else math.sqrt(profile.grad_sq),
         cadence=sc.cadence,
         noise=noise,
         force_dyadic=force_dyadic,
@@ -716,7 +719,7 @@ def run_battery(sc: ScenarioConfig, prep: PreparedRun, traj: Trajectory, outdir:
 
 def _residual_series(sc, traj, outdir, summary, reference, centers, z=None, per_bubble=False):
     """Profile residuals of each snapshot against ``reference(t)`` with
-    profile centres ``centers(t)``, until the reference cannot be evaluated.
+    profile centres ``centers(t)``, until the reference raises ProfileError.
     With ``z = (values, time, clock, frame)`` the regular profile, marched by
     Strang steps from ``time`` to ``clock(t)`` and seen as ``frame(z, t)``,
     is taken off too."""
@@ -726,7 +729,7 @@ def _residual_series(sc, traj, outdir, summary, reference, centers, z=None, per_
     for t, snap in traj.snapshots:
         try:
             ref = reference(t)
-        except Exception:
+        except ProfileError:
             break
         z_field = None
         if z:

@@ -282,8 +282,11 @@ def _bubble_config(n=1024, t1=1.0, **kw):
 
 
 def _targets(cfg, traj):
-    """The adaptive target dt0 * min(1, (g0/g)^2) before each step."""
+    """The step target before each step: dt0 * min(1, (g0/g)^2), or dt0
+    for a fixed-step run."""
     g = traj.grad_norm[:-1]
+    if not cfg.adaptive:
+        return np.full(g.size, cfg.dt0)
     return cfg.dt0 * np.minimum(1.0, (traj.grad_norm[0] / g) ** 2)
 
 
@@ -293,6 +296,7 @@ def test_adaptive_steps_lie_on_the_ladder():
     traj = integrate(cfg)
     info = _phase.cache_info()
     assert traj.stop_reason == "width_resolution" and traj.n_steps > 500
+    assert np.array_equal(traj.times, _replay_times(cfg, traj))
     dt = np.diff(traj.times)
     level = LADDER_LEVELS * np.log2(cfg.dt0 / dt)
     assert np.abs(level - np.round(level)).max() < 1e-6
@@ -313,35 +317,48 @@ def test_ladder_clips_only_the_last_step_to_the_span():
     traj = integrate(cfg)
     assert traj.stop_reason == "reached_end"
     assert abs(traj.final_time - 0.5) < 1e-12
+    assert np.array_equal(traj.times, _replay_times(cfg, traj))
     dt = np.diff(traj.times)
     level = LADDER_LEVELS * np.log2(cfg.dt0 / dt[:-1])
     assert np.abs(level - np.round(level)).max() < 1e-6
     assert dt[-1] < cfg.dt0 * 2.0 ** (-np.round(level[-1]) / LADDER_LEVELS)
 
 
-def test_fixed_step_clock_unchanged():
+def test_fixed_step_clock_is_exact():
+    # fixed steps land on t0 + k dt0 with no accumulated rounding; the last
+    # one is clipped to the end position, within half a unit of t1
     cfg = _bubble_config(n=512, t1=0.3013, adaptive=False)
     traj = integrate(cfg)
-    want = [cfg.t0]
-    while want[-1] < cfg.t1 - 1e-12:
-        want.append(want[-1] + min(cfg.dt0, cfg.t1 - want[-1]))
-    assert np.array_equal(traj.times, want)
+    assert traj.stop_reason == "reached_end" and traj.n_steps == 76
+    assert np.array_equal(traj.times[:-1], cfg.t0 + np.arange(traj.n_steps) * cfg.dt0)
+    assert np.array_equal(traj.times, _replay_times(cfg, traj))
+    assert abs(traj.final_time - cfg.t1) <= cfg.dt0 * 2.0 ** -(POS_LEVEL + 1)
 
 
-def _dyadic_times(cfg, traj, base_dt):
-    """The clock of noise runs and their twins, replayed from the recorded
-    gradient norms: dt = base_dt 2^-j at the coarsest level j >= j0 not above
-    the adaptive target, refined further to stay inside the span."""
-    pos_level = 30
-    unit = base_dt * 2.0**-pos_level
+def _replay_times(cfg, traj):
+    """The clock of every run, replayed from its recorded gradient norms.
+
+    Positions count base_dt 2^-POS_LEVEL.  A noise run or its twin steps
+    2^(POS_LEVEL - j) at the coarsest dyadic level j >= j0 not above the
+    adaptive target, refined further to stay inside the span; any other run
+    steps floor(2^(POS_LEVEL - l / LADDER_LEVELS)) at the coarsest ladder
+    level l not above the target, clipped to the span.
+    """
+    base_dt = (cfg.noise.path_dt if cfg.noise else None) or cfg.dt0
+    dyadic = cfg.noise is not None or cfg.force_dyadic
+    unit = base_dt * 2.0**-POS_LEVEL
     end = int(round((cfg.t1 - cfg.t0) / unit))
     j0 = int(round(math.log2(base_dt / cfg.dt0)))
     pos, times = 0, [cfg.t0]
     for target in _targets(cfg, traj):
-        j = max(j0, math.ceil(math.log2(base_dt / target) - 1e-12))
-        while pos + 2 ** (pos_level - j) > end:
-            j += 1
-        pos += 2 ** (pos_level - j)
+        if dyadic:
+            j = max(j0, math.ceil(math.log2(base_dt / target) - 1e-12))
+            while pos + 2 ** (POS_LEVEL - j) > end:
+                j += 1
+            pos += 2 ** (POS_LEVEL - j)
+        else:
+            level = max(0, math.ceil(LADDER_LEVELS * math.log2(cfg.dt0 / target)))
+            pos += min(math.floor(2.0 ** (POS_LEVEL - level / LADDER_LEVELS)), end - pos)
         times.append(cfg.t0 + pos * unit)
     return np.array(times)
 
@@ -353,7 +370,7 @@ def test_noise_and_twin_runs_keep_the_dyadic_clock():
     for cfg in (noisy_cfg, twin_cfg):
         traj = integrate(cfg)
         assert traj.n_steps > 100
-        assert np.array_equal(traj.times, _dyadic_times(cfg, traj, cfg.dt0))
+        assert np.array_equal(traj.times, _replay_times(cfg, traj))
         # dyadic levels only: dt0 / 2^j
         level = np.log2(cfg.dt0 / np.diff(traj.times))
         assert np.abs(level - np.round(level)).max() < 1e-6

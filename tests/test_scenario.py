@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ import nlslab
 import nlslab.scenario as scenario
 from nlslab import diagnostics as diag
 from nlslab import cli
+from nlslab.exact import ProfileError
+from nlslab.grid import ComplexField
 from nlslab.scenario import (
     SCENARIO_KINDS,
     SCHEMA,
@@ -257,8 +260,32 @@ def test_soliton_scenario_residual_bounded(tmp_path):
     sc = build_scenario(parse_config_text(SOLITON_RUN))
     summary, code = run_scenario(sc, tmp_path / "run")
     assert code == 0
+    # the two boosted solitons take no width stop: the run crosses the span
+    assert summary["n_steps"] > 0 and summary["stop_reason"] == "reached_end"
     assert summary["profile_residual_max_l2"] < 0.05
     assert (tmp_path / "run" / "profile_residuals.csv").exists()
+
+
+def test_residual_series_ends_on_profile_error_only(tmp_path):
+    sc = build_scenario(parse_config_text(SOLITON_RUN))
+    field = ComplexField(sc.grid, np.exp(-sc.grid.radius_squared()).astype(np.complex128))
+    traj = SimpleNamespace(snapshots=[(t, field) for t in (0.0, 0.1, 0.2)])
+
+    def reference(t):
+        if t > 0.15:
+            raise ProfileError("past the window of the reference")
+        return field
+
+    summary = {}
+    scenario._residual_series(sc, traj, tmp_path, summary, reference, lambda t: [0.0])
+    assert (tmp_path / "profile_residuals.csv").read_text().count("\n") == 3  # header, 2 rows
+    assert summary["profile_residual_max_l2"] == 0.0
+
+    def broken(t):
+        raise ValueError("not a profile error")
+
+    with pytest.raises(ValueError, match="not a profile error"):
+        scenario._residual_series(sc, traj, tmp_path, {}, broken, lambda t: [0.0])
 
 
 NONPURE_RUN = """
@@ -536,6 +563,23 @@ def test_cli_malformed_config_exit_2(tmp_path):
     assert res.returncode == 2
     assert "config error" in res.stderr, res.stderr
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command, old, new", [
+    ("scenario run", "noise.modes = 2", "noise.modes = 9"),
+    ("scenario run", "evolve.dt0 = 1e-3", "evolve.dt0 = -1e-3"),
+    ("scenario run", "evolve.cadence = 50", "evolve.cadence = 0"),
+    ("scenario ensemble", "noise.modes = 2", "noise.modes = 9"),
+    ("evolve", "evolve.cadence = 50", "evolve.cadence = 0"),
+], ids=["run_modes", "run_dt0", "run_cadence", "ensemble_modes", "evolve_cadence"])
+def test_cli_config_value_errors_exit_2(tmp_path, command, old, new):
+    # values the schema accepts but the noise model or the integrator refuses
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(GAUGE_CHECK.replace(old, new) + "ensemble.size = 2\nensemble.workers = 1\n")
+    res = _cli([*command.split(), str(cfg_file)], cwd=tmp_path, env={"NLSLAB_OUT": str(tmp_path)})
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr, res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_cli_ensemble_of_one_exit_2(tmp_path):
