@@ -88,9 +88,9 @@ def ground_state_cmd(dim, power, extent, points, tol, out):
 def evolve_cmd(config_file):
     """Integrate a scenario config; write config.txt, diagnostics CSV and snapshots."""
     sc = _load(config_file)
-    outdir = open_run_dir(sc)
     with _config_errors():
         prep = prepare_run(sc)
+        outdir = open_run_dir(sc, prep)
         traj = run_trajectory(sc, prep, sc.noise_seed)
     write_trajectory_artifacts(sc, traj, outdir / "traj_000")
     click.echo(f"stop_reason={traj.stop_reason} steps={traj.n_steps} out={outdir}")

@@ -226,7 +226,6 @@ class NormSuite:
 
     l2: float
     lp: float
-    lp_exponent: float
     grad_l2: float
     h1: float
     weighted: float
@@ -244,7 +243,6 @@ def norm_suite(f: ComplexField, center=None) -> NormSuite:
     return NormSuite(
         l2=np.sqrt(l2sq),
         lp=lp_norm(f, p_exp),
-        lp_exponent=p_exp,
         grad_l2=np.sqrt(gsq),
         h1=h1,
         weighted=np.sqrt(wsq),

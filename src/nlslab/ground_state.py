@@ -422,12 +422,6 @@ class VariationalReport:
     gn_ratio_self: float
 
 
-def hamiltonian(f: ComplexField) -> float:
-    d = f.grid.d
-    pe = 2.0 + 4.0 / d
-    return 0.5 * grad_norm_sq(f) - d / (2.0 * d + 4.0) * lp_norm(f, pe) ** pe
-
-
 def gn_ratio(v: ComplexField, q_mass_sq: float) -> float:
     """Gagliardo-Nirenberg sharpness ratio; <= 1 for every field, 1 at Q."""
     d = v.grid.d

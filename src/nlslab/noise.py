@@ -9,8 +9,10 @@ L^p norm exactly.  With psi = sum_l phi_l B_l the gauged linear operator is
     a1 = 2i grad(psi),   a0 = -|grad psi|^2 + i Lap(psi),
 
 so with the weights frozen its flow is the free flow conjugated by e^{i psi};
-this module supplies that factor.  The profiles carry analytic gradients
-(for the gauged-back diagnostics) and Laplacians (for the flatness check).
+this module supplies that factor.  Every profile is an amplitude times a
+product of radial factors F_k(|x - c_k|^2); each factor gives F, F'/r and F''
+once, and one product rule turns them into phi, its analytic gradient (for the
+gauged-back diagnostics) and its analytic Laplacian (for the flatness check).
 
 Path generation is deterministic per seed and single-threaded; distinct
 seeds can be generated and consumed in parallel.
@@ -19,6 +21,7 @@ seeds can be generated and consumed in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -49,15 +52,11 @@ class ProfileSpec:
 class NoiseProfileSet:
     """Real spatial profiles with analytic gradients and Laplacians."""
 
-    kind: str
-    amplitude: float
     grid: GridSpec
     phi: list  # list of arrays
     grad: list  # list of [d arrays]
     lap: list  # list of arrays
     phi_funcs: list  # callables on coordinate arrays, for derivative checks
-    flat_points: tuple = ()
-    flat_order: int = 5
 
     @property
     def n_modes(self) -> int:
@@ -78,161 +77,104 @@ class NoiseProfileSet:
         return out
 
 
-def _constant_modes(spec: ProfileSpec, grid: GridSpec):
-    shape = grid.shape
-    phis, grads, laps, funcs = [], [], [], []
-    for _ in range(spec.n_modes):
-        phis.append(np.full(shape, spec.amplitude))
-        grads.append([np.zeros(shape) for _ in range(grid.d)])
-        laps.append(np.zeros(shape))
-        funcs.append(lambda *coords, a=spec.amplitude: np.broadcast_arrays(*coords)[0] * 0.0 + a)
-    return phis, grads, laps, funcs
+# A radial factor maps r^2 = |x - c|^2 to (F, G, F'') with G = F'/r, so that
+# grad F = G * (x - c) and, in dimension d, Lap F = F'' + (d-1) G.
 
 
-def _schwartz_modes(spec: ProfileSpec, grid: GridSpec):
-    sigma0 = spec.sigma if spec.sigma is not None else grid.extent / 12.0
-    mesh = grid.mesh()
-    d = grid.d
-    phis, grads, laps, funcs = [], [], [], []
-    for l in range(spec.n_modes):
-        s = sigma0 / (1.0 + 0.25 * l)
-
-        def func(*coords, a=spec.amplitude, s=s):
-            r2 = sum(np.asarray(c, dtype=float) ** 2 for c in coords)
-            return a * np.exp(-r2 / s**2)
-
-        p = func(*mesh)
-        grads.append([-2.0 * xj / s**2 * p for xj in mesh])
-        laps.append((-2.0 * d / s**2 + 4.0 * grid.radius_squared() / s**4) * p)
-        phis.append(p + np.zeros(grid.shape))
-        funcs.append(func)
-    return phis, grads, laps, funcs
+def _gaussian_factor(r2: np.ndarray, s: float):
+    """F = exp(-r^2/s^2): the Schwartz kind's one factor."""
+    F = np.exp(-r2 / s**2)
+    G = -2.0 / s**2 * F
+    return F, G, G + 4.0 * r2 / s**4 * F
 
 
 def _flat_factor(r2: np.ndarray, s: float):
-    """Radial factor F = r^6 exp(-r^2/s^2) and the parts of its derivatives.
-
-    Returns (F, G, F'') with G = F'/r, so that grad F = G * (x - x_k) and,
-    in dimension d, Lap F = F'' + (d-1) G.
-    """
+    """F = r^6 exp(-r^2/s^2): flat to order 5 at its centre."""
     g = np.exp(-r2 / s**2)
     r4 = r2 * r2
     F = r4 * r2 * g
     G = g * (6.0 * r4 - 2.0 * r4 * r2 / s**2)
-    # radial second derivative F'' and F'/r are both needed for the Laplacian
     Fpp = g * (30.0 * r4 - 26.0 * r4 * r2 / s**2 + 4.0 * r4 * r4 / s**4)
     return F, G, Fpp
 
 
-def _flat_modes(spec: ProfileSpec, grid: GridSpec):
+def _product(fields: list, shape, skip=()) -> np.ndarray:
+    out = np.ones(shape)
+    for k, F in enumerate(fields):
+        if k not in skip:
+            out = out * F
+    return out
+
+
+def _mode(amplitude: float, factors: list, coords) -> tuple:
+    """phi = amplitude * prod_k F_k(|x - c_k|^2) at the coordinate arrays,
+    with grad phi and Lap phi by the product rule; ``factors`` holds
+    (c_k, F_k) pairs, and no factors give the constant profile."""
+    coords = [np.asarray(c, dtype=float) for c in coords]
+    shape = np.broadcast(*coords).shape
+    d = len(coords)
+    Fs, grads, laps = [], [], []
+    for center, factor in factors:
+        diff = [xj - cj for xj, cj in zip(coords, center)]
+        F, G, Fpp = factor(sum(dj**2 for dj in diff))
+        Fs.append(F)
+        grads.append([G * dj for dj in diff])
+        laps.append(Fpp + (d - 1) * G)
+    phi = amplitude * _product(Fs, shape)
+    grad = [np.zeros(shape) for _ in range(d)]
+    lap = np.zeros(shape)
+    for j, gj in enumerate(grads):
+        oth = _product(Fs, shape, (j,))
+        for ax in range(d):
+            grad[ax] = grad[ax] + amplitude * gj[ax] * oth
+        lap = lap + amplitude * laps[j] * oth
+        for i in range(j + 1, len(grads)):
+            dot = sum(gj[ax] * grads[i][ax] for ax in range(d))
+            lap = lap + 2.0 * amplitude * dot * _product(Fs, shape, (i, j))
+    return phi, grad, lap
+
+
+def _flat_points(spec: ProfileSpec, grid: GridSpec) -> list:
     if not spec.flat_points:
         raise NoiseError("flat profile kind requires at least one flat point")
-    d = grid.d
     pts = []
     for pt in spec.flat_points:
         p = np.atleast_1d(np.asarray(pt, dtype=float))
-        if p.size != d:
-            raise NoiseError(f"flat point {pt!r} does not have {d} components")
+        if p.size != grid.d:
+            raise NoiseError(f"flat point {pt!r} does not have {grid.d} components")
         if np.any(np.abs(p) > 0.5 * grid.extent - 5.0):
             raise NoiseError(f"flat point {pt!r} closer than 5 units to the box edge")
         pts.append(p)
-    mesh = grid.mesh()
-
-    phis, grads, laps, funcs = [], [], [], []
-    for l in range(spec.n_modes):
-        s = 1.0 / (1.0 + 0.25 * l)
-        # per-point factor fields
-        Fs, Gs, Fpps, diffs = [], [], [], []
-        for p in pts:
-            diff = [xj - cj for xj, cj in zip(mesh, p)]
-            r2 = sum(dj**2 for dj in diff)
-            F, G, Fpp = _flat_factor(r2, s)
-            Fs.append(F)
-            Gs.append(G)
-            Fpps.append(Fpp)
-            diffs.append(diff)
-        K = len(pts)
-
-        def others(j):
-            out = np.ones(grid.shape)
-            for k in range(K):
-                if k != j:
-                    out = out * Fs[k]
-            return out
-
-        phi = spec.amplitude * np.prod(np.array([np.broadcast_to(F, grid.shape) for F in Fs]), axis=0)
-        grad = [np.zeros(grid.shape) for _ in range(d)]
-        lap = np.zeros(grid.shape)
-        for j in range(K):
-            oth = others(j)
-            gj = [Gs[j] * diffs[j][ax] for ax in range(d)]
-            for ax in range(d):
-                grad[ax] = grad[ax] + spec.amplitude * gj[ax] * oth
-            # Lap F_j = F'' + (d-1) F'/r with F'/r = G
-            lap_fj = Fpps[j] + (d - 1) * Gs[j]
-            lap = lap + spec.amplitude * lap_fj * oth
-            for i in range(j + 1, K):
-                oth_ij = np.ones(grid.shape)
-                for k in range(K):
-                    if k != i and k != j:
-                        oth_ij = oth_ij * Fs[k]
-                gi = [Gs[i] * diffs[i][ax] for ax in range(d)]
-                dot = sum(gj[ax] * gi[ax] for ax in range(d))
-                lap = lap + 2.0 * spec.amplitude * dot * oth_ij
-
-        def func(*coords, a=spec.amplitude, s=s, pts=tuple(tuple(p) for p in pts)):
-            coords = [np.asarray(c, dtype=float) for c in coords]
-            out = None
-            for p in pts:
-                r2 = sum((c - cj) ** 2 for c, cj in zip(coords, p))
-                F = r2**3 * np.exp(-r2 / s**2)
-                out = F if out is None else out * F
-            return a * out
-
-        phis.append(phi)
-        grads.append(grad)
-        laps.append(lap)
-        funcs.append(func)
-    return phis, grads, laps, funcs
+    return pts
 
 
 def build_profiles(spec: ProfileSpec, grid: GridSpec) -> NoiseProfileSet:
+    """Mode l is amplitude * prod_k F(|x - c_k|^2; s_l), s_l = s_0 / (1 + l/4):
+    no factor (constant), one Gaussian at the origin with s_0 = ``sigma`` or
+    L/12 (schwartz), or one r^6 Gaussian per flat point with s_0 = 1 (flat)."""
     if spec.amplitude < 0:
         raise NoiseError("amplitude must be nonnegative")
     if spec.n_modes < 1 or spec.n_modes > 8:
         raise NoiseError("number of noise modes must be between 1 and 8")
-    builders = {
-        "constant": _constant_modes,
-        "schwartz": _schwartz_modes,
-        "flat": _flat_modes,
-    }
-    if spec.kind not in builders:
+    if spec.kind == "constant":
+        centers, factor, s0 = [], None, 1.0
+    elif spec.kind == "schwartz":
+        centers, factor = [(0.0,) * grid.d], _gaussian_factor
+        s0 = spec.sigma if spec.sigma is not None else grid.extent / 12.0
+    elif spec.kind == "flat":
+        centers, factor, s0 = _flat_points(spec, grid), _flat_factor, 1.0
+    else:
         raise NoiseError(f"unknown profile kind {spec.kind!r}")
-    phis, grads, laps, funcs = builders[spec.kind](spec, grid)
-    out = NoiseProfileSet(
-        kind=spec.kind,
-        amplitude=spec.amplitude,
-        grid=grid,
-        phi=phis,
-        grad=grads,
-        lap=laps,
-        phi_funcs=funcs,
-        flat_points=tuple(tuple(np.atleast_1d(np.asarray(p, dtype=float))) for p in spec.flat_points),
-    )
+    out = NoiseProfileSet(grid=grid, phi=[], grad=[], lap=[], phi_funcs=[])
+    for l in range(spec.n_modes):
+        factors = [(c, partial(factor, s=s0 / (1.0 + 0.25 * l))) for c in centers]
+        phi, grad, lap = _mode(spec.amplitude, factors, grid.mesh())
+        out.phi.append(phi)
+        out.grad.append(grad)
+        out.lap.append(lap)
+        out.phi_funcs.append(lambda *coords, f=factors: _mode(spec.amplitude, f, coords)[0])
     _check_asymptotic_flatness(out)
     return out
-
-
-def make_profiles(kind: str, amplitude: float, flat_points, grid: GridSpec, n_modes: int = 1, sigma: float | None = None) -> NoiseProfileSet:
-    """Construct a profile set of the given kind on the grid."""
-    spec = ProfileSpec(
-        kind=kind,
-        amplitude=float(amplitude),
-        n_modes=int(n_modes),
-        flat_points=tuple(flat_points) if flat_points else (),
-        sigma=sigma,
-    )
-    return build_profiles(spec, grid)
 
 
 def _edge_mask(grid: GridSpec) -> np.ndarray:

@@ -821,10 +821,16 @@ _RUN_FILES = (
 _TRAJ_DIR = re.compile(r"traj_\d{3}")
 
 
-def open_run_dir(sc: ScenarioConfig, outdir: Optional[Path] = None) -> Path:
+def open_run_dir(sc: ScenarioConfig, prep: PreparedRun, outdir: Optional[Path] = None) -> Path:
     """Create the run directory (default: ``output.dir``), remove the
     artifacts an earlier run left in it and record the run's resolved
-    config as ``config.txt``.  Files nlslab does not write are kept."""
+    config as ``config.txt``.  Files nlslab does not write are kept.
+
+    The integrator first sets the run up and stops before its first step,
+    so a value it or the noise model refuses raises while the directory is
+    still untouched."""
+    cfg = evolve_config_for(sc, prep.initial, sc.noise_seed)
+    integrate(replace(cfg, max_steps=0, keep_snapshots=False, lean_record=True))
     outdir = Path(outdir) if outdir is not None else resolve_outdir(sc)
     outdir.mkdir(parents=True, exist_ok=True)
     for name in _RUN_FILES:
@@ -848,9 +854,8 @@ def run_trajectory(sc: ScenarioConfig, prep: PreparedRun, seed: int, lean: bool 
 
 def run_scenario(sc: ScenarioConfig, outdir: Optional[Path] = None) -> tuple:
     """Execute one scenario; returns (summary, exit_code)."""
-    outdir = open_run_dir(sc, outdir)
-
     prep = prepare_run(sc)
+    outdir = open_run_dir(sc, prep, outdir)
     traj = run_trajectory(sc, prep, sc.noise_seed)
     tdir = outdir / "traj_000"
     write_trajectory_artifacts(sc, traj, tdir)
@@ -951,7 +956,7 @@ def run_ensemble(sc: ScenarioConfig, outdir: Optional[Path] = None) -> tuple:
     """
     if sc.ensemble_size < 2:
         raise ConfigError(f"an ensemble needs ensemble.size >= 2, got {sc.ensemble_size}")
-    outdir = open_run_dir(sc, outdir)
+    outdir = open_run_dir(sc, prepare_run(sc), outdir)
     jobs = [(sc, i) for i in range(sc.ensemble_size)]
     workers = sc.ensemble_workers or os.cpu_count() or 1
     if workers > 1:

@@ -9,7 +9,6 @@ from nlslab.noise import (
     coefficient_fields,
     finite_difference_derivative,
     gauge_transform,
-    make_profiles,
     ProfileSpec,
     sample_brownian,
 )
@@ -26,7 +25,7 @@ def grid():
 
 def test_constant_profiles_zero_coefficients(grid):
     # psi is constant in space: no gauge factor, the step is plain Strang
-    prof = make_profiles("constant", 0.7, (), grid, n_modes=3)
+    prof = build_profiles(ProfileSpec(kind="constant", amplitude=0.7, n_modes=3), grid)
     path = sample_brownian(1, np.linspace(0, 1, 11), 3)
     w = path.value_at(0.5)
     assert np.any(w != 0.0)
@@ -36,14 +35,14 @@ def test_constant_profiles_zero_coefficients(grid):
 
 @pytest.mark.parametrize("order,h", [(0, 0.02), (1, 0.02), (2, 0.02), (3, 0.02), (4, 5e-5), (5, 5e-5)])
 def test_flat_profile_derivatives_vanish(order, h, grid):
-    prof = make_profiles("flat", 0.5, ((0.0,),), grid, n_modes=1)
+    prof = build_profiles(ProfileSpec(kind="flat", amplitude=0.5, flat_points=((0.0,),)), grid)
     v = finite_difference_derivative(prof.phi_funcs[0], [0.0], order, axis=0, d=1, h=h)
     assert abs(v) < 1e-6
 
 
 def test_flat_profile_2d_derivatives_vanish():
     g2 = make_grid(2, 40, 128)
-    prof = make_profiles("flat", 0.5, ((0.0, 0.0), (5.0, 3.0)), g2, n_modes=1)
+    prof = build_profiles(ProfileSpec(kind="flat", amplitude=0.5, flat_points=((0.0, 0.0), (5.0, 3.0))), g2)
     for pt in ((0.0, 0.0), (5.0, 3.0)):
         for axis in (0, 1):
             for order, h in [(1, 0.02), (2, 0.02), (3, 0.02), (4, 5e-5), (5, 5e-5)]:
@@ -52,7 +51,7 @@ def test_flat_profile_2d_derivatives_vanish():
 
 
 def test_profile_tail_flatness_at_edge(grid):
-    prof = make_profiles("flat", 0.5, ((0.0,),), grid)
+    prof = build_profiles(ProfileSpec(kind="flat", amplitude=0.5, flat_points=((0.0,),)), grid)
     bracket = 1.0 + grid.radius_squared()
     for g in prof.grad[0]:
         assert (bracket * np.abs(g))[[0, -1]].max() < 1e-8
@@ -60,7 +59,7 @@ def test_profile_tail_flatness_at_edge(grid):
 
 def test_analytic_gradients_match_fd(grid):
     for kind, pts in [("schwartz", ()), ("flat", ((0.0,),))]:
-        prof = make_profiles(kind, 0.4, pts, grid, n_modes=2)
+        prof = build_profiles(ProfileSpec(kind=kind, amplitude=0.4, n_modes=2, flat_points=pts), grid)
         x = np.array([-7.3, -2.1, 0.9, 4.4])
         idx = np.searchsorted(grid.axis(), x)
         xg = grid.axis()[idx]
@@ -76,16 +75,25 @@ def test_analytic_gradients_match_fd(grid):
 
 def test_flat_points_near_edge_rejected(grid):
     with pytest.raises(NoiseError):
-        make_profiles("flat", 0.5, ((17.0,),), grid)
+        build_profiles(ProfileSpec(kind="flat", amplitude=0.5, flat_points=((17.0,),)), grid)
 
 
-def test_profile_laplacian_consistency_2d():
-    from nlslab.grid import laplacian_values
-
-    g2 = make_grid(2, 40, 128)
-    prof = make_profiles("schwartz", 0.4, (), g2)
-    lap = laplacian_values(g2, prof.phi[0].astype(complex)).real
-    assert np.abs(lap - prof.lap[0]).max() < 1e-6
+@pytest.mark.parametrize("d,n,extent", [(1, 1024, 40), (2, 256, 20)])
+@pytest.mark.parametrize("kind", ["constant", "schwartz", "flat_one", "flat_two"])
+def test_profile_laplacian_consistency_2d(d, n, extent, kind):
+    # the product rule's analytic grad phi and Lap phi against spectral ones;
+    # two flat points exercise its cross terms
+    g = make_grid(d, extent, n)
+    pts = {"flat_one": ((0.0,) * d,), "flat_two": ((0.0,) * d, (3.0,) + (1.0,) * (d - 1))}
+    spec = ProfileSpec(kind=kind.split("_")[0], amplitude=0.4, n_modes=3, flat_points=pts.get(kind, ()))
+    prof = build_profiles(spec, g)
+    for l in range(3):
+        phi = prof.phi[l].astype(complex)
+        scale = np.abs(prof.phi[l]).max()
+        assert scale > 0.0
+        for spectral, analytic in zip(gradient_values(g, phi), prof.grad[l]):
+            assert np.abs(spectral.real - analytic).max() < 1e-10 * scale
+        assert np.abs(laplacian_values(g, phi).real - prof.lap[l]).max() < 1e-10 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +165,7 @@ def test_path_lookup(grid):
 
 
 def test_gauge_preserves_modulus(grid):
-    prof = make_profiles("schwartz", 0.6, (), grid, n_modes=2)
+    prof = build_profiles(ProfileSpec(kind="schwartz", amplitude=0.6, n_modes=2), grid)
     path = sample_brownian(5, np.linspace(0, 1, 11), 2)
     rng = np.random.default_rng(0)
     X = ComplexField(grid, rng.standard_normal(512) + 1j * rng.standard_normal(512))
@@ -170,7 +178,7 @@ def test_gauge_preserves_modulus(grid):
 
 def test_coefficient_structure(grid):
     # the gauge factor is e^{i psi}: unimodular, so it keeps the modulus
-    prof = make_profiles("schwartz", 0.5, (), grid, n_modes=2)
+    prof = build_profiles(ProfileSpec(kind="schwartz", amplitude=0.5, n_modes=2), grid)
     path = sample_brownian(3, np.linspace(0, 1, 11), 2)
     w = path.value_at(0.4)
     gauge = coefficient_fields(prof, w)
@@ -184,7 +192,7 @@ def test_coefficient_structure(grid):
 
 def test_coefficients_vanish_at_flat_points(grid):
     # grad psi and Lap psi vanish at a flat point, and the factor is 1 there
-    prof = make_profiles("flat", 0.5, ((0.0,),), grid, n_modes=1)
+    prof = build_profiles(ProfileSpec(kind="flat", amplitude=0.5, flat_points=((0.0,),)), grid)
     path = sample_brownian(11, np.linspace(0, 1, 11), 1)
     w = path.value_at(0.5)
     i0 = np.argmin(np.abs(grid.axis()))
@@ -202,7 +210,7 @@ def test_gauge_conjugation_identity(d, kind):
     # profiles' analytic derivatives: the identity behind the gauged step
     g = make_grid(d, 20, 256)
     flat_points = ((0.0,) * d, (3.0,) + (1.0,) * (d - 1)) if kind == "flat" else ()
-    prof = make_profiles(kind, 0.5, flat_points, g, n_modes=2)
+    prof = build_profiles(ProfileSpec(kind=kind, amplitude=0.5, n_modes=2, flat_points=flat_points), g)
     w = np.array([0.7, -0.4])
     v = np.exp(-0.5 * g.radius_squared() + 1j * g.mesh()[0])
     psi = prof.psi(w)

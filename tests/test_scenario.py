@@ -573,13 +573,21 @@ def test_cli_malformed_config_exit_2(tmp_path):
     ("evolve", "evolve.cadence = 50", "evolve.cadence = 0"),
 ], ids=["run_modes", "run_dt0", "run_cadence", "ensemble_modes", "evolve_cadence"])
 def test_cli_config_value_errors_exit_2(tmp_path, command, old, new):
-    # values the schema accepts but the noise model or the integrator refuses
+    # values the schema accepts but the noise model or the integrator refuses;
+    # the refusal comes before the run directory is touched, so an earlier
+    # run's files there stay as they were
+    text = GAUGE_CHECK + "ensemble.size = 2\nensemble.workers = 1\noutput.dir = run\n"
+    run_scenario(build_scenario(parse_config_text(text)), tmp_path / "run")
+    before = {p: p.read_bytes() for p in (tmp_path / "run").rglob("*") if p.is_file()}
+    assert len(before) > 1
     cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text(GAUGE_CHECK.replace(old, new) + "ensemble.size = 2\nensemble.workers = 1\n")
+    cfg_file.write_text(text.replace(old, new))
     res = _cli([*command.split(), str(cfg_file)], cwd=tmp_path, env={"NLSLAB_OUT": str(tmp_path)})
     assert res.returncode == 2, res.stderr
     assert "config error" in res.stderr, res.stderr
     assert "Traceback" not in res.stderr
+    after = {p: p.read_bytes() for p in (tmp_path / "run").rglob("*") if p.is_file()}
+    assert after == before
 
 
 def test_cli_ensemble_of_one_exit_2(tmp_path):
@@ -683,3 +691,49 @@ ensemble.workers = 1
         assert summary["t_est_quartiles"] is not None
         medians[amp] = summary["t_est_quartiles"][1]
     print("median blow-up time estimates by noise amplitude:", medians)
+
+
+STOCHASTIC_BLOWUP = """
+scenario.kind = critical_blowup
+grid.d = 1
+grid.L = 40
+grid.N = 4096
+blowup.T = 1.0
+blowup.bubbles = 0:1:0
+noise.kind = schwartz
+noise.amplitude = 0.1
+noise.modes = 2
+noise.seed = {seed}
+evolve.t1 = 1.0
+evolve.dt0 = 4e-3
+evolve.gmax = 1e5
+evolve.width_factor = 4
+evolve.cadence = 250
+"""
+
+
+@pytest.mark.parametrize("seed", [40, 44])
+def test_stochastic_blowup_concentrates_on_the_universal_profile(seed):
+    """The paper's stochastic blow-up result at desk scale: X = e^{i psi} v,
+    gauged back with the weights the run records, keeps ||Q||^2 in a unit
+    ball about its centre, is close to the rescaled ground state in H1, and
+    its virial vanishes like (T - t)^2 at the run's own estimated T."""
+    sc = build_scenario(parse_config_text(STOCHASTIC_BLOWUP.format(seed=seed)))
+    traj = scenario.run_trajectory(sc, scenario.prepare_run(sc), sc.noise_seed)
+    assert traj.stop_reason == "width_resolution"
+
+    def gauged_back(t, v):
+        i = int(np.searchsorted(traj.times, t))
+        assert traj.times[i] == t
+        return ComplexField(v.grid, np.exp(1j * traj.profiles.psi(traj.noise_values[i])) * v.values)
+
+    X = [(t, gauged_back(t, v)) for t, v in traj.snapshots]
+    profile = scenario.run_profile(1)
+    mf = diag.modulation_fit(X[-1][1], profile)
+    assert diag.localized_mass(X[-1][1], mf.center, 1.0) >= 0.99 * profile.mass_sq
+    assert mf.resid_h1 < 0.05
+    mask = traj.grad_norm >= 1.2 * traj.grad_norm[0]
+    t_est = diag.blowup_rate_fit(traj.times[mask], traj.grad_norm[mask]).t_est
+    times = np.array([t for t, _ in X])
+    vir = np.array([diag.virial(x, mf.center, None) for _, x in X])
+    assert abs(diag.fit_time_power(times[:-1], vir[:-1], t_est) - 2.0) <= 0.1
