@@ -45,7 +45,6 @@ class Functionals:
     mass: float
     hamiltonian: float
     grad_l2: float
-    sigma: float
 
 
 def functionals(v: ComplexField) -> Functionals:
@@ -53,7 +52,7 @@ def functionals(v: ComplexField) -> Functionals:
     pe = 2.0 + 4.0 / d
     ns = norm_suite(v)
     ham = 0.5 * ns.grad_l2**2 - d / (2.0 * d + 4.0) * ns.lp**pe
-    return Functionals(mass=ns.l2, hamiltonian=ham, grad_l2=ns.grad_l2, sigma=ns.sigma)
+    return Functionals(mass=ns.l2, hamiltonian=ham, grad_l2=ns.grad_l2)
 
 
 def gn_defect(v: ComplexField, q_mass: float) -> float:
@@ -411,8 +410,6 @@ class RateFit:
     alpha: float
     amplitude: float
     loglog_score: float
-    rms_power: float
-    rms_loglog: float
 
 
 def _lnln_correction(time_left: np.ndarray) -> np.ndarray:
@@ -479,8 +476,6 @@ def blowup_rate_fit(times, grad_norms) -> RateFit:
         alpha=alpha0,
         amplitude=c0,
         loglog_score=float(score),
-        rms_power=rms0,
-        rms_loglog=rms1,
     )
 
 
@@ -526,7 +521,6 @@ def fit_time_power(times, values, t_ref: float):
 class ProfileResiduals:
     l2: float
     h1: float
-    sigma: float
     per_bubble: tuple
 
 
@@ -564,4 +558,4 @@ def profile_residuals(
         l2_sq = float(np.sum(mask * np.abs(diff) ** 2)) * grid.dvol
         g_sq = sum(float(np.sum(mask * np.abs(g) ** 2)) for g in grads) * grid.dvol
         per.append((math.sqrt(l2_sq), math.sqrt(l2_sq + g_sq)))
-    return ProfileResiduals(l2=ns.l2, h1=ns.h1, sigma=ns.sigma, per_bubble=tuple(per))
+    return ProfileResiduals(l2=ns.l2, h1=ns.h1, per_bubble=tuple(per))

@@ -265,24 +265,28 @@ class EvolveConfig:
 
 @dataclass
 class Trajectory:
-    """Time-stamped snapshots plus per-step diagnostic series."""
+    """Time-stamped snapshots plus per-step diagnostic series.
 
-    config: Optional[EvolveConfig]  # None when read back from a run directory
+    Every run records ``times``, ``mass``, ``grad_norm``, ``lam`` and
+    ``residual``.  A full run (not ``lean_record``) also records
+    ``hamiltonian``, ``center``, ``loc_mass`` and ``momentum``, and a full
+    noise run ``noise_values``, ``marty`` and ``smear``; a series a run does
+    not record is None.  Read back from a run directory, the momenta, the
+    stop reason and the profiles are None: they are not on disk.
+    """
+
     times: np.ndarray
     mass: np.ndarray
-    # hamiltonian, center, loc_mass, momentum and the noise extras are None
-    # for a config.lean_record run
-    hamiltonian: Optional[np.ndarray]
     grad_norm: np.ndarray
     lam: np.ndarray
-    center: Optional[np.ndarray]  # (n, d)
-    loc_mass: Optional[np.ndarray]
     residual: np.ndarray  # relative mass drift
-    momentum: Optional[np.ndarray]  # (n, d): Im int conj(v) d_j v dx
     snapshots: list  # [(t, ComplexField)]
-    stop_reason: Optional[str]  # None when read back from a run directory
     n_steps: int
-    # noise extras (None for deterministic runs)
+    stop_reason: Optional[str] = None
+    hamiltonian: Optional[np.ndarray] = None
+    center: Optional[np.ndarray] = None  # (n, d)
+    loc_mass: Optional[np.ndarray] = None
+    momentum: Optional[np.ndarray] = None  # (n, d): Im int conj(v) d_j v dx
     noise_values: Optional[np.ndarray] = None  # (n, modes) drive weights at step times
     marty: Optional[np.ndarray] = None  # (n, modes) Im int X grad(conj X) . grad(phi_l)
     smear: Optional[np.ndarray] = None  # (n, modes) int |grad(phi_l)|^2 |X|^2
@@ -328,16 +332,18 @@ def _ball_mass(grid: GridSpec, dens: np.ndarray, center, radius: float) -> float
 
 
 class _Recorder:
+    """Per-step series under their ``Trajectory`` names: the names a run
+    records are fixed here, once, by ``lean_record`` and the noise."""
+
     def __init__(self, config: EvolveConfig, profiles: Optional[NoiseProfileSet]):
         self.config = config
         self.profiles = profiles
         self.lean = config.lean_record
-        self.rows = {k: [] for k in (
-            "t", "mass", "ham", "grad", "lam", "loc", "res", "weights")}
-        self.centers = []
-        self.momenta = []
-        self.marty = []
-        self.smear = []
+        self.gauged = profiles is not None and not self.lean
+        names = ["times", "mass", "grad_norm", "lam", "residual"]
+        names += [] if self.lean else ["hamiltonian", "loc_mass", "center", "momentum"]
+        names += ["noise_values", "marty", "smear"] if self.gauged else []
+        self.series = {name: [] for name in names}
         self.snapshots = []
         self.mass0 = None
         # |grad phi_l|^2 per mode and axis, for the smear series
@@ -357,37 +363,35 @@ class _Recorder:
         if self.mass0 is None:
             self.mass0 = mass
 
+        row = {}
         # one FFT, by Parseval; only the gauged-back terms need grad v pointwise
         grad_sq, mom = gradient_moments(grid, values)
         kinetic = grad_sq
-        if self.profiles is not None and not self.lean:
-            kinetic, mom = self._gauged_back(values, dens, mom, weights)
+        if self.gauged:
+            kinetic, mom = self._gauged_back(values, dens, mom, weights, row)
 
         grad_norm = math.sqrt(grad_sq)
         lam = self.config.grad_ref / grad_norm if (
             self.config.grad_ref is not None and grad_norm > 0
         ) else np.nan
-        self.rows["t"].append(t)
-        self.rows["mass"].append(mass)
-        self.rows["grad"].append(grad_norm)
-        self.rows["lam"].append(lam)
-        self.rows["res"].append(abs(mass - self.mass0) / self.mass0)
+        row.update(times=t, mass=mass, grad_norm=grad_norm, lam=lam,
+                   residual=abs(mass - self.mass0) / self.mass0)
         if not self.lean:
             # |v|^(2 + 4/d)
             lp_sum = float(np.sum(dens * dens if grid.d == 2 else dens * dens * dens)) * dvol
             center = _peak_center_abs(grid, absv)
-            self.rows["ham"].append(0.5 * kinetic - grid.d / (2.0 * grid.d + 4.0) * lp_sum)
-            self.rows["loc"].append(_ball_mass(grid, dens, center, 1.0))
-            self.centers.append(center)
-            self.momenta.append(mom)
+            row.update(hamiltonian=0.5 * kinetic - grid.d / (2.0 * grid.d + 4.0) * lp_sum,
+                       loc_mass=_ball_mass(grid, dens, center, 1.0), center=center, momentum=mom)
+        for name, rows in self.series.items():
+            rows.append(row[name])
         if snapshot and self.config.keep_snapshots:
             self.snapshots.append((t, ComplexField(grid, values.copy())))
         return grad_norm, lam
 
-    def _gauged_back(self, values, dens, mom, weights) -> tuple:
+    def _gauged_back(self, values, dens, mom, weights, row) -> tuple:
         """Kinetic energy and momenta of the gauged-back field X = e^{i psi} v,
-        from v's momenta ``mom``; appends the Marty and smear rows and the
-        weights."""
+        from v's momenta ``mom``; puts the weights and the Marty and smear
+        values in ``row``."""
         grid = self.config.grid
         dvol = grid.dvol
         grads = gradient_values(grid, values)
@@ -413,9 +417,7 @@ class _Recorder:
                 sm += float(np.sum(gsq[j] * dens))
             marty_row.append(acc * dvol)
             smear_row.append(sm * dvol)
-        self.marty.append(marty_row)
-        self.smear.append(smear_row)
-        self.rows["weights"].append(np.array(weights, dtype=float))
+        row.update(noise_values=np.array(weights, dtype=float), marty=marty_row, smear=smear_row)
         return kinetic, mom
 
     def build(self, stop_reason: str, n_steps: int, final_t, final_values) -> Trajectory:
@@ -424,33 +426,10 @@ class _Recorder:
             self.snapshots.append(
                 (final_t, ComplexField(self.config.grid, final_values.copy()))
             )
-
-        def series(rows):
-            return None if self.lean else np.array(rows)
-
-        noise_part = {}
-        if self.profiles is not None:
-            noise_part = dict(
-                noise_values=series(self.rows["weights"]),
-                marty=series(self.marty),
-                smear=series(self.smear),
-                profiles=self.profiles,
-            )
         return Trajectory(
-            config=self.config,
-            times=np.array(self.rows["t"]),
-            mass=np.array(self.rows["mass"]),
-            hamiltonian=series(self.rows["ham"]),
-            grad_norm=np.array(self.rows["grad"]),
-            lam=np.array(self.rows["lam"]),
-            center=series(self.centers),
-            loc_mass=series(self.rows["loc"]),
-            residual=np.array(self.rows["res"]),
-            momentum=series(self.momenta),
-            snapshots=self.snapshots,
-            stop_reason=stop_reason,
-            n_steps=n_steps,
-            **noise_part,
+            snapshots=self.snapshots, n_steps=n_steps, stop_reason=stop_reason,
+            profiles=self.profiles,
+            **{name: np.array(rows) for name, rows in self.series.items()},
         )
 
 

@@ -214,12 +214,6 @@ def grad_norm_sq(f: ComplexField) -> float:
     return out * f.grid.dvol
 
 
-def weighted_norm_sq(f: ComplexField, center=None) -> float:
-    """||x f||_L2^2 with x measured from the box center (or ``center``)."""
-    r2 = f.grid.radius_squared(center)
-    return float(np.sum(r2 * np.abs(f.values) ** 2)) * f.grid.dvol
-
-
 @dataclass(frozen=True)
 class NormSuite:
     """Norm record; ``lp`` is the L^{2+4/d} norm used by the Hamiltonian."""
@@ -228,25 +222,19 @@ class NormSuite:
     lp: float
     grad_l2: float
     h1: float
-    weighted: float
-    sigma: float
 
 
-def norm_suite(f: ComplexField, center=None) -> NormSuite:
-    """L2, L^{2+4/d}, H1, Sigma, ||x f|| and gradient norms by grid quadrature."""
+def norm_suite(f: ComplexField) -> NormSuite:
+    """L2, L^{2+4/d}, H1 and gradient norms by grid quadrature."""
     d = f.grid.d
     p_exp = 2.0 + 4.0 / d
     l2sq = l2_norm_sq(f)
     gsq = grad_norm_sq(f)
-    wsq = weighted_norm_sq(f, center)
-    h1 = np.sqrt(l2sq + gsq)
     return NormSuite(
         l2=np.sqrt(l2sq),
         lp=lp_norm(f, p_exp),
         grad_l2=np.sqrt(gsq),
-        h1=h1,
-        weighted=np.sqrt(wsq),
-        sigma=np.sqrt(l2sq + gsq + wsq),
+        h1=np.sqrt(l2sq + gsq),
     )
 
 

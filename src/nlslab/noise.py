@@ -45,7 +45,6 @@ class ProfileSpec:
     amplitude: float
     n_modes: int = 1
     flat_points: tuple = ()
-    sigma: float | None = None
 
 
 @dataclass
@@ -150,8 +149,8 @@ def _flat_points(spec: ProfileSpec, grid: GridSpec) -> list:
 
 def build_profiles(spec: ProfileSpec, grid: GridSpec) -> NoiseProfileSet:
     """Mode l is amplitude * prod_k F(|x - c_k|^2; s_l), s_l = s_0 / (1 + l/4):
-    no factor (constant), one Gaussian at the origin with s_0 = ``sigma`` or
-    L/12 (schwartz), or one r^6 Gaussian per flat point with s_0 = 1 (flat)."""
+    no factor (constant), one Gaussian at the origin with s_0 = L/12
+    (schwartz), or one r^6 Gaussian per flat point with s_0 = 1 (flat)."""
     if spec.amplitude < 0:
         raise NoiseError("amplitude must be nonnegative")
     if spec.n_modes < 1 or spec.n_modes > 8:
@@ -159,8 +158,7 @@ def build_profiles(spec: ProfileSpec, grid: GridSpec) -> NoiseProfileSet:
     if spec.kind == "constant":
         centers, factor, s0 = [], None, 1.0
     elif spec.kind == "schwartz":
-        centers, factor = [(0.0,) * grid.d], _gaussian_factor
-        s0 = spec.sigma if spec.sigma is not None else grid.extent / 12.0
+        centers, factor, s0 = [(0.0,) * grid.d], _gaussian_factor, grid.extent / 12.0
     elif spec.kind == "flat":
         centers, factor, s0 = _flat_points(spec, grid), _flat_factor, 1.0
     else:

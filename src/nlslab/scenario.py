@@ -43,7 +43,8 @@ from .exact import (
     solitary_wave,
 )
 from .grid import (
-    ComplexField, GridSpec, l2_norm_sq, make_grid, norm_suite, read_snapshot, write_snapshot,
+    ComplexField, GridError, GridSpec, l2_norm_sq, make_grid, norm_suite, read_snapshot,
+    write_snapshot,
 )
 from .ground_state import GroundProfile, critical_exponent, ground_profile
 from .noise import ProfileSpec
@@ -210,7 +211,6 @@ SCHEMA = (
     _Key("noise.modes", "noise_modes", *_INT, 1),
     _Key("noise.seed", "noise_seed", *_INT, 0),
     _Key("noise.flat_points", "noise_flat_points", _parse_points, _render_points, ()),
-    _Key("noise.sigma", "noise_sigma", *_FLOAT, None),
     _Key("noise.drive", "noise_drive", *_STR, "brownian"),
     _Key("init.mass_sq_ratio", "init_mass_sq_ratio", *_FLOAT, 1.2),
     _Key("init.width", "init_width", *_FLOAT, 1.0),
@@ -245,7 +245,6 @@ class ScenarioConfig:
     noise_modes: int
     noise_seed: int
     noise_flat_points: tuple
-    noise_sigma: Optional[float]
     noise_drive: str
     init_mass_sq_ratio: float
     init_width: float
@@ -272,7 +271,6 @@ class ScenarioConfig:
             amplitude=self.noise_amplitude,
             n_modes=self.noise_modes,
             flat_points=self.noise_flat_points,
-            sigma=self.noise_sigma,
         )
 
 
@@ -379,20 +377,26 @@ def _regular_profile(
 
     z* is a Gaussian whose H1 norm is ``zstar.amplitude_rel`` times the run
     profile's, and the smallness check measures it against that same norm.
-    Data the backward solve refuses is a config error.
     """
     r2 = grid.radius_squared(sc.zstar_center)
     vals = np.exp(-r2 / sc.zstar_width**2).astype(np.complex128)
     q_h1 = norm_suite(profile.sample(grid)).h1
     scale = sc.zstar_amplitude_rel * q_h1 / norm_suite(ComplexField(grid, vals)).h1
     zstar = ComplexField(grid, vals * scale)
-    try:
-        return backward_solve(zstar, blowup_time, t0, sc.p, dt0=sc.dt0, smallness_ref=q_h1)
-    except EvolveError as exc:
-        raise ConfigError(str(exc)) from exc
+    return backward_solve(zstar, blowup_time, t0, sc.p, dt0=sc.dt0, smallness_ref=q_h1)
 
 
 def prepare_run(sc: ScenarioConfig) -> PreparedRun:
+    """The run's initial data.  Data it cannot prepare (a grid the grid
+    model refuses, a profile out of its window, regular-profile data the
+    backward solve refuses) is a config error."""
+    try:
+        return _prepare(sc)
+    except (GridError, ProfileError, EvolveError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _prepare(sc: ScenarioConfig) -> PreparedRun:
     grid = sc.grid
     profile = run_profile(sc.d, sc.p)
     blowup = None
@@ -538,8 +542,8 @@ def write_trajectory_artifacts(sc: ScenarioConfig, traj: Trajectory, tdir: Path)
 def read_trajectory(tdir) -> Trajectory:
     """The trajectory ``write_trajectory_artifacts`` wrote to ``tdir``: every
     series bitwise, and every written snapshot (all of them, or the final
-    one).  What is not on disk reads back as None: the evolve config, the
-    momenta, the noise profiles and the stop reason."""
+    one).  What is not on disk reads back as None: the momenta, the noise
+    profiles and the stop reason."""
     tdir = Path(tdir)
     if not (tdir / "diagnostics.csv").exists():
         raise MissingTrajectory(f"no trajectory: {tdir} holds no diagnostics.csv")
@@ -549,10 +553,7 @@ def read_trajectory(tdir) -> Trajectory:
     final = tdir / "snapshot_final.txt"
     paths = _snapshot_files(tdir) or ([final] if final.exists() else [])
     snapshots = [(t, field) for field, t in map(read_snapshot, paths)]
-    return Trajectory(
-        config=None, momentum=None, snapshots=snapshots, stop_reason=None,
-        n_steps=series["times"].size - 1, **series,
-    )
+    return Trajectory(snapshots=snapshots, n_steps=series["times"].size - 1, **series)
 
 
 def write_summary_json(path, summary: dict) -> None:
@@ -958,7 +959,8 @@ def run_ensemble(sc: ScenarioConfig, outdir: Optional[Path] = None) -> tuple:
         raise ConfigError(f"an ensemble needs ensemble.size >= 2, got {sc.ensemble_size}")
     outdir = open_run_dir(sc, prepare_run(sc), outdir)
     jobs = [(sc, i) for i in range(sc.ensemble_size)]
-    workers = sc.ensemble_workers or os.cpu_count() or 1
+    # a fork pool starts all its workers at once: no more than there are members
+    workers = min(sc.ensemble_size, sc.ensemble_workers or os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_ensemble_worker, jobs))

@@ -87,7 +87,7 @@ def test_derivative_linearity():
 def test_norms_zero_field():
     g = make_grid(1, 10.0, 32)
     ns = norm_suite(ComplexField(g, np.zeros(32)))
-    assert ns.l2 == ns.lp == ns.grad_l2 == ns.h1 == ns.weighted == ns.sigma == 0.0
+    assert ns.l2 == ns.lp == ns.grad_l2 == ns.h1 == 0.0
 
 
 def test_norm_quintic_ground_state_mass():
@@ -108,7 +108,7 @@ def test_norm_ordering():
     X, Y = g.mesh()
     f = ComplexField(g, np.exp(-(X**2 + Y**2) / 3) * np.exp(0.3j * X))
     ns = norm_suite(f)
-    assert ns.sigma >= ns.h1 >= ns.l2
+    assert ns.h1 >= ns.l2
 
 
 def test_parseval():

@@ -82,6 +82,11 @@ def test_parse_rejects_malformed():
         build_scenario(
             parse_config_text("scenario.kind = loglog_supercritical\nevolve.t1 = 1\nmystery.key = 3")
         )
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        # the Schwartz width is L/12; there is no knob for it
+        build_scenario(parse_config_text(
+            GAUGE_CHECK.replace("noise.kind = constant", "noise.kind = schwartz") + "noise.sigma = 3\n"
+        ))
 
 
 def test_custom_kind_rejected():
@@ -141,7 +146,6 @@ def _config_text(draw):
         "noise.modes": draw(st.integers()),
         "noise.seed": draw(st.integers(0, 2**64 - 1)),
         "noise.flat_points": ";".join(draw(st.lists(pt, min_size=1, max_size=3))),
-        "noise.sigma": repr(draw(_floats)),
         "noise.drive": draw(st.sampled_from(["brownian", "sin"])),
         "init.mass_sq_ratio": repr(draw(_floats)),
         "init.width": repr(draw(_floats)),
@@ -402,6 +406,32 @@ def _altered_ensemble(tmp_path, monkeypatch, alter):
     return run_ensemble(sc, tmp_path / "ens")
 
 
+@pytest.mark.parametrize("workers", ["ensemble.workers = 64\n", ""], ids=["set", "unset"])
+def test_ensemble_starts_no_more_workers_than_members(tmp_path, monkeypatch, workers):
+    # a fork pool starts all its workers at once; this one maps in-process
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(scenario.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(scenario.os, "cpu_count", lambda: 64)
+    sc = build_scenario(parse_config_text(GAUGE_CHECK + "ensemble.size = 2\n" + workers))
+    summary, code = run_ensemble(sc, tmp_path / "ens")
+    assert (summary["size"], code) == (2, 0)
+    assert started == [2]
+
+
 def test_ensemble_exit_3_on_failed_trajectory(tmp_path, monkeypatch):
     summary, code = _altered_ensemble(
         tmp_path, monkeypatch, lambda traj: dataclasses.replace(traj, stop_reason="nonfinite")
@@ -510,7 +540,7 @@ def test_trajectory_artifacts_read_back_bitwise(tmp_path, text):
     for (t, f), (tb, fb) in zip(traj.snapshots, back.snapshots):
         assert tb == t and fb.grid == f.grid
         assert fb.values.tobytes() == f.values.tobytes()
-    for name in ("config", "momentum", "profiles", "stop_reason"):
+    for name in ("momentum", "profiles", "stop_reason"):
         assert getattr(back, name) is None
 
 
@@ -571,11 +601,14 @@ def test_cli_malformed_config_exit_2(tmp_path):
     ("scenario run", "evolve.cadence = 50", "evolve.cadence = 0"),
     ("scenario ensemble", "noise.modes = 2", "noise.modes = 9"),
     ("evolve", "evolve.cadence = 50", "evolve.cadence = 0"),
-], ids=["run_modes", "run_dt0", "run_cadence", "ensemble_modes", "evolve_cadence"])
+    ("scenario run", "grid.N = 256", "grid.N = 250"),
+    ("scenario run", "soliton.waves = 1.0:1.0:0.0:0.0", "soliton.waves = 1.0:1.0:0.0:18.0"),
+], ids=["run_modes", "run_dt0", "run_cadence", "ensemble_modes", "evolve_cadence",
+        "run_grid", "run_profile"])
 def test_cli_config_value_errors_exit_2(tmp_path, command, old, new):
-    # values the schema accepts but the noise model or the integrator refuses;
-    # the refusal comes before the run directory is touched, so an earlier
-    # run's files there stay as they were
+    # values the schema accepts but the grid, the exact profiles, the noise
+    # model or the integrator refuses; the refusal comes before the run
+    # directory is touched, so an earlier run's files there stay as they were
     text = GAUGE_CHECK + "ensemble.size = 2\nensemble.workers = 1\noutput.dir = run\n"
     run_scenario(build_scenario(parse_config_text(text)), tmp_path / "run")
     before = {p: p.read_bytes() for p in (tmp_path / "run").rglob("*") if p.is_file()}
@@ -657,7 +690,6 @@ def test_lean_ensemble_rows_equal_full_trajectory_rows():
         }
         assert row == want  # every float bitwise (none is NaN)
     lean = scenario.run_trajectory(sc, prep, sc.noise_seed, lean=True)
-    assert lean.config.lean_record and not lean.config.keep_snapshots
     assert [t for t, _ in lean.snapshots] == [lean.final_time]
     for key in ("hamiltonian", "center", "loc_mass", "momentum", "noise_values", "marty", "smear"):
         assert getattr(lean, key) is None

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and every package name the benchmark harness (``bench/``) imports or wraps
-exists, so a rename fails here rather than in a traced benchmark run."""
+every package name the benchmark harness (``bench/``) imports or wraps
+exists, and its tracer reads a run, so a rename fails here rather than in a
+traced benchmark run."""
 
 import ast
 import importlib
@@ -9,6 +10,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nlslab"
@@ -112,3 +114,32 @@ def test_bench_tracer_uninstall_restores_every_original():
         f"{m.__name__}.{k}" for m, snap in before for k, v in snap.items() if vars(m).get(k) is not v
     ]
     assert changed == []
+
+
+def test_bench_tracer_reads_a_noise_run():
+    # the tracer reads the config and the trajectory after each wrapped
+    # call, so a reshaped Trajectory fails here, not in a traced bench run
+    from nlslab import evolution
+    from nlslab.grid import ComplexField, make_grid
+    from nlslab.noise import ProfileSpec
+
+    tracing = _tracing_module()
+    for row in tracing.WRAPPED + tracing.KERNELS:
+        importlib.import_module(row[0])
+    grid = make_grid(1, 40.0, 64)
+    v0 = ComplexField(grid, np.exp(-grid.radius_squared()).astype(complex))
+    noise = evolution.NoiseSetup(ProfileSpec(kind="schwartz", amplitude=0.1, n_modes=2), seed=3)
+    cfg = evolution.EvolveConfig(
+        grid=grid, p=5.0, v0=v0, t0=0.0, t1=1.0, dt0=1e-3, noise=noise, max_steps=10
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traj = evolution.integrate(cfg)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert traj.n_steps == 10
+    assert metrics["evolution.integrate.calls"] == 1
+    assert metrics["evolution.steps"] == traj.n_steps
+    assert metrics["noise.refine.calls"] >= 1 and metrics["noise.path_points"] > 0
