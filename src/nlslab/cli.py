@@ -12,8 +12,10 @@ import click
 import numpy as np
 
 from .evolution import FAILED_STOPS, EvolveError
-from .grid import make_grid, write_snapshot
-from .ground_state import solve_ground_state, variational_identities
+from .grid import GridError, make_grid, write_snapshot
+from .ground_state import (
+    GroundStateError, critical_exponent, solve_ground_state, variational_identities,
+)
 from .noise import NoiseError
 from .scenario import (
     ConfigError,
@@ -60,11 +62,16 @@ def main():
 @click.option("--tol", type=float, default=1e-10, show_default=True)
 @click.option("--out", type=click.Path(), default="ground_state_out", show_default=True)
 def ground_state_cmd(dim, power, extent, points, tol, out):
-    """Solve the nonlinear ground-state equation on the grid."""
-    if power is None:
-        power = 1.0 + 4.0 / dim
-    grid = make_grid(dim, extent, points)
-    gs = solve_ground_state(grid, dim, power, tol=tol)
+    """Solve the nonlinear ground-state equation on the grid.  A grid or an
+    exponent the solver refuses exits 2 before ``--out`` is created."""
+    try:
+        grid = make_grid(dim, extent, points)
+        if power is None:
+            power = critical_exponent(dim)
+        gs = solve_ground_state(grid, dim, power, tol=tol)
+    except (GridError, GroundStateError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
     rep = variational_identities(gs)
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -23,6 +23,7 @@ from .grid import (
     ComplexField,
     GridSpec,
     fourier_interp_axes,
+    fourier_interp_coefficients,
     grad_norm_sq,
     gradient_values,
     l2_norm_sq,
@@ -334,21 +335,21 @@ def _polish_peak(v: ComplexField, start: np.ndarray, iters: int = 12) -> np.ndar
     """Newton refinement of the |v|^2 maximum on the trig interpolant."""
     grid = v.grid
     dv = gradient_values(grid, v.values)
-    d2v = [gradient_values(grid, dv[j])[j] for j in range(grid.d)]
+    # the DFT coefficients of v, d_j v and d_j^2 v, transformed once
+    vhat = np.fft.fftn(v.values)
+    dvhat = [np.fft.fftn(dv[j]) for j in range(grid.d)]
+    d2vhat = [np.fft.fftn(gradient_values(grid, dv[j])[j]) for j in range(grid.d)]
     y = start.astype(float).copy()
 
-    def at(field_vals, pt):
-        f = ComplexField.__new__(ComplexField)
-        f.grid = grid
-        f.values = field_vals
-        return complex(np.asarray(fourier_interp_axes(f, [np.array([c]) for c in pt])).reshape(-1)[0])
+    def at(chat, pt):
+        return complex(fourier_interp_coefficients(grid, chat, [np.array([c]) for c in pt]).reshape(-1)[0])
 
     for _ in range(iters):
         moved = 0.0
         for j in range(grid.d):
-            vv = at(v.values, y)
-            d1 = at(dv[j], y)
-            d2 = at(d2v[j], y)
+            vv = at(vhat, y)
+            d1 = at(dvhat[j], y)
+            d2 = at(d2vhat[j], y)
             g1 = 2.0 * (np.conj(vv) * d1).real
             g2 = 2.0 * (abs(d1) ** 2 + (np.conj(vv) * d2).real)
             if g2 >= 0:

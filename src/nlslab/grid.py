@@ -345,11 +345,14 @@ def fourier_interp_axes(field: ComplexField, axes_targets) -> np.ndarray:
     the result has shape (len(t0),) in 1-d or (len(t0), len(t1)) in 2-d.
     Targets outside the box wrap periodically.
     """
-    grid = field.grid
-    out = np.fft.fftn(field.values)
+    return fourier_interp_coefficients(field.grid, np.fft.fftn(field.values), axes_targets)
+
+
+def fourier_interp_coefficients(grid: GridSpec, chat: np.ndarray, axes_targets) -> np.ndarray:
+    """``fourier_interp_axes`` of the field whose DFT coefficients are ``chat``."""
     for axis, targets in enumerate(axes_targets[: grid.d]):
-        out = _interp_axis(grid, out, targets, axis)
-    return out
+        chat = _interp_axis(grid, chat, targets, axis)
+    return chat
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,6 @@ SCHEMA = (
     _Key("noise.modes", "noise_modes", *_INT, 1),
     _Key("noise.seed", "noise_seed", *_INT, 0),
     _Key("noise.flat_points", "noise_flat_points", _parse_points, _render_points, ()),
-    _Key("noise.drive", "noise_drive", *_STR, "brownian"),
     _Key("init.mass_sq_ratio", "init_mass_sq_ratio", *_FLOAT, 1.2),
     _Key("init.width", "init_width", *_FLOAT, 1.0),
     _Key("evolve.t0", "t0", *_FLOAT, 0.0),
@@ -245,7 +244,6 @@ class ScenarioConfig:
     noise_modes: int
     noise_seed: int
     noise_flat_points: tuple
-    noise_drive: str
     init_mass_sq_ratio: float
     init_width: float
     t0: float
@@ -312,8 +310,6 @@ def _validate_scenario(sc: ScenarioConfig) -> None:
     problems = []
     if sc.noise_kind not in ("none", "constant", "schwartz", "flat"):
         problems.append(f"noise.kind {sc.noise_kind!r} unknown")
-    if sc.noise_drive not in ("brownian", "sin"):
-        problems.append(f"noise.drive {sc.noise_drive!r} unknown")
     if sc.snapshots not in ("none", "final", "all"):
         problems.append(f"output.snapshots {sc.snapshots!r} unknown")
     if sc.ensemble_size < 1:
@@ -356,11 +352,19 @@ def run_profile(d: int, p: Optional[float] = None) -> GroundProfile:
 
 @dataclass
 class PreparedRun:
+    """A run's initial data and the exact family its snapshots are measured
+    against: ``reference(t)`` with profile centres ``centers(t)`` (None
+    without one).  ``regular = (values, time, clock, frame)`` is the regular
+    profile z at ``time``, marched by Strang steps to ``clock(t)`` and seen
+    as ``frame(z, t)``.  ``per_bubble`` asks for each bubble's H1 residual;
+    ``grad_ref`` is ||grad Q||, None where lambda measures no width."""
+
     initial: ComplexField
-    blowup: Optional[BlowupParams]
-    solitons: Optional[SolitonParams]
-    z0: Optional[ComplexField]  # regular-profile value at t0 (bourgain_wang)
-    ztilde_ref: Optional[dict]  # nonpure_soliton bookkeeping
+    reference: Optional[Callable] = None
+    centers: Optional[Callable] = None
+    regular: Optional[tuple] = None
+    per_bubble: bool = False
+    grad_ref: Optional[float] = None
 
 
 def _gaussian_with_mass(grid: GridSpec, width: float, mass_sq: float) -> ComplexField:
@@ -387,9 +391,9 @@ def _regular_profile(
 
 
 def prepare_run(sc: ScenarioConfig) -> PreparedRun:
-    """The run's initial data.  Data it cannot prepare (a grid the grid
-    model refuses, a profile out of its window, regular-profile data the
-    backward solve refuses) is a config error."""
+    """The run's initial data and exact family.  Data it cannot prepare (a
+    grid the grid model refuses, a profile out of its window, regular-profile
+    data the backward solve refuses) is a config error."""
     try:
         return _prepare(sc)
     except (GridError, ProfileError, EvolveError) as exc:
@@ -399,59 +403,62 @@ def prepare_run(sc: ScenarioConfig) -> PreparedRun:
 def _prepare(sc: ScenarioConfig) -> PreparedRun:
     grid = sc.grid
     profile = run_profile(sc.d, sc.p)
-    blowup = None
-    solitons = None
-    z0 = None
-    ztilde = None
-    if sc.kind in ("critical_blowup", "multi_bubble"):
+    grad_ref = math.sqrt(profile.grad_sq)
+    if sc.kind == "loglog_supercritical":
+        initial = _gaussian_with_mass(grid, sc.init_width, sc.init_mass_sq_ratio * profile.mass_sq)
+        return PreparedRun(initial, grad_ref=grad_ref)
+    if sc.kind not in SOLITON_KINDS:
         blowup = BlowupParams(blowup_time=sc.blowup_time, bubbles=sc.bubbles)
         initial = pseudo_conformal_blowup(blowup, sc.t0, grid, profile)
-    elif sc.kind == "bourgain_wang":
-        blowup = BlowupParams(blowup_time=sc.blowup_time, bubbles=sc.bubbles)
-        bubble_part = pseudo_conformal_blowup(blowup, sc.t0, grid, profile)
-        z0 = _regular_profile(sc, grid, profile, sc.blowup_time, sc.t0)
-        initial = ComplexField(grid, bubble_part.values + z0.values)
-    elif sc.kind in ("multi_soliton", "snls_gauge_check"):
-        solitons = SolitonParams(solitons=sc.solitons, p=sc.p)
-        initial = solitary_wave(solitons, sc.t0, grid, profile)
-    elif sc.kind == "nonpure_soliton":
-        solitons = SolitonParams(solitons=sc.solitons, p=sc.p)
-        wave_part = solitary_wave(solitons, sc.t0, grid, profile)
-        # regular profile in the blow-up frame lives on s in [0, 1); T = 1
-        s0 = 1.0 - 1.0 / sc.t0
-        z_at_s0 = _regular_profile(sc, grid, profile, 1.0, s0)
-        ztilde0, _ = pseudo_conformal_map(z_at_s0, sc.t0, 1.0, direction="inverse")
-        initial = ComplexField(grid, wave_part.values + ztilde0.values)
-        ztilde = dict(z_state=z_at_s0, z_time=s0)
-    elif sc.kind == "loglog_supercritical":
-        initial = _gaussian_with_mass(
-            grid, sc.init_width, sc.init_mass_sq_ratio * profile.mass_sq
+        regular = None
+        if sc.kind == "bourgain_wang":
+            z0 = _regular_profile(sc, grid, profile, sc.blowup_time, sc.t0)
+            initial = ComplexField(grid, initial.values + z0.values)
+            regular = (z0.values, sc.t0, lambda t: t, lambda z, t: z)
+        return PreparedRun(
+            initial,
+            reference=lambda t: pseudo_conformal_blowup(blowup, t, grid, profile),
+            centers=lambda t: [b.position for b in blowup.bubbles],
+            regular=regular, per_bubble=True, grad_ref=grad_ref,
         )
-    else:  # pragma: no cover
-        raise ConfigError(f"unhandled scenario kind {sc.kind}")
+    solitons = SolitonParams(solitons=sc.solitons, p=sc.p)
+    initial = solitary_wave(solitons, sc.t0, grid, profile)
+    if sc.kind == "snls_gauge_check":
+        return PreparedRun(initial)
+    regular = None
+    if sc.kind == "nonpure_soliton":
+        # the regular profile lives in the blow-up frame, on s = 1 - 1/t in [0, 1)
+        clock = lambda t: 1.0 - 1.0 / t
+        frame = lambda z, t: pseudo_conformal_map(z, t, 1.0, direction="inverse")[0]
+        s0 = clock(sc.t0)
+        z_at_s0 = _regular_profile(sc, grid, profile, 1.0, s0)
+        initial = ComplexField(grid, initial.values + frame(z_at_s0, sc.t0).values)
+        regular = (z_at_s0.values, s0, clock, frame)
     return PreparedRun(
-        initial=initial, blowup=blowup, solitons=solitons, z0=z0, ztilde_ref=ztilde
+        initial,
+        reference=lambda t: solitary_wave(solitons, t, grid, profile),
+        centers=lambda t: [
+            np.asarray(s.position0, dtype=float) + np.asarray(s.velocity, dtype=float) * t
+            for s in solitons.solitons
+        ],
+        regular=regular,
     )
 
 
-def evolve_config_for(sc: ScenarioConfig, initial: ComplexField, seed: int, force_dyadic=False) -> EvolveConfig:
-    profile = run_profile(sc.d, sc.p)
+def evolve_config_for(sc: ScenarioConfig, prep: PreparedRun, seed: int, force_dyadic=False) -> EvolveConfig:
     spec = sc.noise_spec()
-    noise = None
-    if spec is not None:
-        noise = NoiseSetup(profiles=spec, seed=seed, drive=sc.noise_drive)
     return EvolveConfig(
         grid=sc.grid,
         p=sc.p,
-        v0=initial,
+        v0=prep.initial,
         t0=sc.t0,
         t1=sc.t1,
         dt0=sc.dt0,
         g_max=sc.g_max,
         width_factor=sc.width_factor,
-        grad_ref=None if sc.kind in SOLITON_KINDS else math.sqrt(profile.grad_sq),
+        grad_ref=prep.grad_ref,
         cadence=sc.cadence,
-        noise=noise,
+        noise=None if spec is None else NoiseSetup(profiles=spec, seed=seed),
         force_dyadic=force_dyadic,
     )
 
@@ -684,31 +691,7 @@ def run_battery(sc: ScenarioConfig, prep: PreparedRun, traj: Trajectory, outdir:
     except diag.DiagnosticsError as exc:
         summary["modulation_error"] = str(exc)
 
-    # profile residual series against the exact families
-    grid = sc.grid
-    if sc.kind in ("multi_bubble", "critical_blowup", "bourgain_wang") and prep.blowup:
-        _residual_series(
-            sc, traj, outdir, summary,
-            reference=lambda t: pseudo_conformal_blowup(prep.blowup, t, grid, profile),
-            centers=lambda t: [b.position for b in prep.blowup.bubbles],
-            z=None if prep.z0 is None else (prep.z0.values, sc.t0, lambda t: t, lambda z, t: z),
-            per_bubble=True,
-        )
-    if sc.kind in ("multi_soliton", "nonpure_soliton") and prep.solitons:
-        # the regular profile lives in the blow-up frame, s = 1 - 1/t
-        ref = prep.ztilde_ref
-        _residual_series(
-            sc, traj, outdir, summary,
-            reference=lambda t: solitary_wave(prep.solitons, t, grid, profile),
-            centers=lambda t: [
-                np.asarray(s.position0, dtype=float) + np.asarray(s.velocity, dtype=float) * t
-                for s in prep.solitons.solitons
-            ],
-            z=None if not ref else (
-                ref["z_state"].values, ref["z_time"], lambda t: 1.0 - 1.0 / t,
-                lambda z, t: pseudo_conformal_map(z, t, 1.0, direction="inverse")[0],
-            ),
-        )
+    _residual_series(sc, traj, outdir, summary, prep)
 
     for key, val in list(summary.items()):
         if isinstance(val, dict):
@@ -718,25 +701,25 @@ def run_battery(sc: ScenarioConfig, prep: PreparedRun, traj: Trajectory, outdir:
     return summary
 
 
-def _residual_series(sc, traj, outdir, summary, reference, centers, z=None, per_bubble=False):
-    """Profile residuals of each snapshot against ``reference(t)`` with
-    profile centres ``centers(t)``, until the reference raises ProfileError.
-    With ``z = (values, time, clock, frame)`` the regular profile, marched by
-    Strang steps from ``time`` to ``clock(t)`` and seen as ``frame(z, t)``,
-    is taken off too."""
-    if z:
-        z_values, z_time, clock, frame = z
+def _residual_series(sc, traj, outdir, summary, prep: PreparedRun) -> None:
+    """Profile residuals of each snapshot against the run's exact family
+    (``prep.reference``, ``prep.centers``), less its regular profile if it
+    has one, until the reference raises ProfileError."""
+    if prep.reference is None:
+        return
+    if prep.regular:
+        z_values, z_time, clock, frame = prep.regular
     times, l2s, h1s, per = [], [], [], []
     for t, snap in traj.snapshots:
         try:
-            ref = reference(t)
+            ref = prep.reference(t)
         except ProfileError:
             break
         z_field = None
-        if z:
+        if prep.regular:
             z_values, z_time = march_strang(sc.grid, z_values, z_time, clock(t), sc.dt0, sc.p)
             z_field = frame(ComplexField(sc.grid, z_values), t)
-        res = diag.profile_residuals(snap, ref, centers(t), z=z_field)
+        res = diag.profile_residuals(snap, ref, prep.centers(t), z=z_field)
         times.append(t)
         l2s.append(res.l2)
         h1s.append(res.h1)
@@ -744,7 +727,7 @@ def _residual_series(sc, traj, outdir, summary, reference, centers, z=None, per_
     if not times:
         return
     rows = {"t": times, "l2": l2s, "h1": h1s}
-    if per_bubble:
+    if prep.per_bubble:
         for k in range(len(per[0])):
             rows[f"h1_bubble_{k}"] = [pb[k] for pb in per]
         summary["profile_residual_max_h1_per_bubble"] = float(np.max(per))
@@ -830,7 +813,7 @@ def open_run_dir(sc: ScenarioConfig, prep: PreparedRun, outdir: Optional[Path] =
     The integrator first sets the run up and stops before its first step,
     so a value it or the noise model refuses raises while the directory is
     still untouched."""
-    cfg = evolve_config_for(sc, prep.initial, sc.noise_seed)
+    cfg = evolve_config_for(sc, prep, sc.noise_seed)
     integrate(replace(cfg, max_steps=0, keep_snapshots=False, lean_record=True))
     outdir = Path(outdir) if outdir is not None else resolve_outdir(sc)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -847,7 +830,7 @@ def run_trajectory(sc: ScenarioConfig, prep: PreparedRun, seed: int, lean: bool 
     """Integrate one trajectory.  ``lean`` records only what an ensemble row
     needs (the clock, ||grad v|| and the mass drift) and keeps no snapshot
     but the final state; its dt sequence is the full run's."""
-    cfg = evolve_config_for(sc, prep.initial, seed)
+    cfg = evolve_config_for(sc, prep, seed)
     if lean:
         cfg = replace(cfg, lean_record=True, keep_snapshots=False)
     return integrate(cfg)
@@ -873,7 +856,7 @@ def run_scenario(sc: ScenarioConfig, outdir: Optional[Path] = None) -> tuple:
         _gauge_check(sc, prep, traj, summary)
 
     summary["determinism_ok"] = _determinism_check(
-        evolve_config_for(sc, prep.initial, sc.noise_seed)
+        evolve_config_for(sc, prep, sc.noise_seed)
     )
 
     failed = traj.stop_reason in FAILED_STOPS
@@ -893,7 +876,7 @@ def run_scenario(sc: ScenarioConfig, outdir: Optional[Path] = None) -> tuple:
 
 def _gauge_check(sc: ScenarioConfig, prep: PreparedRun, noisy: Trajectory, summary: dict) -> None:
     """Constant-profile runs must match the deterministic twin pointwise."""
-    det_cfg = evolve_config_for(sc, prep.initial, sc.noise_seed, force_dyadic=True)
+    det_cfg = evolve_config_for(sc, prep, sc.noise_seed, force_dyadic=True)
     det_cfg = replace(det_cfg, noise=None)
     det = integrate(det_cfg)
     n = min(len(noisy.snapshots), len(det.snapshots))

@@ -87,6 +87,9 @@ def test_parse_rejects_malformed():
         build_scenario(parse_config_text(
             GAUGE_CHECK.replace("noise.kind = constant", "noise.kind = schwartz") + "noise.sigma = 3\n"
         ))
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        # the Brownian drive is the only one a scenario has
+        build_scenario(parse_config_text(GAUGE_CHECK + "noise.drive = sin\n"))
 
 
 def test_custom_kind_rejected():
@@ -146,7 +149,6 @@ def _config_text(draw):
         "noise.modes": draw(st.integers()),
         "noise.seed": draw(st.integers(0, 2**64 - 1)),
         "noise.flat_points": ";".join(draw(st.lists(pt, min_size=1, max_size=3))),
-        "noise.drive": draw(st.sampled_from(["brownian", "sin"])),
         "init.mass_sq_ratio": repr(draw(_floats)),
         "init.width": repr(draw(_floats)),
         "evolve.t0": repr(draw(st.floats(min_value=0.0, exclude_min=True, allow_nan=False))),
@@ -281,15 +283,50 @@ def test_residual_series_ends_on_profile_error_only(tmp_path):
         return field
 
     summary = {}
-    scenario._residual_series(sc, traj, tmp_path, summary, reference, lambda t: [0.0])
+    prep = scenario.PreparedRun(field, reference, lambda t: [0.0])
+    scenario._residual_series(sc, traj, tmp_path, summary, prep)
     assert (tmp_path / "profile_residuals.csv").read_text().count("\n") == 3  # header, 2 rows
     assert summary["profile_residual_max_l2"] == 0.0
 
     def broken(t):
         raise ValueError("not a profile error")
 
+    prep = scenario.PreparedRun(field, broken, lambda t: [0.0])
     with pytest.raises(ValueError, match="not a profile error"):
-        scenario._residual_series(sc, traj, tmp_path, {}, broken, lambda t: [0.0])
+        scenario._residual_series(sc, traj, tmp_path, {}, prep)
+
+
+# per kind, the keys of a small run; every run but the non-pure one starts at t = 0
+_SMALL_RUNS = {
+    "critical_blowup": "blowup.bubbles = 0:1:0\nevolve.t1 = 0.1\n",
+    "multi_bubble": "blowup.bubbles = -8:1:0;8:1:0.5\nevolve.width_factor = 2\nevolve.t1 = 0.1\n",
+    "bourgain_wang": "blowup.bubbles = -5:1:0\nzstar.center = 10.0\nevolve.t1 = 0.1\n",
+    "multi_soliton": "soliton.waves = 1.0:1.0:0.0:-8.0;-1.0:1.0:0.5:8.0\nevolve.t1 = 0.1\n",
+    "nonpure_soliton": "soliton.waves = 0.5:1.0:0.0:-10.0;-0.5:1.0:0.3:10.0\n"
+    "zstar.center = 0.0\nevolve.t0 = 1.25\nevolve.t1 = 1.35\n",
+    "snls_gauge_check": "soliton.waves = 1.0:1.0:0.0:0.0\nnoise.kind = constant\n"
+    "noise.amplitude = 0.5\nevolve.t1 = 0.1\n",
+    "loglog_supercritical": "evolve.t1 = 0.1\n",
+}
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_battery_measures_each_kind_against_its_own_family(tmp_path, kind):
+    # the blow-up kinds and the two multi-soliton kinds have an exact family
+    # to measure residuals against; only a bubble family has per-bubble ones
+    bubbles = kind in ("critical_blowup", "multi_bubble", "bourgain_wang")
+    family = bubbles or kind in ("multi_soliton", "nonpure_soliton")
+    text = f"scenario.kind = {kind}\ngrid.N = 256\nevolve.cadence = 25\n" + _SMALL_RUNS[kind]
+    sc = build_scenario(parse_config_text(text))
+    summary, code = run_scenario(sc, tmp_path)
+    assert code == 0 and summary["n_steps"] > 0
+    residuals = tmp_path / "profile_residuals.csv"
+    assert residuals.exists() == family
+    assert ("profile_residual_max_h1" in summary) == family
+    assert ("profile_residual_max_h1_per_bubble" in summary) == bubbles
+    if family:
+        header = residuals.read_text().split("\n", 1)[0].split(",")
+        assert any(col.startswith("h1_bubble_") for col in header) == bubbles
 
 
 NONPURE_RUN = """
@@ -322,7 +359,7 @@ def test_subcritical_regular_profile_measured_against_its_own_ground_state():
     text = NONPURE_RUN.replace("zstar.amplitude_rel = 0.05", "zstar.amplitude_rel = 0.1")
     sc = build_scenario(parse_config_text(text + "physics.p = 3\n"))
     prep = scenario.prepare_run(sc)
-    assert prep.ztilde_ref is not None
+    assert prep.regular is not None
     assert np.all(np.isfinite(prep.initial.values))
 
 
@@ -643,6 +680,16 @@ def test_cli_ground_state(tmp_path):
     assert record["residual"] < 1e-10
     assert record["mass"] == pytest.approx(np.sqrt(record["mass_sq"]))
     assert (tmp_path / "gs" / "ground_state.txt").exists()
+
+
+@pytest.mark.parametrize("args", [["-N", "1000"], ["-N", "128"], ["-d", "3"], ["-p", "7"]],
+                         ids=["N_not_power_of_two", "dx_too_coarse", "d3", "p_supercritical"])
+def test_cli_ground_state_refused_options_exit_2(tmp_path, args):
+    # the grid or the solver refuses the option before the output is made
+    res = _cli(["ground-state", *args, "--out", "gs"], cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+    assert not (tmp_path / "gs").exists()
 
 
 def test_cli_evolve(tmp_path):

@@ -1,7 +1,7 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-every package name the benchmark harness (``bench/``) imports or wraps
-exists, and its tracer reads a run, so a rename fails here rather than in a
-traced benchmark run."""
+"""Source hygiene: no module of the package imports a name it never uses or
+defines a private top-level name no module reads, every package name the
+benchmark harness (``bench/``) imports or wraps exists, and its tracer reads
+a run, so a rename fails here rather than in a traced benchmark run."""
 
 import ast
 import importlib
@@ -39,6 +39,50 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: dict) -> list:
+    """Private top-level names (``_x``, not dunders) of each module that no
+    module of ``sources`` (module name -> text) reads.  A read is a loaded
+    name, an attribute or an imported name."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [
+                f"{module}.{name} (line {node.lineno})" for name in names
+                if name.startswith("_") and not name.startswith("__") and name not in read
+            ]
+    return sorted(unread)
+
+
+def test_checker_finds_an_unread_private_name():
+    sources = {
+        "a": "_used = 1\n_dead = 2\n__all__ = []\n\ndef _helper():\n    return _used\n",
+        "b": "from a import _helper as h\n\nclass _Orphan:\n    pass\n",
+    }
+    assert unread_private_names(sources) == ["a._dead (line 2)", "b._Orphan (line 3)"]
+
+
+def test_package_reads_every_private_name():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []
 
 
 # ---------------------------------------------------------------------------
