@@ -34,11 +34,11 @@ from .scenario import (
 
 @contextlib.contextmanager
 def _config_errors():
-    """A ConfigError, or an EvolveError or NoiseError from a config value,
-    raised inside exits 2 with ``config error``."""
+    """A ConfigError, or an EvolveError, NoiseError or GroundStateError from
+    a config value, raised inside exits 2 with ``config error``."""
     try:
         yield
-    except (ConfigError, EvolveError, NoiseError) as exc:
+    except (ConfigError, EvolveError, GroundStateError, NoiseError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
 
@@ -109,14 +109,14 @@ def evolve_cmd(config_file):
 def diagnose_cmd(run_dir):
     """Re-run the diagnostic battery on dumped trajectory artifacts.
 
-    The ground profile is the run's own (``grid.d`` and ``physics.p`` of its
-    ``config.txt``); without that file, the critical one of the snapshot's d.
-    A directory without a trajectory exits 2.
+    The ground profile is that of the snapshot's d and of the ``physics.p``
+    in the run's ``config.txt`` (critical without one).  A directory without
+    a trajectory, a malformed ``config.txt`` line or a ``physics.p`` that
+    does not parse or has no ground profile exits 2.
     """
-    config = Path(run_dir) / "config.txt"
-    sc = _load(config) if config.exists() else None
     try:
-        report = diagnose_run(run_dir, sc)
+        with _config_errors():
+            report = diagnose_run(run_dir)
     except MissingTrajectory as exc:
         click.echo(str(exc), err=True)
         sys.exit(2)

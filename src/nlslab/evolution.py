@@ -166,22 +166,19 @@ def step_gnls(f: ComplexField, dt: float, p: float, gauge: Optional[np.ndarray])
 
 
 # ---------------------------------------------------------------------------
-# drives: Brownian path or smooth deterministic weights
+# the Brownian drive
 
 
 @dataclass
 class NoiseSetup:
     """Noise clause of an evolution config.
 
-    ``drive`` selects Brownian weights (default) or the smooth deterministic
-    drive h_l(t) = sin((l+1) t) used for convergence studies.  ``path_dt``
-    fixes the base path grid; runs with finer dt refine the same path by
-    bridge sampling, never resample it.
+    ``path_dt`` fixes the base path grid (default: dt0); runs with finer dt
+    refine the same path by bridge sampling, never resample it.
     """
 
     profiles: ProfileSpec
     seed: int = 0
-    drive: str = "brownian"  # brownian | sin
     path_dt: Optional[float] = None
 
 
@@ -217,25 +214,15 @@ class _BrownianDrive:
         return path.values[pos >> (POS_LEVEL - path.level)]
 
 
-class _SinDrive:
-    """h_l(t) = sin((l + 1) t) at the time of a dyadic position."""
-
-    def __init__(self, n_modes: int, t0: float, unit: float):
-        self.n_modes = n_modes
-        self.t0 = t0
-        self.unit = unit
-
-    def value(self, pos: int) -> np.ndarray:
-        return np.sin((np.arange(self.n_modes) + 1.0) * (self.t0 + pos * self.unit))
-
-
 # ---------------------------------------------------------------------------
 # configuration and trajectory
 
 
 @dataclass
 class EvolveConfig:
-    grid: GridSpec
+    """``v0``, on its own grid, advanced from t0 to t1 with a snapshot every
+    ``cadence`` steps from the start (``None``: the final state only)."""
+
     p: float
     v0: ComplexField
     t0: float
@@ -244,22 +231,25 @@ class EvolveConfig:
     g_max: float = np.inf
     width_factor: float = 4.0
     grad_ref: Optional[float] = None
-    cadence: int = 10
+    cadence: Optional[int] = 10
     noise: Optional[NoiseSetup] = None
     adaptive: bool = True
     max_steps: Optional[int] = None
-    keep_snapshots: bool = True
     force_dyadic: bool = False  # step exactly like a noise run (twin comparisons)
     # record only t, ||grad v||, lambda and the mass (an ensemble row); the
     # other series of the trajectory are None
     lean_record: bool = False
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.t0, self.t1, self.dt0))):
+            raise EvolveError("t0, t1 and dt0 must be finite")
+        if math.isnan(self.g_max) or math.isnan(self.width_factor):
+            raise EvolveError("gradient threshold and width factor must not be NaN")
         if self.dt0 <= 0:
             raise EvolveError("base step dt0 must be positive")
         if self.t1 <= self.t0:
             raise EvolveError("time span must be nonempty")
-        if self.cadence < 1:
+        if self.cadence is not None and self.cadence < 1:
             raise EvolveError("snapshot cadence must be at least one step")
 
 
@@ -281,7 +271,6 @@ class Trajectory:
     lam: np.ndarray
     residual: np.ndarray  # relative mass drift
     snapshots: list  # [(t, ComplexField)]
-    n_steps: int
     stop_reason: Optional[str] = None
     hamiltonian: Optional[np.ndarray] = None
     center: Optional[np.ndarray] = None  # (n, d)
@@ -291,6 +280,10 @@ class Trajectory:
     marty: Optional[np.ndarray] = None  # (n, modes) Im int X grad(conj X) . grad(phi_l)
     smear: Optional[np.ndarray] = None  # (n, modes) int |grad(phi_l)|^2 |X|^2
     profiles: Optional[NoiseProfileSet] = None
+
+    @property
+    def n_steps(self) -> int:
+        return self.times.size - 1
 
     @property
     def final_state(self) -> ComplexField:
@@ -337,6 +330,7 @@ class _Recorder:
 
     def __init__(self, config: EvolveConfig, profiles: Optional[NoiseProfileSet]):
         self.config = config
+        self.grid = config.v0.grid
         self.profiles = profiles
         self.lean = config.lean_record
         self.gauged = profiles is not None and not self.lean
@@ -351,9 +345,10 @@ class _Recorder:
             [g**2 for g in grad] for grad in profiles.grad
         ]
 
-    def record(self, t: float, values: np.ndarray, weights, snapshot: bool):
-        """Record the state at t; returns (||grad v||, lambda)."""
-        grid = self.config.grid
+    def record(self, t: float, values: np.ndarray, weights, step: int):
+        """Record the state at t, after ``step`` steps; returns
+        (||grad v||, lambda)."""
+        grid = self.grid
         dvol = grid.dvol
         # |v| and |v|^2 once per step, shared by every sum below
         absv = np.abs(values)
@@ -384,7 +379,8 @@ class _Recorder:
                        loc_mass=_ball_mass(grid, dens, center, 1.0), center=center, momentum=mom)
         for name, rows in self.series.items():
             rows.append(row[name])
-        if snapshot and self.config.keep_snapshots:
+        cadence = self.config.cadence
+        if cadence is not None and step % cadence == 0:
             self.snapshots.append((t, ComplexField(grid, values.copy())))
         return grad_norm, lam
 
@@ -392,7 +388,7 @@ class _Recorder:
         """Kinetic energy and momenta of the gauged-back field X = e^{i psi} v,
         from v's momenta ``mom``; puts the weights and the Marty and smear
         values in ``row``."""
-        grid = self.config.grid
+        grid = self.grid
         dvol = grid.dvol
         grads = gradient_values(grid, values)
         # gauge back: X = e^{i psi} v; |X| = |v|, grad X picks up i grad(psi) X
@@ -420,14 +416,12 @@ class _Recorder:
         row.update(noise_values=np.array(weights, dtype=float), marty=marty_row, smear=smear_row)
         return kinetic, mom
 
-    def build(self, stop_reason: str, n_steps: int, final_t, final_values) -> Trajectory:
+    def build(self, stop_reason: str, final_t, final_values) -> Trajectory:
         # the final state is always retained, whatever the snapshot policy
         if not self.snapshots or self.snapshots[-1][0] != final_t:
-            self.snapshots.append(
-                (final_t, ComplexField(self.config.grid, final_values.copy()))
-            )
+            self.snapshots.append((final_t, ComplexField(self.grid, final_values.copy())))
         return Trajectory(
-            snapshots=self.snapshots, n_steps=n_steps, stop_reason=stop_reason,
+            snapshots=self.snapshots, stop_reason=stop_reason,
             profiles=self.profiles,
             **{name: np.array(rows) for name, rows in self.series.items()},
         )
@@ -445,7 +439,7 @@ def integrate(config: EvolveConfig) -> Trajectory:
     non-finite values (keeping the last good state), or when the level
     passes the finest but two of the position grid (``step_underflow``).
     """
-    grid = config.grid
+    grid = config.v0.grid
     v = config.v0.values.astype(np.complex128).copy()
     t0, t1 = config.t0, config.t1
 
@@ -465,16 +459,11 @@ def integrate(config: EvolveConfig) -> Trajectory:
     end_pos = int(round((t1 - t0) / unit))
     if config.noise is not None:
         profiles = build_profiles(config.noise.profiles, grid)
-        if config.noise.drive == "brownian":
-            drive = _BrownianDrive(profiles, config.noise.seed, t0, base_dt, end_pos)
-        elif config.noise.drive == "sin":
-            drive = _SinDrive(profiles.n_modes, t0, unit)
-        else:
-            raise EvolveError(f"unknown drive {config.noise.drive!r}")
+        drive = _BrownianDrive(profiles, config.noise.seed, t0, base_dt, end_pos)
 
     rec = _Recorder(config, profiles)
     weights0 = drive.value(0) if drive is not None else None
-    g, lam = rec.record(t0, v, weights0, snapshot=True)
+    g, lam = rec.record(t0, v, weights0, 0)
     g0 = g
     if config.g_max <= g0:
         raise EvolveError("gradient stop threshold must exceed the initial gradient norm")
@@ -540,9 +529,9 @@ def integrate(config: EvolveConfig) -> Trajectory:
         pos += dpos
         steps += 1
         weights = drive.value(pos) if drive is not None else None
-        g, lam = rec.record(t0 + pos * unit, v, weights, snapshot=(steps % config.cadence == 0))
+        g, lam = rec.record(t0 + pos * unit, v, weights, steps)
 
-    return rec.build(stop_reason, steps, t0 + pos * unit, v)
+    return rec.build(stop_reason, t0 + pos * unit, v)
 
 
 # ---------------------------------------------------------------------------

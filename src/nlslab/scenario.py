@@ -116,8 +116,15 @@ def _parse_dim(raw: str, d) -> int:
     return d
 
 
+def _float(raw: str, d=None) -> float:
+    x = float(raw)
+    if not math.isfinite(x):
+        raise ValueError("value must be finite")
+    return x
+
+
 def _parse_point(raw: str, d: int):
-    parts = [float(p) for p in raw.split(",")]
+    parts = [_float(p) for p in raw.split(",")]
     if len(parts) != d:
         raise ValueError(f"point needs {d} components, got {raw!r}")
     return tuple(parts)
@@ -142,7 +149,7 @@ def _parse_bubbles(raw: str, d: int):
         if len(fields) != 3:
             raise ValueError(f"bubble needs position:width:phase, got {chunk!r}")
         position, width, phase = fields
-        bubbles.append(Bubble(_parse_point(position, d), float(width), float(phase)))
+        bubbles.append(Bubble(_parse_point(position, d), _float(width), _float(phase)))
     return tuple(bubbles)
 
 
@@ -162,7 +169,7 @@ def _parse_solitons(raw: str, d: int):
             )
         velocity, width, phase, position0 = fields
         waves.append(
-            Soliton(_parse_point(velocity, d), float(width), float(phase), _parse_point(position0, d))
+            Soliton(_parse_point(velocity, d), _float(width), _float(phase), _parse_point(position0, d))
         )
     return tuple(waves)
 
@@ -190,7 +197,7 @@ class _Key(NamedTuple):
 
 REQUIRED = object()
 # (parse, render) of the scalar keys
-_FLOAT = (lambda raw, d: float(raw), _fmt)
+_FLOAT = (_float, _fmt)
 _INT = (lambda raw, d: int(raw), str)
 _STR = (lambda raw, d: raw, str)
 
@@ -261,16 +268,6 @@ class ScenarioConfig:
     def grid(self) -> GridSpec:
         return make_grid(self.d, self.extent, self.points)
 
-    def noise_spec(self) -> Optional[ProfileSpec]:
-        if self.noise_kind == "none":
-            return None
-        return ProfileSpec(
-            kind=self.noise_kind,
-            amplitude=self.noise_amplitude,
-            n_modes=self.noise_modes,
-            flat_points=self.noise_flat_points,
-        )
-
 
 def build_scenario(cfg: dict) -> ScenarioConfig:
     cfg = dict(cfg)
@@ -314,6 +311,8 @@ def _validate_scenario(sc: ScenarioConfig) -> None:
         problems.append(f"output.snapshots {sc.snapshots!r} unknown")
     if sc.ensemble_size < 1:
         problems.append("ensemble.size must be >= 1")
+    if sc.ensemble_workers is not None and sc.ensemble_workers < 1:
+        problems.append("ensemble.workers must be >= 1")
     if sc.kind in ("critical_blowup", "multi_bubble", "bourgain_wang") and not sc.bubbles:
         problems.append(f"{sc.kind} requires blowup.bubbles")
     if sc.kind == "multi_bubble" and len(sc.bubbles) < 2:
@@ -446,9 +445,10 @@ def _prepare(sc: ScenarioConfig) -> PreparedRun:
 
 
 def evolve_config_for(sc: ScenarioConfig, prep: PreparedRun, seed: int, force_dyadic=False) -> EvolveConfig:
-    spec = sc.noise_spec()
+    spec = ProfileSpec(kind=sc.noise_kind, amplitude=sc.noise_amplitude,
+                       n_modes=sc.noise_modes, flat_points=sc.noise_flat_points)
+    noise = None if sc.noise_kind == "none" else NoiseSetup(profiles=spec, seed=seed)
     return EvolveConfig(
-        grid=sc.grid,
         p=sc.p,
         v0=prep.initial,
         t0=sc.t0,
@@ -458,7 +458,7 @@ def evolve_config_for(sc: ScenarioConfig, prep: PreparedRun, seed: int, force_dy
         width_factor=sc.width_factor,
         grad_ref=prep.grad_ref,
         cadence=sc.cadence,
-        noise=None if spec is None else NoiseSetup(profiles=spec, seed=seed),
+        noise=noise,
         force_dyadic=force_dyadic,
     )
 
@@ -560,7 +560,7 @@ def read_trajectory(tdir) -> Trajectory:
     final = tdir / "snapshot_final.txt"
     paths = _snapshot_files(tdir) or ([final] if final.exists() else [])
     snapshots = [(t, field) for field, t in map(read_snapshot, paths)]
-    return Trajectory(snapshots=snapshots, n_steps=series["times"].size - 1, **series)
+    return Trajectory(snapshots=snapshots, **series)
 
 
 def write_summary_json(path, summary: dict) -> None:
@@ -736,18 +736,27 @@ def _residual_series(sc, traj, outdir, summary, prep: PreparedRun) -> None:
     summary["profile_residual_max_h1"] = float(np.max(h1s))
 
 
-def diagnose_run(run_dir: Path, sc: Optional[ScenarioConfig] = None) -> dict:
+def diagnose_run(run_dir: Path) -> dict:
     """The battery's checks that need no rerun, on the trajectory in
     ``run_dir/traj_000`` (or ``run_dir``), as ``report.json`` (also
-    returned).  The ground profile is the run's own (``sc``), else the
-    critical one of the snapshot's d.  ``banica_ok`` stays None without
-    ``hevo.csv``: the momenta the other half of the sweep needs are not on
-    disk."""
+    returned).  The ground profile is that of the snapshot's d and of the
+    ``physics.p`` in ``run_dir/config.txt`` (critical without one); no other
+    key of that file is read, so keys a later schema dropped do no harm.
+    ``banica_ok`` stays None without ``hevo.csv``: the momenta the other
+    half of the sweep needs are not on disk."""
     run_dir = Path(run_dir)
+    config = run_dir / "config.txt"
+    raw = parse_config_text(config.read_text()).get("physics.p") if config.exists() else None
+    try:
+        p = None if raw is None else _float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"key 'physics.p': cannot parse {raw!r} ({exc})") from exc
     tdir = run_dir / "traj_000"
     if not tdir.exists():
         tdir = run_dir
     traj = read_trajectory(tdir)
+    # first, so that an exponent the profile refuses stops before any file is written
+    profile = run_profile(traj.final_state.grid.d, p) if traj.snapshots else None
     report = dict.fromkeys((
         "banica_ok", "h_evo_max_residual", "T_est", "alpha", "loglog_score",
         "virial_series", "concentration",
@@ -758,8 +767,7 @@ def diagnose_run(run_dir: Path, sc: Optional[ScenarioConfig] = None) -> dict:
     if traj.marty is not None:
         # the noise half of the sweep, without the run's mass precondition
         report["banica_ok"] = bool(diag.banica_sweep(traj, None).satisfied)
-    if traj.snapshots:
-        profile = run_profile(sc.d, sc.p) if sc is not None else run_profile(traj.final_state.grid.d)
+    if profile is not None:
         try:
             mf, conc = _fit_final_state(traj, profile)
             report["concentration"] = {"R": 1.0, "fraction": conc / profile.mass_sq}
@@ -778,7 +786,7 @@ def diagnose_run(run_dir: Path, sc: Optional[ScenarioConfig] = None) -> dict:
 
 
 def _determinism_check(cfg: EvolveConfig) -> bool:
-    probe = replace(cfg, max_steps=20, keep_snapshots=False)
+    probe = replace(cfg, max_steps=20, cadence=None)
     a = integrate(probe)
     b = integrate(probe)
     return (
@@ -814,7 +822,7 @@ def open_run_dir(sc: ScenarioConfig, prep: PreparedRun, outdir: Optional[Path] =
     so a value it or the noise model refuses raises while the directory is
     still untouched."""
     cfg = evolve_config_for(sc, prep, sc.noise_seed)
-    integrate(replace(cfg, max_steps=0, keep_snapshots=False, lean_record=True))
+    integrate(replace(cfg, max_steps=0, cadence=None, lean_record=True))
     outdir = Path(outdir) if outdir is not None else resolve_outdir(sc)
     outdir.mkdir(parents=True, exist_ok=True)
     for name in _RUN_FILES:
@@ -832,7 +840,7 @@ def run_trajectory(sc: ScenarioConfig, prep: PreparedRun, seed: int, lean: bool 
     but the final state; its dt sequence is the full run's."""
     cfg = evolve_config_for(sc, prep, seed)
     if lean:
-        cfg = replace(cfg, lean_record=True, keep_snapshots=False)
+        cfg = replace(cfg, lean_record=True, cadence=None)
     return integrate(cfg)
 
 

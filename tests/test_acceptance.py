@@ -90,7 +90,7 @@ def blowup_run(profile_1d):
     params = BlowupParams(blowup_time=1.0, bubbles=(Bubble(position=(0.0,), width=1.0),))
     initial = pseudo_conformal_blowup(params, 0.0, grid, profile_1d)
     cfg = EvolveConfig(
-        grid=grid, p=5.0, v0=initial, t0=0.0, t1=1.0, dt0=2.5e-4,
+        p=5.0, v0=initial, t0=0.0, t1=1.0, dt0=2.5e-4,
         g_max=1e5, grad_ref=np.sqrt(profile_1d.grad_sq), width_factor=4.0,
         cadence=2000,
     )
@@ -107,7 +107,7 @@ def soliton_run(profile_1d):
     params = SolitonParams(solitons=(Soliton(velocity=(1.0,), width=1.0),))
     initial = solitary_wave(params, 0.0, grid, profile_1d)
     cfg = EvolveConfig(
-        grid=grid, p=5.0, v0=initial, t0=0.0, t1=5.0, dt0=1e-3,
+        p=5.0, v0=initial, t0=0.0, t1=5.0, dt0=1e-3,
         grad_ref=np.sqrt(profile_1d.grad_sq), cadence=10**9,
     )
     t0 = time.perf_counter()
@@ -128,8 +128,8 @@ def banica_runs(profile_1d):
     for kind, pts in (("constant", ()), ("schwartz", ()), ("flat", ((0.0,),))):
         spec = ProfileSpec(kind=kind, amplitude=0.3, n_modes=2, flat_points=pts)
         cfg = EvolveConfig(
-            grid=grid, p=5.0, v0=initial, t0=0.0, t1=0.5, dt0=1e-3,
-            noise=NoiseSetup(profiles=spec, seed=3), keep_snapshots=False,
+            p=5.0, v0=initial, t0=0.0, t1=0.5, dt0=1e-3,
+            noise=NoiseSetup(profiles=spec, seed=3), cadence=None,
         )
         runs[kind] = integrate(cfg)
     return runs
@@ -147,7 +147,7 @@ def multibubble_run(profile_1d):
     )
     initial = pseudo_conformal_blowup(params, 0.0, grid, profile_1d)
     cfg = EvolveConfig(
-        grid=grid, p=5.0, v0=initial, t0=0.0, t1=0.8, dt0=1e-3,
+        p=5.0, v0=initial, t0=0.0, t1=0.8, dt0=1e-3,
         g_max=1e5, grad_ref=np.sqrt(profile_1d.grad_sq), cadence=400,
     )
     return dict(grid=grid, params=params, traj=integrate(cfg))
@@ -166,7 +166,7 @@ def bourgain_wang_run(profile_1d):
     z0 = backward_solve(zstar, 1.0, 0.0, 5.0, dt0=1e-3)
     initial = ComplexField(grid, bubble0.values + z0.values)
     cfg = EvolveConfig(
-        grid=grid, p=5.0, v0=initial, t0=0.0, t1=0.8, dt0=1e-3,
+        p=5.0, v0=initial, t0=0.0, t1=0.8, dt0=1e-3,
         g_max=1e5, grad_ref=np.sqrt(profile_1d.grad_sq), cadence=400,
     )
     return dict(grid=grid, params=params, traj=integrate(cfg), z0=z0, zstar=zstar)
@@ -179,7 +179,7 @@ def loglog_run(profile_1d):
     vals = np.exp(-r2).astype(np.complex128)
     vals *= np.sqrt(1.2 * profile_1d.mass_sq / l2_norm_sq(ComplexField(grid, vals)))
     cfg = EvolveConfig(
-        grid=grid, p=5.0, v0=ComplexField(grid, vals), t0=0.0, t1=2.0, dt0=1e-3,
+        p=5.0, v0=ComplexField(grid, vals), t0=0.0, t1=2.0, dt0=1e-3,
         g_max=1e5, grad_ref=np.sqrt(profile_1d.grad_sq), cadence=1000,
     )
     traj = integrate(cfg)
@@ -248,8 +248,8 @@ def test_criterion_04_mass_exactness_and_h_drift(
     drifts = {}
     for dt0 in (2e-3, 1e-3):
         cfg = EvolveConfig(
-            grid=grid, p=5.0, v0=ComplexField(grid, vals), t0=0.0, t1=1.0, dt0=dt0,
-            cadence=10**9, adaptive=False, keep_snapshots=False,
+            p=5.0, v0=ComplexField(grid, vals), t0=0.0, t1=1.0, dt0=dt0,
+            cadence=None, adaptive=False,
         )
         tr = integrate(cfg)
         drifts[dt0] = np.abs(tr.hamiltonian - tr.hamiltonian[0]).max()
@@ -350,9 +350,9 @@ def test_criterion_10_hamiltonian_evolution_refinement(profile_1d):
     maxima = []
     for dt0 in (1e-3, 5e-4, 2.5e-4):
         cfg = EvolveConfig(
-            grid=grid, p=5.0, v0=initial, t0=0.0, t1=0.5, dt0=dt0,
+            p=5.0, v0=initial, t0=0.0, t1=0.5, dt0=dt0,
             noise=NoiseSetup(profiles=spec, seed=3, path_dt=1e-3),
-            adaptive=False, keep_snapshots=False,
+            adaptive=False, cadence=None,
         )
         traj = integrate(cfg)
         _, r = diag.hamiltonian_evolution_residual(traj)
@@ -374,7 +374,7 @@ def test_criterion_11_virial_evolution_identity(profile_1d):
     res = {}
     for cad in (10, 5):
         cfg = EvolveConfig(
-            grid=grid, p=5.0, v0=initial, t0=0.0, t1=1.0, dt0=2.5e-4,
+            p=5.0, v0=initial, t0=0.0, t1=1.0, dt0=2.5e-4,
             cadence=cad, adaptive=False,
         )
         traj = integrate(cfg)

@@ -110,7 +110,7 @@ def test_banica_sweep_over_noise_run(profile, q_mass):
     sp = SolitonParams(solitons=(Soliton(velocity=(1.0,), width=1.0),))
     W0 = solitary_wave(sp, 0.0, g, profile)
     noise = NoiseSetup(profiles=ProfileSpec(kind="schwartz", amplitude=0.3, n_modes=2), seed=3)
-    traj = integrate(EvolveConfig(grid=g, p=5.0, v0=W0, t0=0.0, t1=0.25, dt0=1e-3, noise=noise, keep_snapshots=False))
+    traj = integrate(EvolveConfig(p=5.0, v0=W0, t0=0.0, t1=0.25, dt0=1e-3, noise=noise, cadence=None))
     sweep = banica_sweep(traj, q_mass)
     assert sweep.satisfied
     assert sweep.n_checked > 500
@@ -166,7 +166,7 @@ def test_virial_evolution_residual_quadrature(profile):
     cut = build_cutoff(2.0)
     res = {}
     for cad in (10, 5):
-        cfg = EvolveConfig(grid=g, p=5.0, v0=W0, t0=0.0, t1=1.0, dt0=2.5e-4, cadence=cad, adaptive=False)
+        cfg = EvolveConfig(p=5.0, v0=W0, t0=0.0, t1=1.0, dt0=2.5e-4, cadence=cad, adaptive=False)
         traj = integrate(cfg)
         _, r = virial_evolution_residual(traj, (0.0,), cut)
         res[cad] = np.abs(r).max()
@@ -179,7 +179,7 @@ def test_virial_constant_for_standing_soliton(profile):
     sp = SolitonParams(solitons=(Soliton(velocity=(0.0,), width=1.0),))
     W0 = solitary_wave(sp, 0.0, g, profile)
     cut = build_cutoff(2.0)
-    cfg = EvolveConfig(grid=g, p=5.0, v0=W0, t0=0.0, t1=1.0, dt0=2.5e-4, cadence=10, adaptive=False)
+    cfg = EvolveConfig(p=5.0, v0=W0, t0=0.0, t1=1.0, dt0=2.5e-4, cadence=10, adaptive=False)
     traj = integrate(cfg)
     _, r = virial_evolution_residual(traj, (0.0,), cut)
     assert np.abs(r).max() < 1e-10
@@ -301,7 +301,7 @@ def test_hevo_residual_deterministic_is_drift(profile):
     g = make_grid(1, 40, 512)
     sp = SolitonParams(solitons=(Soliton(velocity=(1.0,), width=1.0),))
     W0 = solitary_wave(sp, 0.0, g, profile)
-    traj = integrate(EvolveConfig(grid=g, p=5.0, v0=W0, t0=0.0, t1=1.0, dt0=1e-3, keep_snapshots=False))
+    traj = integrate(EvolveConfig(p=5.0, v0=W0, t0=0.0, t1=1.0, dt0=1e-3, cadence=None))
     _, r = hamiltonian_evolution_residual(traj)
     assert np.abs(r).max() < 1e-8
 
@@ -311,7 +311,7 @@ def test_hevo_residual_constant_profiles(profile):
     sp = SolitonParams(solitons=(Soliton(velocity=(1.0,), width=1.0),))
     W0 = solitary_wave(sp, 0.0, g, profile)
     noise = NoiseSetup(profiles=ProfileSpec(kind="constant", amplitude=0.5, n_modes=2), seed=9)
-    traj = integrate(EvolveConfig(grid=g, p=5.0, v0=W0, t0=0.0, t1=1.0, dt0=1e-3, noise=noise, keep_snapshots=False))
+    traj = integrate(EvolveConfig(p=5.0, v0=W0, t0=0.0, t1=1.0, dt0=1e-3, noise=noise, cadence=None))
     assert np.abs(traj.marty).max() == 0.0
     assert np.abs(traj.smear).max() == 0.0
     _, r = hamiltonian_evolution_residual(traj)
@@ -326,9 +326,9 @@ def test_hevo_residual_decreases_under_refinement(profile):
     maxima = []
     for dt0 in (1e-3, 5e-4, 2.5e-4):
         cfg = EvolveConfig(
-            grid=g, p=5.0, v0=W0, t0=0.0, t1=0.5, dt0=dt0,
+            p=5.0, v0=W0, t0=0.0, t1=0.5, dt0=dt0,
             noise=NoiseSetup(profiles=prof, seed=3, path_dt=1e-3),
-            adaptive=False, keep_snapshots=False,
+            adaptive=False, cadence=None,
         )
         traj = integrate(cfg)
         _, r = hamiltonian_evolution_residual(traj)

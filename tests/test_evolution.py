@@ -75,7 +75,7 @@ def test_soliton_run_error(profile):
     g = make_grid(1, 80, 2048)
     sp = SolitonParams(solitons=(Soliton(velocity=(1.0,), width=1.0),))
     W0 = solitary_wave(sp, 0.0, g, profile)
-    cfg = EvolveConfig(grid=g, p=5.0, v0=W0, t0=0.0, t1=1.0, dt0=1e-3, cadence=10**9)
+    cfg = EvolveConfig(p=5.0, v0=W0, t0=0.0, t1=1.0, dt0=1e-3, cadence=10**9)
     traj = integrate(cfg)
     exact = solitary_wave(sp, traj.final_time, g, profile)
     err = np.sqrt(l2_norm_sq(ComplexField(g, traj.final_state.values - exact.values)))
@@ -92,7 +92,7 @@ def test_blowup_run_stops_and_estimates_T(profile):
     bp = BlowupParams(blowup_time=1.0, bubbles=(Bubble(position=(0.0,), width=1.0),))
     S0 = pseudo_conformal_blowup(bp, 0.0, g, profile)
     cfg = EvolveConfig(
-        grid=g, p=5.0, v0=S0, t0=0.0, t1=1.0, dt0=1e-3,
+        p=5.0, v0=S0, t0=0.0, t1=1.0, dt0=1e-3,
         g_max=1e5, grad_ref=np.sqrt(profile.grad_sq), width_factor=4.0, cadence=500,
     )
     traj = integrate(cfg)
@@ -107,7 +107,7 @@ def test_determinism_same_config(profile):
     sp = SolitonParams(solitons=(Soliton(velocity=(1.0,), width=1.0),))
     W0 = solitary_wave(sp, 0.0, g, profile)
     noise = NoiseSetup(profiles=ProfileSpec(kind="schwartz", amplitude=0.3, n_modes=2), seed=5)
-    cfg = EvolveConfig(grid=g, p=5.0, v0=W0, t0=0.0, t1=0.25, dt0=1e-3, noise=noise, cadence=50)
+    cfg = EvolveConfig(p=5.0, v0=W0, t0=0.0, t1=0.25, dt0=1e-3, noise=noise, cadence=50)
     a = integrate(cfg)
     b = integrate(cfg)
     assert np.array_equal(a.times, b.times)
@@ -119,15 +119,15 @@ def test_gnls_smooth_drive_order_two(profile):
     g = make_grid(1, 40, 512)
     sp = SolitonParams(solitons=(Soliton(velocity=(0.5,), width=1.0),))
     W0 = solitary_wave(sp, 0.0, g, profile)
-    prof = ProfileSpec(kind="schwartz", amplitude=0.3, n_modes=2)
+    prof = build_profiles(ProfileSpec(kind="schwartz", amplitude=0.3, n_modes=2), g)
     finals = {}
     for dt0 in (4e-3, 2e-3, 1e-3, 5e-4):
-        cfg = EvolveConfig(
-            grid=g, p=5.0, v0=W0, t0=0.0, t1=1.0, dt0=dt0,
-            noise=NoiseSetup(profiles=prof, drive="sin", path_dt=4e-3),
-            cadence=10**9, adaptive=False, keep_snapshots=False,
-        )
-        finals[dt0] = integrate(cfg).final_state.values
+        # smooth weights h_l(t) = sin((l + 1) t), frozen at each step midpoint
+        f = W0
+        for k in range(round(1.0 / dt0)):
+            weights = np.sin((np.arange(prof.n_modes) + 1.0) * ((k + 0.5) * dt0))
+            f = step_gnls(f, dt0, 5.0, coefficient_fields(prof, weights))
+        finals[dt0] = f.values
     e = [
         np.sqrt(l2_norm_sq(ComplexField(g, finals[h] - finals[5e-4])))
         for h in (4e-3, 2e-3, 1e-3)
@@ -141,7 +141,7 @@ def test_gnls_mass_drift_within_budget(profile):
     sp = SolitonParams(solitons=(Soliton(velocity=(1.0,), width=1.0),))
     W0 = solitary_wave(sp, 0.0, g, profile)
     noise = NoiseSetup(profiles=ProfileSpec(kind="flat", amplitude=0.4, n_modes=2, flat_points=((0.0,),)), seed=2)
-    cfg = EvolveConfig(grid=g, p=5.0, v0=W0, t0=0.0, t1=1.0, dt0=1e-3, noise=noise, cadence=10**9, keep_snapshots=False)
+    cfg = EvolveConfig(p=5.0, v0=W0, t0=0.0, t1=1.0, dt0=1e-3, noise=noise, cadence=None)
     traj = integrate(cfg)
     assert traj.residual.max() < 1e-12
 
@@ -150,19 +150,24 @@ def test_config_validation(profile):
     g = make_grid(1, 40, 512)
     f = profile.sample(g)
     with pytest.raises(EvolveError):
-        EvolveConfig(grid=g, p=5.0, v0=f, t0=0.0, t1=1.0, dt0=-1e-3)
+        EvolveConfig(p=5.0, v0=f, t0=0.0, t1=1.0, dt0=-1e-3)
     with pytest.raises(EvolveError):
-        EvolveConfig(grid=g, p=5.0, v0=f, t0=1.0, t1=0.5, dt0=1e-3)
-    cfg = EvolveConfig(grid=g, p=5.0, v0=f, t0=0.0, t1=1.0, dt0=1e-3, g_max=0.1)
+        EvolveConfig(p=5.0, v0=f, t0=1.0, t1=0.5, dt0=1e-3)
+    cfg = EvolveConfig(p=5.0, v0=f, t0=0.0, t1=1.0, dt0=1e-3, g_max=0.1)
     with pytest.raises(EvolveError):
         integrate(cfg)
+    # a NaN bound would switch its stop off; a NaN or infinite time, the clock
+    for field, value in [("t0", math.nan), ("t1", math.nan), ("t1", math.inf), ("dt0", math.nan),
+                         ("dt0", math.inf), ("g_max", math.nan), ("width_factor", math.nan)]:
+        with pytest.raises(EvolveError):
+            EvolveConfig(**{"p": 5.0, "v0": f, "t0": 0.0, "t1": 1.0, "dt0": 1e-3, field: value})
 
 
 def test_noise_span_must_match_path_grid(profile):
     g = make_grid(1, 40, 512)
     f = profile.sample(g)
     noise = NoiseSetup(profiles=ProfileSpec(kind="constant", amplitude=0.1), seed=1)
-    cfg = EvolveConfig(grid=g, p=5.0, v0=f, t0=0.0, t1=0.10037, dt0=1e-3, noise=noise)
+    cfg = EvolveConfig(p=5.0, v0=f, t0=0.0, t1=0.10037, dt0=1e-3, noise=noise)
     with pytest.raises(EvolveError):
         integrate(cfg)
 
@@ -208,7 +213,7 @@ def test_2d_soliton_short_run():
     g = make_grid(2, 20, 128)
     sp = SolitonParams(solitons=(Soliton(velocity=(0.5, 0.0), width=1.0, position0=(0.0, 0.0)),))
     W0 = solitary_wave(sp, 0.0, g, prof2)
-    cfg = EvolveConfig(grid=g, p=3.0, v0=W0, t0=0.0, t1=0.1, dt0=1e-3, cadence=10**9)
+    cfg = EvolveConfig(p=3.0, v0=W0, t0=0.0, t1=0.1, dt0=1e-3, cadence=10**9)
     traj = integrate(cfg)
     exact = solitary_wave(sp, traj.final_time, g, prof2)
     err = np.sqrt(l2_norm_sq(ComplexField(g, traj.final_state.values - exact.values)))
@@ -249,8 +254,8 @@ def test_noise_run_independent_of_phase_memo(profile):
     g = make_grid(1, 40, 256)
     noise = NoiseSetup(profiles=ProfileSpec(kind="schwartz", amplitude=0.3, n_modes=2), seed=5)
     cfg = EvolveConfig(
-        grid=g, p=5.0, v0=profile.sample(g), t0=0.0, t1=0.05, dt0=1e-3 / 8,
-        noise=noise, cadence=10**9, keep_snapshots=False,
+        p=5.0, v0=profile.sample(g), t0=0.0, t1=0.05, dt0=1e-3 / 8,
+        noise=noise, cadence=None,
     )
     a = integrate(cfg)  # the memo ends holding this run's last phase
     _phase.cache_clear()
@@ -264,7 +269,7 @@ def test_noise_run_independent_of_phase_memo(profile):
 def test_step_underflow_has_its_own_stop_reason(profile):
     g = make_grid(1, 40, 256)
     noise = NoiseSetup(profiles=ProfileSpec(kind="constant", amplitude=0.1), seed=1, path_dt=1.0)
-    cfg = EvolveConfig(grid=g, p=5.0, v0=profile.sample(g), t0=0.0, t1=1.0, dt0=2.0**-29, noise=noise)
+    cfg = EvolveConfig(p=5.0, v0=profile.sample(g), t0=0.0, t1=1.0, dt0=2.0**-29, noise=noise)
     traj = integrate(cfg)
     assert traj.stop_reason == "step_underflow"
     assert traj.n_steps == 0
@@ -275,8 +280,8 @@ def _bubble_config(n=1024, t1=1.0, **kw):
     g = make_grid(1, 40, n)
     bp = BlowupParams(blowup_time=1.0, bubbles=(Bubble(position=(0.0,), width=1.0),))
     return EvolveConfig(
-        grid=g, p=5.0, v0=pseudo_conformal_blowup(bp, 0.0, g, profile), t0=0.0, t1=t1,
-        dt0=4e-3, grad_ref=np.sqrt(profile.grad_sq), cadence=10**9, keep_snapshots=False,
+        p=5.0, v0=pseudo_conformal_blowup(bp, 0.0, g, profile), t0=0.0, t1=t1,
+        dt0=4e-3, grad_ref=np.sqrt(profile.grad_sq), cadence=None,
         **kw,
     )
 
@@ -381,8 +386,8 @@ def _off_grid_span_config(**kw):
     # position unit (4e-3 / 2^31): the span is accepted and ends at 0.04
     g = make_grid(1, 40, 256)
     return EvolveConfig(
-        grid=g, p=5.0, v0=ground_profile(1).sample(g), t0=0.0, t1=0.0400000000015,
-        dt0=4e-3, cadence=10**9, keep_snapshots=False, max_steps=200, **kw,
+        p=5.0, v0=ground_profile(1).sample(g), t0=0.0, t1=0.0400000000015,
+        dt0=4e-3, cadence=None, max_steps=200, **kw,
     )
 
 
@@ -438,7 +443,7 @@ def _assert_steps_replay(cfg, base_dt):
         weights = value_at(cfg.t0 + (pa + dpos // 2) * unit)
         gauge = coefficient_fields(traj.profiles, weights)
         assert gauge is not None
-        want = _step_gnls_values(cfg.grid, a.values, dt, cfg.p, gauge)
+        want = _step_gnls_values(cfg.v0.grid, a.values, dt, cfg.p, gauge)
         assert _same_bits(b.values, want)
     return traj
 
@@ -447,7 +452,7 @@ def test_gauged_steps_replay_bitwise_1d():
     # path step 2 dt0, so the midpoints need refinement level 2 and deeper
     noise = NoiseSetup(profiles=ProfileSpec(kind="schwartz", amplitude=0.2, n_modes=2),
                        seed=3, path_dt=8e-3)
-    cfg = dataclasses.replace(_bubble_config(n=256, noise=noise), cadence=1, keep_snapshots=True)
+    cfg = dataclasses.replace(_bubble_config(n=256, noise=noise), cadence=1)
     traj = _assert_steps_replay(cfg, 8e-3)
     assert traj.stop_reason == "width_resolution"
     levels = np.round(np.log2(8e-3 / np.diff(traj.times)))
@@ -459,7 +464,7 @@ def test_gauged_steps_replay_bitwise_2d():
     r2 = g.radius_squared()
     v0 = ComplexField(g, np.exp(-r2 + 0.3j * g.mesh()[0]))
     noise = NoiseSetup(profiles=ProfileSpec(kind="schwartz", amplitude=0.3, n_modes=2), seed=9)
-    cfg = EvolveConfig(grid=g, p=3.0, v0=v0, t0=0.0, t1=0.04, dt0=2e-3, cadence=1)
+    cfg = EvolveConfig(p=3.0, v0=v0, t0=0.0, t1=0.04, dt0=2e-3, cadence=1)
     cfg = dataclasses.replace(cfg, noise=noise)
     traj = _assert_steps_replay(cfg, 2e-3)
     assert traj.stop_reason == "reached_end" and traj.n_steps > 20  # dt shrinks

@@ -106,7 +106,7 @@ def test_rendered_config_loads_back_equal(path):
     assert render_config(build_scenario(parse_config_text(text))) == text
 
 
-_floats = st.floats(allow_nan=False, width=64)
+_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
 def _point(d):
@@ -141,7 +141,7 @@ def _config_text(draw):
         "blowup.bubbles": ";".join(draw(st.lists(bubble, min_size=2, max_size=3))),
         "blowup.T": repr(draw(_floats)),
         "soliton.waves": ";".join(draw(st.lists(wave, min_size=1, max_size=3))),
-        "zstar.amplitude_rel": repr(draw(st.floats(max_value=0.1, allow_nan=False))),
+        "zstar.amplitude_rel": repr(draw(st.floats(max_value=0.1, allow_nan=False, allow_infinity=False))),
         "zstar.center": draw(pt),
         "zstar.width": repr(draw(_floats)),
         "noise.kind": noise,
@@ -151,7 +151,7 @@ def _config_text(draw):
         "noise.flat_points": ";".join(draw(st.lists(pt, min_size=1, max_size=3))),
         "init.mass_sq_ratio": repr(draw(_floats)),
         "init.width": repr(draw(_floats)),
-        "evolve.t0": repr(draw(st.floats(min_value=0.0, exclude_min=True, allow_nan=False))),
+        "evolve.t0": repr(draw(st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False))),
         "evolve.t1": repr(draw(_floats)),
         "evolve.dt0": repr(draw(_floats)),
         "evolve.gmax": repr(draw(_floats)),
@@ -209,10 +209,21 @@ def test_diagnose_uses_the_runs_ground_profile(tmp_path):
     report = json.loads((tmp_path / "run" / "report.json").read_text())
     assert report["concentration"]["fraction"] == summary["concentration"]["fraction"]
 
-    (tmp_path / "run" / "config.txt").write_text("scenario.kind = nosuch\nevolve.t1 = 1\n")
+    # diagnose reads only physics.p there: a key a later schema dropped is no error
+    config = tmp_path / "run" / "config.txt"
+    before = (tmp_path / "run" / "report.json").read_bytes()
+    config.write_text(config.read_text() + "noise.drive = brownian\n")
     res = CliRunner().invoke(cli.main, ["diagnose", str(tmp_path / "run")])
-    assert res.exit_code == 2
-    assert "config error" in res.output
+    assert res.exit_code == 0, res.output
+    assert (tmp_path / "run" / "report.json").read_bytes() == before
+
+    text = config.read_text()
+    assert "physics.p = 3\n" in text
+    for bad in ("abc", "9"):  # does not parse; has no 1-d ground profile
+        config.write_text(text.replace("physics.p = 3\n", f"physics.p = {bad}\n"))
+        res = CliRunner().invoke(cli.main, ["diagnose", str(tmp_path / "run")])
+        assert res.exit_code == 2, res.output
+        assert res.stderr.startswith("config error"), res.stderr
 
 
 def test_kind_specific_validation():
@@ -658,6 +669,35 @@ def test_cli_config_value_errors_exit_2(tmp_path, command, old, new):
     assert "Traceback" not in res.stderr
     after = {p: p.read_bytes() for p in (tmp_path / "run").rglob("*") if p.is_file()}
     assert after == before
+
+
+_PROBE_RUN = {
+    "scenario.kind": "critical_blowup", "grid.N": "512", "blowup.bubbles": "0:1:0",
+    "noise.kind": "schwartz", "noise.amplitude": "0.1", "evolve.t1": "0.1",
+    "ensemble.size": "2", "output.dir": "probe",
+}
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("scenario run", "evolve.t1", "nan"),
+    ("scenario run", "evolve.t1", "inf"),
+    ("scenario run", "evolve.dt0", "nan"),
+    ("scenario run", "evolve.gmax", "nan"),
+    ("scenario run", "evolve.width_factor", "nan"),
+    ("scenario run", "noise.amplitude", "nan"),
+    ("scenario run", "blowup.bubbles", "0:1:nan"),
+    ("scenario run", "zstar.center", "-inf"),
+    ("scenario ensemble", "ensemble.workers", "-3"),
+], ids=["t1_nan", "t1_inf", "dt0_nan", "gmax_nan", "width_factor_nan", "amplitude_nan",
+        "bubble_phase_nan", "point_inf", "workers_negative"])
+def test_cli_refuses_non_finite_values_and_workers_below_one(tmp_path, command, key, value):
+    text = "".join(f"{k} = {v}\n" for k, v in {**_PROBE_RUN, key: value}.items())
+    cfg_file = tmp_path / "probe.cfg"
+    cfg_file.write_text(text)
+    res = CliRunner().invoke(cli.main, [*command.split(), str(cfg_file)], env={"NLSLAB_OUT": str(tmp_path)})
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("config error") and key in res.stderr, res.stderr
+    assert not (tmp_path / "probe").exists()
 
 
 def test_cli_ensemble_of_one_exit_2(tmp_path):

@@ -1,5 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses or
-defines a private top-level name no module reads, every package name the
+"""Source hygiene: no module of the package imports a name it never uses,
+defines a private top-level name no module reads or has a config field no
+module reads, every package name the
 benchmark harness (``bench/``) imports or wraps exists, and its tracer reads
 a run, so a rename fails here rather than in a traced benchmark run."""
 
@@ -83,6 +84,44 @@ def test_checker_finds_an_unread_private_name():
 def test_package_reads_every_private_name():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def unread_fields(sources: dict, classes: dict) -> list:
+    """Annotated fields of ``classes`` (module name -> class names) that no
+    module of ``sources`` reads as an attribute outside the class's own
+    body: a field only its own class validates or uses is a knob nothing
+    turns."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    unread = []
+    for module, names in classes.items():
+        for cls in (n for n in trees[module].body if isinstance(n, ast.ClassDef) and n.name in names):
+            own = {id(node) for node in ast.walk(cls)}
+            read = {
+                node.attr for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and id(node) not in own
+            }
+            unread += [
+                f"{module}.{cls.name}.{node.target.id}" for node in cls.body
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                and node.target.id not in read
+            ]
+    return sorted(unread)
+
+
+def test_checker_finds_an_unread_field():
+    sources = {
+        "a": "class Config:\n    used: int\n    knob: int = 0\n\n"
+             "    def check(self):\n        return self.knob > 0\n",
+        "b": "def run(c):\n    return c.used\n",
+    }
+    assert unread_fields(sources, {"a": ["Config"]}) == ["a.Config.knob"]
+
+
+def test_config_fields_are_all_read():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    classes = {"evolution": ["EvolveConfig", "NoiseSetup"], "scenario": ["ScenarioConfig"]}
+    assert unread_fields(sources, classes) == []
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +213,7 @@ def test_bench_tracer_reads_a_noise_run():
     v0 = ComplexField(grid, np.exp(-grid.radius_squared()).astype(complex))
     noise = evolution.NoiseSetup(ProfileSpec(kind="schwartz", amplitude=0.1, n_modes=2), seed=3)
     cfg = evolution.EvolveConfig(
-        grid=grid, p=5.0, v0=v0, t0=0.0, t1=1.0, dt0=1e-3, noise=noise, max_steps=10
+        p=5.0, v0=v0, t0=0.0, t1=1.0, dt0=1e-3, noise=noise, max_steps=10
     )
     tracer = tracing.Tracer()
     tracer.install()
