@@ -68,7 +68,7 @@ def ground_state_cmd(dim, power, extent, points, tol, out):
         grid = make_grid(dim, extent, points)
         if power is None:
             power = critical_exponent(dim)
-        gs = solve_ground_state(grid, dim, power, tol=tol)
+        gs = solve_ground_state(grid, power, tol=tol)
     except (GridError, GroundStateError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)

@@ -1,10 +1,10 @@
 """Diagnostic functionals, inequalities and fits for blow-up verification.
 
-Covers the conserved functionals, the sharp Gagliardo-Nirenberg defect, the
-Banica pairing bound, the Hamiltonian evolution identity (drift plus Ito
-sum), the cut-off virial and its drift identity, localized mass, modulation
-fits against the ground-state family, and blow-up rate fitting with log-log
-discrimination.
+Covers the conserved functionals, the Banica pairing bound, the Hamiltonian
+evolution identity (drift plus Ito sum), the cut-off virial and its drift
+identity, localized mass, modulation fits against the ground-state family,
+and blow-up rate fitting with log-log discrimination.  The sharp
+Gagliardo-Nirenberg inequality is ``ground_state.gn_ratio``.
 
 Everything here is pure over immutable fields and trajectories; series
 reductions run in fixed index order so results are bitwise reproducible.
@@ -54,14 +54,6 @@ def functionals(v: ComplexField) -> Functionals:
     ns = norm_suite(v)
     ham = 0.5 * ns.grad_l2**2 - d / (2.0 * d + 4.0) * ns.lp**pe
     return Functionals(mass=ns.l2, hamiltonian=ham, grad_l2=ns.grad_l2)
-
-
-def gn_defect(v: ComplexField, q_mass: float) -> float:
-    """H(v) - (1/2)(1 - (||v||/||Q||)^{4/d}) ||grad v||^2; nonnegative up to rounding."""
-    d = v.grid.d
-    f = functionals(v)
-    bound = 0.5 * (1.0 - (f.mass / q_mass) ** (4.0 / d)) * f.grad_l2**2
-    return f.hamiltonian - bound
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ComplexField, GridSpec, fourier_interp_axes
-from .ground_state import GroundProfile, critical_exponent
+from .ground_state import GroundProfile
 
 
 class ProfileError(ValueError):
@@ -72,10 +72,10 @@ class Soliton:
 
 @dataclass(frozen=True)
 class SolitonParams:
-    """Parameters of a K-soliton configuration; p=None means critical."""
+    """Parameters of a K-soliton configuration.  The exponent is not one of
+    them: it is the ground profile's, so the scaling matches the profile."""
 
     solitons: tuple
-    p: float | None = None
 
     def __post_init__(self):
         if len(self.solitons) == 0:
@@ -126,7 +126,7 @@ def solitary_wave(
     centers must stay inside the box with a margin of 5 widths.
     """
     d = grid.d
-    p = params.p if params.p is not None else critical_exponent(d)
+    p = profile.p
     out = np.zeros(grid.shape, dtype=np.complex128)
     mesh = grid.mesh()
     for s in params.solitons:

@@ -41,8 +41,8 @@ class GridSpec:
     def __post_init__(self):
         if self.d not in (1, 2):
             raise GridError(f"dimension must be 1 or 2, got {self.d}")
-        if self.extent <= 0:
-            raise GridError(f"box extent must be positive, got {self.extent}")
+        if not 0.0 < self.extent < math.inf:
+            raise GridError(f"box extent must be positive and finite, got {self.extent}")
         if self.points < 8 or not _is_power_of_two(self.points):
             raise GridError(
                 f"points per axis must be a power of two >= 8, got {self.points}"
@@ -148,7 +148,8 @@ class ComplexField:
 
 
 def make_grid(d: int, extent: float, points: int) -> GridSpec:
-    """Build a grid, rejecting non-power-of-two N and nonpositive L."""
+    """Build a grid, rejecting non-power-of-two N and an L that is not
+    positive and finite."""
     return GridSpec(d=d, extent=float(extent), points=int(points))
 
 

@@ -16,6 +16,7 @@ Solves are pure functions of their inputs; concurrent solves are safe.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,15 +48,11 @@ def critical_exponent(d: int) -> float:
 # closed form (d = 1)
 
 
-def closed_form_amplitude(p: float) -> float:
-    return ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0))
-
-
 def closed_form_radial(p: float) -> Callable[[np.ndarray], np.ndarray]:
     """1-d profile Q(x) = ((p+1)/2)^{1/(p-1)} sech^{2/(p-1)}(((p-1)/2) x)."""
     if not 1.0 < p <= 5.0:
         raise GroundStateError(f"closed form requires 1 < p <= 5, got {p}")
-    amp = closed_form_amplitude(p)
+    amp = ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0))
     alpha = 2.0 / (p - 1.0)
     beta = (p - 1.0) / 2.0
 
@@ -73,37 +70,12 @@ class GroundState:
     """Grid-sampled positive radial ground state."""
 
     field: ComplexField
-    d: int
-    p: float
     residual: float
     mass_sq: float
 
     @property
     def amplitude(self) -> float:
         return float(self.field.values.real.max())
-
-
-def q_closed_form_1d(p: float, grid: GridSpec) -> GroundState:
-    """Sample the 1-d closed form on a grid, centered at the box center.
-
-    Nearest periodic images are added so the sampled field is the smooth
-    periodization of the profile; this perturbs values only at the size of
-    the box-edge tail (about exp(-L/2)) and keeps the spectral elliptic
-    residual at rounding level.
-    """
-    if grid.d != 1:
-        raise GroundStateError("closed form is one-dimensional")
-    q = closed_form_radial(p)
-    x = grid.axis()
-    values = sum(q(np.abs(x - s * grid.extent)) for s in (-1, 0, 1))
-    field = ComplexField(grid, values.astype(np.complex128))
-    return GroundState(
-        field=field,
-        d=1,
-        p=p,
-        residual=elliptic_residual(field, p),
-        mass_sq=l2_norm_sq(field),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -155,15 +127,7 @@ def _rescale_to_unit_coefficients(grid: GridSpec, u: np.ndarray, p: float):
     return scaled, mu, c
 
 
-def solve_ground_state(
-    grid: GridSpec,
-    d: int,
-    p: float,
-    tol: float = 1e-10,
-    dtau: float = 0.1,
-    max_iter: int = 20000,
-    seed_width: float = 1.5,
-) -> GroundState:
+def solve_ground_state(grid: GridSpec, p: float, tol: float = 1e-10) -> GroundState:
     """Ground state by semi-implicit imaginary-time flow with renormalization.
 
     Each step solves the linear part (Lap - 1) backward-Euler in Fourier
@@ -172,17 +136,17 @@ def solve_ground_state(
     and a nonlinear coefficient, which are periodically (and finally)
     rescaled out so the result solves the unit-coefficient equation.
     """
-    if grid.d != d:
-        raise GroundStateError("grid dimension mismatch")
+    d = grid.d
     if d == 2 and abs(p - critical_exponent(2)) > 1e-12:
         raise GroundStateError("only the critical exponent is supported for d=2")
     if not 1.0 < p <= critical_exponent(d):
         raise GroundStateError(f"exponent must satisfy 1 < p <= 1+4/d, got {p}")
-    if tol <= 0:
-        raise GroundStateError("tolerance must be positive")
+    if not 0.0 < tol < np.inf:
+        raise GroundStateError(f"tolerance must be positive and finite, got {tol}")
     if grid.dx > 0.2:
         raise GroundStateError(f"grid spacing {grid.dx:.3f} too coarse to resolve the profile")
 
+    dtau, max_iter, seed_width = 0.1, 20000, 1.5
     r2 = grid.radius_squared()
     u = 1.3 * np.exp(-r2 / (2.0 * seed_width**2))
     mass_target = np.sqrt(np.sum(u * u) * grid.dvol)
@@ -212,7 +176,7 @@ def solve_ground_state(
         )
 
     field = ComplexField(grid, u.astype(np.complex128))
-    return GroundState(field=field, d=d, p=p, residual=residual, mass_sq=l2_norm_sq(field))
+    return GroundState(field=field, residual=residual, mass_sq=l2_norm_sq(field))
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +187,6 @@ def solve_ground_state(
 class RadialTable:
     """Shooting-oracle output: sampled radial profile and its mass."""
 
-    d: int
-    p: float
     r: np.ndarray
     q: np.ndarray
     amplitude: float
@@ -275,18 +237,13 @@ def _shoot_once(a: float, d: int, p: float, r_max: float, rtol: float):
     return 0, sol
 
 
-def radial_shooting_oracle(
-    d: int,
-    p: float,
-    tol: float = 1e-12,
-    r_max: float = 30.0,
-    n_samples: int = 3000,
-) -> RadialTable:
+def radial_shooting_oracle(d: int, p: float, tol: float = 1e-12) -> RadialTable:
     """Ground-state profile by bisection on the central amplitude.
 
     Independent of the grid solver: integrates the radial ODE outward and
     bisects the amplitude between decaying and sign-crossing behavior.
     """
+    r_max, n_samples = 30.0, 3000
     lo, hi = 1.0, 4.0
     cls_lo, _ = _shoot_once(lo, d, p, r_max, rtol=1e-12)
     cls_hi, _ = _shoot_once(hi, d, p, r_max, rtol=1e-12)
@@ -325,7 +282,7 @@ def radial_shooting_oracle(
     surface = 2.0 if d == 1 else 2.0 * np.pi
     integrand = q_full**2 * r_full ** (d - 1)
     mass_sq = surface * np.trapezoid(integrand, r_full)
-    return RadialTable(d=d, p=p, r=r_full, q=q_full, amplitude=a, mass_sq=mass_sq)
+    return RadialTable(r=r_full, q=q_full, amplitude=a, mass_sq=mass_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -339,35 +296,28 @@ class GroundProfile:
     ``radial`` evaluates Q(|x|) at arbitrary radii; mass/gradient norms are
     the squared L2 quantities of the continuum profile, computed on a
     reference grid fine and wide enough that quadrature error is spectral.
+    ``p`` is the exponent of every family built on the profile; the
+    dimension is that of the grid it is sampled or scaled on.
     """
 
-    d: int
     p: float
     radial: Callable[[np.ndarray], np.ndarray]
-    amplitude: float
     mass_sq: float
     grad_sq: float
     moment2: float  # || |x| Q ||_L2^2
 
-    def sample(self, grid: GridSpec, center=None) -> ComplexField:
-        """Sample Q(|x - center|) with nearest periodic images folded in."""
-        if center is None:
-            center = (0.0,) * grid.d
-        center = np.atleast_1d(np.asarray(center, dtype=float))
+    def sample(self, grid: GridSpec) -> ComplexField:
+        """Sample Q(|x|) about the box center with the nearest periodic images
+        folded in: the smooth periodization of the profile, which differs
+        from it only at the size of the box-edge tail (about exp(-L/2))."""
         shifts = (-grid.extent, 0.0, grid.extent)
         out = np.zeros(grid.shape)
-        if grid.d == 1:
-            for s in shifts:
-                out += self.radial(np.sqrt(grid.radius_squared(center + s)))
-        else:
-            for sx in shifts:
-                for sy in shifts:
-                    shifted = center + np.array([sx, sy])
-                    out += self.radial(np.sqrt(grid.radius_squared(shifted)))
+        for image in itertools.product(shifts, repeat=grid.d):
+            out += self.radial(np.sqrt(grid.radius_squared(image)))
         return ComplexField(grid, out.astype(np.complex128))
 
 
-def _reference_norms(d: int, p: float, radial):
+def _reference_norms(d: int, radial):
     grid = make_grid(d, 40.0, 1024 if d == 1 else 512)
     r = np.sqrt(grid.radius_squared())
     field = ComplexField(grid, radial(r).astype(np.complex128))
@@ -384,7 +334,6 @@ def ground_profile(d: int, p: float | None = None) -> GroundProfile:
         p = critical_exponent(d)
     if d == 1:
         radial = closed_form_radial(p)
-        amplitude = closed_form_amplitude(p)
     elif d == 2:
         table = radial_shooting_oracle(d, p, tol=1e-13)
         spline = CubicSpline(table.r, table.q, bc_type=((1, 0.0), "not-a-knot"))
@@ -395,15 +344,12 @@ def ground_profile(d: int, p: float | None = None) -> GroundProfile:
             out = _spline(np.clip(r, 0.0, _r_top))
             return np.where(r > _r_top, 0.0, out)
 
-        amplitude = table.amplitude
     else:
         raise GroundStateError("profiles available for d = 1, 2 only")
-    mass_sq, grad_sq, mom2 = _reference_norms(d, p, radial)
+    mass_sq, grad_sq, mom2 = _reference_norms(d, radial)
     return GroundProfile(
-        d=d,
         p=float(p),
         radial=radial,
-        amplitude=float(amplitude),
         mass_sq=mass_sq,
         grad_sq=grad_sq,
         moment2=mom2,
@@ -433,7 +379,7 @@ def gn_ratio(v: ComplexField, q_mass_sq: float) -> float:
 
 def variational_identities(gs: GroundState) -> VariationalReport:
     """H(Q), the Pohozaev gap and the self GN ratio for a converged state."""
-    d = gs.d
+    d = gs.field.grid.d
     pe = 2.0 + 4.0 / d
     gsq = grad_norm_sq(gs.field)
     lpp = lp_norm(gs.field, pe) ** pe

@@ -313,6 +313,8 @@ def _validate_scenario(sc: ScenarioConfig) -> None:
         problems.append("ensemble.size must be >= 1")
     if sc.ensemble_workers is not None and sc.ensemble_workers < 1:
         problems.append("ensemble.workers must be >= 1")
+    if sc.noise_seed < 0:
+        problems.append("noise.seed must be >= 0")
     if sc.kind in ("critical_blowup", "multi_bubble", "bourgain_wang") and not sc.bubbles:
         problems.append(f"{sc.kind} requires blowup.bubbles")
     if sc.kind == "multi_bubble" and len(sc.bubbles) < 2:
@@ -420,7 +422,7 @@ def _prepare(sc: ScenarioConfig) -> PreparedRun:
             centers=lambda t: [b.position for b in blowup.bubbles],
             regular=regular, per_bubble=True, grad_ref=grad_ref,
         )
-    solitons = SolitonParams(solitons=sc.solitons, p=sc.p)
+    solitons = SolitonParams(solitons=sc.solitons)
     initial = solitary_wave(solitons, sc.t0, grid, profile)
     if sc.kind == "snls_gauge_check":
         return PreparedRun(initial)

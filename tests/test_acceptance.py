@@ -24,7 +24,6 @@ from nlslab.exact import (
 from nlslab.grid import ComplexField, l2_norm_sq, make_grid, norm_suite
 from nlslab.ground_state import (
     ground_profile,
-    q_closed_form_1d,
     radial_shooting_oracle,
     solve_ground_state,
     variational_identities,
@@ -74,13 +73,13 @@ def profile_1d():
 def gs_solve_1d():
     grid = make_grid(1, 40, 1024)
     t0 = time.perf_counter()
-    gs = solve_ground_state(grid, 1, 5.0, tol=1e-11)
+    gs = solve_ground_state(grid, 5.0, tol=1e-11)
     return gs, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
 def gs_solve_2d():
-    return solve_ground_state(make_grid(2, 40, 256), 2, 3.0, tol=1e-11)
+    return solve_ground_state(make_grid(2, 40, 256), 3.0, tol=1e-11)
 
 
 @pytest.fixture(scope="session")
@@ -211,7 +210,7 @@ def test_criterion_02_variational_identities(gs_solve_1d, gs_solve_2d):
         rep = variational_identities(gs)
         ok = ok and abs(rep.hamiltonian) <= 1e-8 * rep.grad_sq and rep.pohozaev_gap_rel < 1e-7
         details.append(
-            f"d={gs.d}: |H|/|gradQ|^2 {abs(rep.hamiltonian) / rep.grad_sq:.1e}, gap {rep.pohozaev_gap_rel:.1e}"
+            f"d={gs.field.grid.d}: |H|/|gradQ|^2 {abs(rep.hamiltonian) / rep.grad_sq:.1e}, gap {rep.pohozaev_gap_rel:.1e}"
         )
     criterion(2, ok, "; ".join(details))
 

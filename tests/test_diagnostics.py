@@ -11,7 +11,6 @@ from nlslab.diagnostics import (
     extrapolate_blowup_time,
     fit_time_power,
     functionals,
-    gn_defect,
     hamiltonian_evolution_residual,
     localized_mass,
     modulation_fit,
@@ -62,21 +61,6 @@ def test_soliton_hamiltonian(profile, grid):
     sp = SolitonParams(solitons=(Soliton(velocity=(1.0,), width=1.0),))
     f = functionals(solitary_wave(sp, 0.0, grid, profile))
     assert f.hamiltonian == pytest.approx(profile.mass_sq / 8.0, rel=1e-9)
-
-
-def test_gn_defect_nonnegative(profile, grid, q_mass):
-    rng = np.random.default_rng(4)
-    x = grid.axis()
-    k = grid.wavenumbers()
-    for _ in range(50):
-        spec = (rng.standard_normal(1024) + 1j * rng.standard_normal(1024)) * np.exp(-np.abs(k))
-        vals = np.fft.ifft(spec) * np.exp(-(x**2) / 50)
-        f = ComplexField(grid, vals)
-        if functionals(f).mass > q_mass:
-            vals = vals * (0.9 * q_mass / functionals(f).mass)
-            f = ComplexField(grid, vals)
-        defect = gn_defect(f, q_mass)
-        assert defect >= -1e-9 * functionals(f).grad_l2 ** 2
 
 
 # ---------------------------------------------------------------------------

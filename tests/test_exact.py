@@ -142,10 +142,10 @@ def test_soliton_velocity_distinctness():
 def test_subcritical_soliton_scaling(profile):
     grid = make_grid(1, 40, 1024)
     prof3 = ground_profile(1, 3.0)
-    params = SolitonParams(solitons=(Soliton(velocity=(0.0,), width=2.0),), p=3.0)
+    params = SolitonParams(solitons=(Soliton(velocity=(0.0,), width=2.0),))
     f = solitary_wave(params, 0.0, grid, prof3)
-    # subcritical scaling w^{-2/(p-1)} = 1/w at p=3
-    assert np.abs(f.values).max() == pytest.approx(prof3.amplitude / 2.0, rel=1e-10)
+    # subcritical scaling w^{-2/(p-1)} = 1/w at the profile's p = 3
+    assert np.abs(f.values).max() == pytest.approx(prof3.radial(0.0) / 2.0, rel=1e-10)
 
 
 def test_conformal_map_reproduces_blowup_profile(profile):

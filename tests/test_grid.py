@@ -38,7 +38,9 @@ def test_grid_spacing_2d():
     assert g.dvol == pytest.approx(0.15625**2)
 
 
-@pytest.mark.parametrize("d,L,N", [(1, 2 * np.pi, 7), (1, -1.0, 8), (1, 2.0, 4), (3, 2.0, 16)])
+@pytest.mark.parametrize("d,L,N", [
+    (1, 2 * np.pi, 7), (1, -1.0, 8), (1, 2.0, 4), (3, 2.0, 16), (1, np.nan, 1024), (1, np.inf, 1024),
+])
 def test_grid_rejects_bad_parameters(d, L, N):
     with pytest.raises(GridError):
         make_grid(d, L, N)

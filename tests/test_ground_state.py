@@ -10,7 +10,6 @@ from nlslab.ground_state import (
     elliptic_residual,
     gn_ratio,
     ground_profile,
-    q_closed_form_1d,
     radial_shooting_oracle,
     solve_ground_state,
     variational_identities,
@@ -24,16 +23,17 @@ def grid_1d():
 
 @pytest.fixture(scope="module")
 def gs_1d(grid_1d):
-    return solve_ground_state(grid_1d, 1, 5.0, tol=1e-11)
+    return solve_ground_state(grid_1d, 5.0, tol=1e-11)
 
 
 @pytest.fixture(scope="module")
 def gs_2d():
-    return solve_ground_state(make_grid(2, 40, 256), 2, 3.0, tol=1e-11)
+    return solve_ground_state(make_grid(2, 40, 256), 3.0, tol=1e-11)
 
 
 def test_closed_form_peak_values(grid_1d):
-    assert q_closed_form_1d(5.0, grid_1d).amplitude == pytest.approx(3**0.25, rel=1e-12)
+    peak = ground_profile(1, 5.0).sample(grid_1d).values.real.max()
+    assert peak == pytest.approx(3**0.25, rel=1e-12)
     q3 = closed_form_radial(3.0)
     x = np.linspace(-3, 3, 41)
     assert np.abs(q3(np.abs(x)) - np.sqrt(2) / np.cosh(x)).max() < 1e-13
@@ -41,17 +41,17 @@ def test_closed_form_peak_values(grid_1d):
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 5.0])
 def test_closed_form_elliptic_residual(p, grid_1d):
-    assert q_closed_form_1d(p, grid_1d).residual < 1e-10
+    assert elliptic_residual(ground_profile(1, p).sample(grid_1d), p) < 1e-10
 
 
-def test_closed_form_range_check(grid_1d):
+def test_closed_form_range_check():
     with pytest.raises(GroundStateError):
-        q_closed_form_1d(6.0, grid_1d)
+        ground_profile(1, 6.0)
 
 
 def test_solver_matches_closed_form(gs_1d, grid_1d):
-    exact = q_closed_form_1d(5.0, grid_1d)
-    assert np.abs(gs_1d.field.values - exact.field.values).max() < 1e-8
+    exact = ground_profile(1, 5.0).sample(grid_1d)
+    assert np.abs(gs_1d.field.values - exact.values).max() < 1e-8
 
 
 def test_solver_positive_even(gs_1d):
@@ -65,7 +65,7 @@ def test_solver_fixed_point_when_seeded_exactly(grid_1d):
     # one semi-implicit update of the exact state is the identity up to rounding
     from nlslab.grid import laplacian_values
 
-    exact = q_closed_form_1d(5.0, grid_1d).field.values.real
+    exact = ground_profile(1, 5.0).sample(grid_1d).values.real
     dtau = 0.1
     sym = 1.0 / (1.0 + dtau * (1.0 + grid_1d.k_squared()))
     stepped = np.fft.ifft(sym * np.fft.fft(exact + dtau * exact**5)).real
@@ -75,22 +75,22 @@ def test_solver_fixed_point_when_seeded_exactly(grid_1d):
 
 
 def test_solver_grid_refinement_invariance():
-    coarse = solve_ground_state(make_grid(1, 40, 512), 1, 5.0, tol=1e-11)
-    fine = solve_ground_state(make_grid(1, 40, 1024), 1, 5.0, tol=1e-11)
+    coarse = solve_ground_state(make_grid(1, 40, 512), 5.0, tol=1e-11)
+    fine = solve_ground_state(make_grid(1, 40, 1024), 5.0, tol=1e-11)
     assert coarse.amplitude == pytest.approx(fine.amplitude, abs=1e-9)
     assert coarse.mass_sq == pytest.approx(fine.mass_sq, rel=1e-10)
 
 
 def test_solver_rejects_coarse_grid():
     with pytest.raises(GroundStateError):
-        solve_ground_state(make_grid(1, 40, 128), 1, 5.0)
+        solve_ground_state(make_grid(1, 40, 128), 5.0)
 
 
 def test_solver_subcritical_matches_closed_form():
     grid = make_grid(1, 40, 1024)
-    gs = solve_ground_state(grid, 1, 3.0, tol=1e-11)
-    exact = q_closed_form_1d(3.0, grid)
-    assert np.abs(gs.field.values - exact.field.values).max() < 1e-8
+    gs = solve_ground_state(grid, 3.0, tol=1e-11)
+    exact = ground_profile(1, 3.0).sample(grid)
+    assert np.abs(gs.field.values - exact.values).max() < 1e-8
 
 
 def test_2d_mass_against_shooting(gs_2d):
@@ -128,9 +128,9 @@ def test_elliptic_residual_zero_field(grid_1d):
 
 
 def test_elliptic_residual_doubled_state(grid_1d):
-    q = q_closed_form_1d(5.0, grid_1d)
-    doubled = ComplexField(grid_1d, 2.0 * q.field.values)
-    q5 = ComplexField(grid_1d, q.field.values.real**5)
+    q = ground_profile(1, 5.0).sample(grid_1d)
+    doubled = ComplexField(grid_1d, 2.0 * q.values)
+    q5 = ComplexField(grid_1d, q.values.real**5)
     expected = 30.0 * np.sqrt(l2_norm_sq(q5))
     assert elliptic_residual(doubled, 5.0) == pytest.approx(expected, rel=1e-8)
 
@@ -151,16 +151,18 @@ def test_gn_ratio_below_one_for_gaussian(gs_1d, grid_1d):
 
 
 def test_gn_ratio_random_smooth_fields(gs_1d, grid_1d):
+    # the sharp Gagliardo-Nirenberg inequality, under two Gaussian envelopes
     rng = np.random.default_rng(7)
     x = grid_1d.axis()
     k = grid_1d.wavenumbers()
-    for _ in range(100):
-        spec = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
-        spec *= np.exp(-np.abs(k))
-        vals = np.fft.ifft(spec) * np.exp(-(x**2) / 40)
-        if not np.any(vals):
-            continue
-        assert gn_ratio(ComplexField(grid_1d, vals), gs_1d.mass_sq) <= 1.0 + 1e-9
+    for envelope in (40, 50):
+        for _ in range(100):
+            spec = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+            spec *= np.exp(-np.abs(k))
+            vals = np.fft.ifft(spec) * np.exp(-(x**2) / envelope)
+            if not np.any(vals):
+                continue
+            assert gn_ratio(ComplexField(grid_1d, vals), gs_1d.mass_sq) <= 1.0 + 1e-9
 
 
 def test_ground_profile_moments():

@@ -688,8 +688,9 @@ _PROBE_RUN = {
     ("scenario run", "blowup.bubbles", "0:1:nan"),
     ("scenario run", "zstar.center", "-inf"),
     ("scenario ensemble", "ensemble.workers", "-3"),
+    ("scenario run", "noise.seed", "-1"),
 ], ids=["t1_nan", "t1_inf", "dt0_nan", "gmax_nan", "width_factor_nan", "amplitude_nan",
-        "bubble_phase_nan", "point_inf", "workers_negative"])
+        "bubble_phase_nan", "point_inf", "workers_negative", "seed_negative"])
 def test_cli_refuses_non_finite_values_and_workers_below_one(tmp_path, command, key, value):
     text = "".join(f"{k} = {v}\n" for k, v in {**_PROBE_RUN, key: value}.items())
     cfg_file = tmp_path / "probe.cfg"
@@ -722,13 +723,21 @@ def test_cli_ground_state(tmp_path):
     assert (tmp_path / "gs" / "ground_state.txt").exists()
 
 
-@pytest.mark.parametrize("args", [["-N", "1000"], ["-N", "128"], ["-d", "3"], ["-p", "7"]],
-                         ids=["N_not_power_of_two", "dx_too_coarse", "d3", "p_supercritical"])
-def test_cli_ground_state_refused_options_exit_2(tmp_path, args):
-    # the grid or the solver refuses the option before the output is made
+@pytest.mark.parametrize("args, reason", [
+    (["-N", "1000"], "power of two"),
+    (["-N", "128"], "too coarse"),
+    (["-d", "3"], "dimension"),
+    (["-p", "7"], "exponent"),
+    (["--tol", "nan"], "tolerance"),
+    (["--tol", "inf"], "tolerance"),
+    (["-L", "nan"], "extent"),
+], ids=["N_not_power_of_two", "dx_too_coarse", "d3", "p_supercritical", "tol_nan", "tol_inf", "L_nan"])
+def test_cli_ground_state_refused_options_exit_2(tmp_path, args, reason):
+    # the grid or the solver refuses the option, by name, before the output is made
     res = _cli(["ground-state", *args, "--out", "gs"], cwd=tmp_path)
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+    assert reason in res.stderr, res.stderr
     assert not (tmp_path / "gs").exists()
 
 

@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 defines a private top-level name no module reads or has a config field no
-module reads, every package name the
-benchmark harness (``bench/``) imports or wraps exists, and its tracer reads
-a run, so a rename fails here rather than in a traced benchmark run."""
+module reads, every package name the benchmark harness (``bench/``)
+imports or wraps, and every attribute it reads off one, exists, and its
+tracer reads a run, so a rename fails here rather than in a traced benchmark
+run."""
 
 import ast
 import importlib
@@ -150,28 +151,71 @@ def _tracing_table(name: str) -> tuple:
     raise AssertionError(f"bench/tracing.py assigns no {name}")
 
 
-def _has_name(modname: str, name: str) -> bool:
-    """``from modname import name`` would succeed (an attribute or a submodule)."""
-    mod = importlib.import_module(modname)
-    if hasattr(mod, name):
-        return True
-    return hasattr(mod, "__path__") and importlib.util.find_spec(f"{modname}.{name}") is not None
+def _resolves(dotted: str) -> bool:
+    """``dotted`` names an object: a module of the package followed by
+    attributes (``nlslab.cli.main.main``), submodules imported as needed."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, attr in enumerate(parts[1:], start=2):
+        if hasattr(obj, attr):
+            obj = getattr(obj, attr)
+        elif hasattr(obj, "__path__") and importlib.util.find_spec(".".join(parts[:i])):
+            obj = importlib.import_module(".".join(parts[:i]))
+        else:
+            return False
+    return True
+
+
+def unresolved_names(source: str) -> list:
+    """Names a module imports from ``nlslab``, and attribute chains it reads
+    off them (``ground_profile.cache_clear``, ``cli.main``), that do not
+    exist in the package."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nlslab":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "nlslab" and alias.asname is None:
+                    bound["nlslab"] = "nlslab"
+    missing = {path for path in bound.values() if not _resolves(path)}
+    for node in ast.walk(tree):
+        chain, root = [], node
+        while isinstance(root, ast.Attribute):
+            chain.insert(0, root.attr)
+            root = root.value
+        if chain and isinstance(root, ast.Name) and root.id in bound:
+            path = ".".join([bound[root.id], *chain])
+            if bound[root.id] not in missing and not _resolves(path):
+                missing.add(path)
+    return sorted(missing)
+
+
+def test_checker_finds_an_unresolved_name():
+    source = (
+        "import nlslab.grid\nfrom nlslab import cli\n"
+        "from nlslab.ground_state import ground_profile, no_such_solver\n\n"
+        "ground_profile.cache_clear()\nground_profile.no_such_hook()\n"
+        "cli.main.main([])\ncli.no_such_command\nnlslab.grid.make_grid\nnlslab.grid.no_such_name\n"
+    )
+    assert unresolved_names(source) == [
+        "nlslab.cli.no_such_command",
+        "nlslab.grid.no_such_name",
+        "nlslab.ground_state.ground_profile.no_such_hook",
+        "nlslab.ground_state.no_such_solver",
+    ]
 
 
 def test_bench_names_exist_in_package():
     missing = [
         f"tracing.py: {row[0]}.{row[1]}"
         for row in _tracing_table("WRAPPED") + _tracing_table("KERNELS")
-        if not _has_name(row[0], row[1])
+        if not _resolves(f"{row[0]}.{row[1]}")
     ]
     for path in sorted(BENCH.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nlslab":
-                missing += [
-                    f"{path.name}: {node.module}.{alias.name}"
-                    for alias in node.names
-                    if not _has_name(node.module, alias.name)
-                ]
+        missing += [f"{path.name}: {name}" for name in unresolved_names(path.read_text())]
     assert missing == []
 
 
