@@ -19,7 +19,7 @@ from .ground_state import (
 from .noise import NoiseError
 from .scenario import (
     ConfigError,
-    MissingTrajectory,
+    TrajectoryError,
     diagnose_run,
     load_scenario,
     open_run_dir,
@@ -111,13 +111,13 @@ def diagnose_cmd(run_dir):
 
     The ground profile is that of the snapshot's d and of the ``physics.p``
     in the run's ``config.txt`` (critical without one).  A directory without
-    a trajectory, a malformed ``config.txt`` line or a ``physics.p`` that
-    does not parse or has no ground profile exits 2.
+    a trajectory or with a damaged one, a malformed ``config.txt`` line or a
+    ``physics.p`` that does not parse or has no ground profile exits 2.
     """
     try:
         with _config_errors():
             report = diagnose_run(run_dir)
-    except MissingTrajectory as exc:
+    except (TrajectoryError, GridError) as exc:
         click.echo(str(exc), err=True)
         sys.exit(2)
     click.echo(json.dumps(report, sort_keys=True))

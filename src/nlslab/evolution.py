@@ -9,11 +9,12 @@ conjugated by e^{i psi} as its exact flow, and the nonlinear phase commutes
 with that unimodular factor, so a gauged step is the Strang step
 conjugated by e^{i psi}: unitary to rounding, like the plain one.
 
-Every run keeps time as an integer position; stochastic runs step on a
-dyadic subdivision of the Brownian path grid so that refining the step
-never changes already-sampled path values.  The trajectory keeps the
-per-step path values, Hamiltonian-evolution integrands and pointing
-diagnostics needed by the verification suite.
+Every march, backward solves included, is an ``integrate`` run on an
+integer time position; stochastic runs step on a dyadic subdivision of the
+Brownian path grid so that refining the step never changes already-sampled
+path values.  The trajectory keeps the per-step path values,
+Hamiltonian-evolution integrands and pointing diagnostics needed by the
+verification suite.
 
 One trajectory is a strictly sequential state machine; trajectories with
 distinct configs or seeds share no mutable state and may run in parallel.
@@ -122,18 +123,6 @@ def _step_strang_values(grid: GridSpec, values: np.ndarray, dt: float, p: float)
     v = _nonlinear_half(values, 0.5 * dt, p)
     v = _linear_full(grid, v, dt)
     return _nonlinear_half(v, 0.5 * dt, p)
-
-
-def march_strang(
-    grid: GridSpec, values: np.ndarray, t: float, t_to: float, dt0: float, p: float
-) -> tuple:
-    """Fixed Strang steps of dt0 from t to t_to, the last one shortened to
-    land on t_to; returns (values, t)."""
-    while t < t_to - 1e-12:
-        dt = min(dt0, t_to - t)
-        values = _step_strang_values(grid, values, dt, p)
-        t += dt
-    return values, t
 
 
 def step_strang(f: ComplexField, dt: float, p: float) -> ComplexField:
@@ -548,9 +537,9 @@ def backward_solve(
 ) -> ComplexField:
     """Value at t0 of the solution that equals ``zstar`` at the blow-up time.
 
-    Uses time-reversal symmetry: conjugate, integrate forward over the
-    span, conjugate back.  Refuses data that is not small in H1 (default
-    bound: a tenth of the ground-state H1 norm).
+    Uses time-reversal symmetry: conjugate, march forward over the span by
+    ``integrate`` in fixed steps of dt0, conjugate back.  Refuses data that
+    is not small in H1 (default bound: a tenth of the ground-state H1 norm).
     """
     grid = zstar.grid
     if smallness_ref is None:
@@ -565,7 +554,8 @@ def backward_solve(
     span = blowup_time - t0
     if span <= 0:
         raise EvolveError("backward solve requires t0 < blow-up time")
-    if not np.any(zstar.values):
+    if not np.any(zstar.values):  # the recorder divides by the initial mass
         return zstar.copy()
-    values, _ = march_strang(grid, np.conj(zstar.values), 0.0, span, dt0, p)
-    return ComplexField(grid, np.conj(values))
+    v0 = ComplexField(grid, np.conj(zstar.values))
+    cfg = EvolveConfig(p, v0, 0.0, span, dt0, adaptive=False, cadence=None, lean_record=True)
+    return ComplexField(grid, np.conj(integrate(cfg).final_state.values))

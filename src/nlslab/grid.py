@@ -370,14 +370,15 @@ def write_snapshot(path, field: ComplexField, t: float) -> None:
 
 
 def read_snapshot(path):
-    """Read a snapshot file; returns (ComplexField, t)."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if len(header) != 4:
-            raise GridError(f"malformed snapshot header in {path}")
-        d, n, extent, t = int(header[0]), int(header[1]), float(header[2]), float(header[3])
-        data = np.loadtxt(fh, delimiter=",")
-    grid = make_grid(d, extent, n)
-    # the (re, im) pairs as complex128, bit for bit (signed zeros included)
-    values = data.view(np.complex128).reshape(grid.shape)
-    return ComplexField(grid, values), t
+    """Read a snapshot file; returns (ComplexField, t).  A header or body that
+    does not parse, or a grid the grid model refuses, is a GridError."""
+    try:
+        with open(path) as fh:
+            d, n, extent, t = fh.readline().strip().split(",")
+            grid = make_grid(int(d), float(extent), int(n))
+            data = np.loadtxt(fh, delimiter=",")
+        # the (re, im) pairs as complex128, bit for bit (signed zeros included)
+        values = data.view(np.complex128).reshape(grid.shape)
+        return ComplexField(grid, values), float(t)
+    except ValueError as exc:  # GridError included
+        raise GridError(f"malformed snapshot {path}: {exc}") from exc

@@ -30,7 +30,6 @@ from .evolution import (
     Trajectory,
     backward_solve,
     integrate,
-    march_strang,
 )
 from .exact import (
     BlowupParams,
@@ -355,8 +354,8 @@ def run_profile(d: int, p: Optional[float] = None) -> GroundProfile:
 class PreparedRun:
     """A run's initial data and the exact family its snapshots are measured
     against: ``reference(t)`` with profile centres ``centers(t)`` (None
-    without one).  ``regular = (values, time, clock, frame)`` is the regular
-    profile z at ``time``, marched by Strang steps to ``clock(t)`` and seen
+    without one).  ``regular = (field, time, clock, frame)`` is the regular
+    profile z at ``time``, marched by ``integrate`` to ``clock(t)`` and seen
     as ``frame(z, t)``.  ``per_bubble`` asks for each bubble's H1 residual;
     ``grad_ref`` is ||grad Q||, None where lambda measures no width."""
 
@@ -415,7 +414,7 @@ def _prepare(sc: ScenarioConfig) -> PreparedRun:
         if sc.kind == "bourgain_wang":
             z0 = _regular_profile(sc, grid, profile, sc.blowup_time, sc.t0)
             initial = ComplexField(grid, initial.values + z0.values)
-            regular = (z0.values, sc.t0, lambda t: t, lambda z, t: z)
+            regular = (z0, sc.t0, lambda t: t, lambda z, t: z)
         return PreparedRun(
             initial,
             reference=lambda t: pseudo_conformal_blowup(blowup, t, grid, profile),
@@ -434,7 +433,7 @@ def _prepare(sc: ScenarioConfig) -> PreparedRun:
         s0 = clock(sc.t0)
         z_at_s0 = _regular_profile(sc, grid, profile, 1.0, s0)
         initial = ComplexField(grid, initial.values + frame(z_at_s0, sc.t0).values)
-        regular = (z_at_s0.values, s0, clock, frame)
+        regular = (z_at_s0, s0, clock, frame)
     return PreparedRun(
         initial,
         reference=lambda t: solitary_wave(solitons, t, grid, profile),
@@ -470,8 +469,8 @@ def evolve_config_for(sc: ScenarioConfig, prep: PreparedRun, seed: int, force_dy
 # out the trajectory files and read_trajectory reads them back
 
 
-class MissingTrajectory(FileNotFoundError):
-    """A directory holds no trajectory to diagnose (exit code 2)."""
+class TrajectoryError(ValueError):
+    """No trajectory to diagnose in a directory, or a damaged one (exit 2)."""
 
 
 def write_csv(path, columns: dict) -> None:
@@ -552,13 +551,17 @@ def read_trajectory(tdir) -> Trajectory:
     """The trajectory ``write_trajectory_artifacts`` wrote to ``tdir``: every
     series bitwise, and every written snapshot (all of them, or the final
     one).  What is not on disk reads back as None: the momenta, the noise
-    profiles and the stop reason."""
+    profiles and the stop reason.  A ``hevo.csv`` whose rows are not those
+    of ``diagnostics.csv`` raises TrajectoryError."""
     tdir = Path(tdir)
     if not (tdir / "diagnostics.csv").exists():
-        raise MissingTrajectory(f"no trajectory: {tdir} holds no diagnostics.csv")
+        raise TrajectoryError(f"no trajectory: {tdir} holds no diagnostics.csv")
     series = _series(_read_csv(tdir / "diagnostics.csv"), _DIAGNOSTICS_COLUMNS)
-    if (tdir / "hevo.csv").exists():
-        series.update(_series(_read_csv(tdir / "hevo.csv"), _HEVO_COLUMNS))
+    hevo = tdir / "hevo.csv"
+    if hevo.exists():
+        series.update(_series(_read_csv(hevo), _HEVO_COLUMNS))
+        if len(series["times"]) != len(series["mass"]):
+            raise TrajectoryError(f"damaged trajectory: {hevo} and diagnostics.csv differ in length")
     final = tdir / "snapshot_final.txt"
     paths = _snapshot_files(tdir) or ([final] if final.exists() else [])
     snapshots = [(t, field) for field, t in map(read_snapshot, paths)]
@@ -710,17 +713,18 @@ def _residual_series(sc, traj, outdir, summary, prep: PreparedRun) -> None:
     if prep.reference is None:
         return
     if prep.regular:
-        z_values, z_time, clock, frame = prep.regular
+        z, z_time, clock, frame = prep.regular
     times, l2s, h1s, per = [], [], [], []
     for t, snap in traj.snapshots:
         try:
             ref = prep.reference(t)
         except ProfileError:
             break
-        z_field = None
-        if prep.regular:
-            z_values, z_time = march_strang(sc.grid, z_values, z_time, clock(t), sc.dt0, sc.p)
-            z_field = frame(ComplexField(sc.grid, z_values), t)
+        if prep.regular and clock(t) > z_time:  # the first snapshot is at t0, z's time
+            cfg = EvolveConfig(sc.p, z, z_time, clock(t), sc.dt0, adaptive=False, cadence=None,
+                               lean_record=True)
+            z, z_time = integrate(cfg).final_state, clock(t)
+        z_field = frame(z, t) if prep.regular else None
         res = diag.profile_residuals(snap, ref, prep.centers(t), z=z_field)
         times.append(t)
         l2s.append(res.l2)

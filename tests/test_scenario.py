@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -631,6 +632,34 @@ def test_diagnose_without_trajectory_exit_2(tmp_path, contents):
     res = CliRunner().invoke(cli.main, ["diagnose", str(run_dir)])
     assert res.exit_code == 2
     assert res.stderr.startswith("no trajectory: ") and res.stderr.count("\n") == 1
+    assert "Traceback" not in res.output
+
+
+@pytest.fixture(scope="module")
+def gauge_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("gauge") / "run"
+    text = GAUGE_CHECK.replace("evolve.t1 = 0.25", "evolve.t1 = 0.05")
+    assert run_scenario(build_scenario(parse_config_text(text)), out)[1] == 0
+    return out
+
+
+# (file, damage to its lines): a snapshot header extent nan, a header field
+# abc, a body value abc and a truncated body; hevo.csv cut to 2 rows
+@pytest.mark.parametrize("name, damage", [
+    ("snapshot_final.txt", lambda lines: [lines[0].replace(",40,", ",nan,", 1)] + lines[1:]),
+    ("snapshot_final.txt", lambda lines: [lines[0].replace(",256,", ",abc,", 1)] + lines[1:]),
+    ("snapshot_final.txt", lambda lines: lines[:9] + ["abc,0"] + lines[10:]),
+    ("snapshot_final.txt", lambda lines: lines[:100]),
+    ("hevo.csv", lambda lines: lines[:3]),
+], ids=["extent_nan", "header_abc", "body_abc", "body_truncated", "hevo_two_rows"])
+def test_diagnose_damaged_trajectory_exit_2(tmp_path, gauge_run, name, damage):
+    run_dir = tmp_path / "run"
+    shutil.copytree(gauge_run, run_dir)
+    path = run_dir / "traj_000" / name
+    path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
+    res = CliRunner().invoke(cli.main, ["diagnose", str(run_dir)])
+    assert res.exit_code == 2, res.output
+    assert str(path) in res.stderr and res.stderr.count("\n") == 1
     assert "Traceback" not in res.output
 
 

@@ -1,9 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 defines a private top-level name no module reads or has a config field no
-module reads, every package name the benchmark harness (``bench/``)
-imports or wraps, and every attribute it reads off one, exists, and its
-tracer reads a run, so a rename fails here rather than in a traced benchmark
-run."""
+module reads, every time loop runs through ``integrate``, every package
+name the benchmark harness (``bench/``) imports or wraps, and every
+attribute it reads off one, exists, and its tracer reads a run, so a rename
+fails here rather than in a traced benchmark run."""
 
 import ast
 import importlib
@@ -123,6 +123,43 @@ def test_config_fields_are_all_read():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     classes = {"evolution": ["EvolveConfig", "NoiseSetup"], "scenario": ["ScenarioConfig"]}
     assert unread_fields(sources, classes) == []
+
+
+STEP_KERNELS = ("step_strang", "step_gnls", "_step_strang_values", "_step_gnls_values")
+
+
+def step_kernel_callers(sources: dict) -> list:
+    """``module.name`` of each top-level function or class of ``sources``
+    (module name -> text) that calls a step kernel (``module`` alone for a
+    call outside any)."""
+    callers = set()
+    for module, text in sources.items():
+        for top in ast.parse(text).body:
+            name = getattr(top, "name", None)
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                if getattr(func, "id", getattr(func, "attr", None)) in STEP_KERNELS:
+                    callers.add(f"{module}.{name}" if name else module)
+    return sorted(callers)
+
+
+def test_checker_finds_a_step_kernel_caller():
+    sources = {
+        "a": "def march(g, v):\n    return _step_strang_values(g, v, 1e-3, 5.0)\n\n"
+             "class Runner:\n    def go(self, f):\n        return evolution.step_strang(f, 0.1, 5.0)\n\n"
+             "def other(f):\n    return step_kernel(f)\n",
+        "b": "v = step_gnls(f, 0.1, 5.0, None)\n",
+    }
+    assert step_kernel_callers(sources) == ["a.Runner", "a.march", "b"]
+
+
+def test_every_march_runs_through_integrate():
+    # one clock: only integrate steps a field in time; the other callers
+    # are the single-step wrappers around the kernels
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    allowed = {"evolution.integrate", "evolution.step_strang", "evolution.step_gnls",
+               "evolution._step_gnls_values"}
+    assert sorted(set(step_kernel_callers(sources)) - allowed) == []
 
 
 # ---------------------------------------------------------------------------
