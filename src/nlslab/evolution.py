@@ -10,9 +10,10 @@ with that unimodular factor, so a gauged step is the Strang step
 conjugated by e^{i psi}: unitary to rounding, like the plain one.
 
 Every march, backward solves included, is an ``integrate`` run on an
-integer time position; stochastic runs step on a dyadic subdivision of the
-Brownian path grid so that refining the step never changes already-sampled
-path values.  The trajectory keeps the per-step path values,
+integer time position, on the levels of one dt ladder; a noise run reads its
+weights off the one path ``BrownianPath.refine`` defines for its seed,
+refined lazily, so a finer step samples the same realisation.  The
+trajectory keeps the per-step path values,
 Hamiltonian-evolution integrands and pointing diagnostics needed by the
 verification suite.
 
@@ -42,8 +43,10 @@ from .ground_state import ground_profile
 from .noise import (
     NoiseProfileSet,
     ProfileSpec,
+    bridge_refine,
     build_profiles,
     coefficient_fields,
+    level_stream,
     sample_brownian,
 )
 
@@ -64,8 +67,11 @@ _LONGDOUBLE = np.dtype(np.longdouble).itemsize > 8
 _REAL = np.longdouble if _LONGDOUBLE else np.float64
 
 
-# the deterministic adaptive step is dt0 * 2^(-l / LADDER_LEVELS), l >= 0
+# the adaptive step is dt0 * 2^(-l / LADDER_LEVELS), l >= 0
 LADDER_LEVELS = 8
+# a noise step is floored to a multiple of 2^(POS_LEVEL - 4 - octave) units:
+# its midpoint lies at most 5 path levels below its octave
+DRIVE_FLOOR_LEVELS = 4
 # phases kept: a run steps on a few neighbouring levels at a time
 PHASE_CACHE_LEVELS = 4
 
@@ -87,8 +93,8 @@ def _phase(grid: GridSpec, dt: float, real: type) -> np.ndarray:
     k^2 at index j and N - j is the same double, so the phase is evaluated
     on the non-negative half of each axis (N/2 + 1 points) and mirrored,
     bitwise equal to the full evaluation.  The phases of the last few step
-    sizes are kept: deterministic runs step on the levels of the dt ladder
-    and noise runs on dyadic levels, so nearly every step reuses one.
+    sizes are kept: every run steps on the levels of the dt ladder, so
+    nearly every step reuses one.
     """
     h = grid.points // 2 + 1
     k2 = grid.k_squared()[(slice(0, h),) * grid.d].astype(real)
@@ -162,8 +168,9 @@ def step_gnls(f: ComplexField, dt: float, p: float, gauge: Optional[np.ndarray])
 class NoiseSetup:
     """Noise clause of an evolution config.
 
-    ``path_dt`` fixes the base path grid (default: dt0); runs with finer dt
-    refine the same path by bridge sampling, never resample it.
+    ``path_dt`` fixes the base path grid (default: dt0; dt0 times a power
+    of two).  The seed fixes one path, refined as ``BrownianPath.refine``
+    defines it: a finer dt samples the same realisation, never a new one.
     """
 
     profiles: ProfileSpec
@@ -175,32 +182,58 @@ class NoiseSetup:
 # (base_dt: the path step, or dt0 without noise); a level-l step moves it
 # floor(2^(POS_LEVEL - l / LADDER_LEVELS)) units, exactly 2^(POS_LEVEL - j) at l = 8j.
 POS_LEVEL = 30
+DRIVE_BLOCK = 16  # base intervals in a lazily refined block of the path
 
 
 class _BrownianDrive:
-    """Brownian weights looked up by dyadic position.
+    """Brownian weights by integer position: ``pos`` lies on path level m
+    when its low POS_LEVEL - m bits are zero.  A lookup refines, level by
+    level, only the block of DRIVE_BLOCK base intervals it falls in, with
+    ``BrownianPath.refine``'s bridge arithmetic and the normals of refine's
+    level-m stream at the block's offset (a stream discards the normals of
+    blocks it skips), so every value is refine's, bitwise.  The block before
+    the newest is kept, never shallower, so a retried step may look behind
+    its midpoint; a lookup behind both raises EvolveError."""
 
-    Position ``pos`` lies on refinement level ``L`` of the path when its
-    low POS_LEVEL - L bits are zero; its weight is then
-    ``values[pos >> (POS_LEVEL - L)]``.  The path is refined (globally, by
-    bridge sampling) until the position lies on it, so the level never
-    passes POS_LEVEL.
-    """
-
-    def __init__(self, profiles: NoiseProfileSet, seed: int, t0: float, base_dt: float, end_pos: int):
+    def __init__(self, n_modes: int, seed: int, t0: float, base_dt: float, end_pos: int):
         n, rest = divmod(end_pos, 1 << POS_LEVEL)
         if n < 1 or rest:
             raise EvolveError("time span must be an integer multiple of the path step")
-        times = t0 + np.arange(n + 1) * base_dt
-        # level 1 immediately: every step needs its midpoint weight
-        self.path = sample_brownian(seed, times, profiles.n_modes).refine()
+        self.base = sample_brownian(seed, t0 + np.arange(n + 1) * base_dt, n_modes)
+        self.streams = {}  # level -> (generator, rows drawn)
+        self.blocks = {}  # block index -> [level, times, values]
 
     def value(self, pos: int) -> np.ndarray:
-        path = self.path
-        while pos & ((1 << (POS_LEVEL - path.level)) - 1):
-            path = path.refine()
-        self.path = path
-        return path.values[pos >> (POS_LEVEL - path.level)]
+        index, offset = divmod(pos, 1 << POS_LEVEL)
+        if not offset:
+            return self.base.values[index]
+        k = index // DRIVE_BLOCK
+        if k not in self.blocks:
+            if self.blocks and k < min(self.blocks):
+                raise EvolveError(f"drive lookup at position {pos} lies behind the kept path blocks")
+            rows = slice(k * DRIVE_BLOCK, (k + 1) * DRIVE_BLOCK + 1)
+            self.blocks = {j: b for j, b in self.blocks.items() if j == k - 1}
+            self.blocks[k] = [0, self.base.times[rows], self.base.values[rows]]
+        level = POS_LEVEL + 1 - (offset & -offset).bit_length()
+        while self.blocks[k][0] < level:
+            older = self.blocks.get(k - 1)
+            if older is not None and older[0] == self.blocks[k][0]:
+                self._refine(k - 1)
+            self._refine(k)
+        block_level, _, values = self.blocks[k]
+        return values[(pos - (k * DRIVE_BLOCK << POS_LEVEL)) >> (POS_LEVEL - block_level)]
+
+    def _refine(self, k: int) -> None:
+        block = self.blocks[k]
+        level, times, values = block
+        n_modes = self.base.n_modes
+        rng, drawn = self.streams.get(level + 1) or (level_stream(self.base.seed, level + 1), 0)
+        first = k * DRIVE_BLOCK << level  # the block's first row of level + 1 normals
+        for skip in range(drawn * n_modes, first * n_modes, 1 << 16):
+            rng.standard_normal(min(1 << 16, first * n_modes - skip))
+        self.streams[level + 1] = (rng, first + times.size - 1)
+        normals = rng.standard_normal((times.size - 1, n_modes))
+        block[:] = [level + 1, *bridge_refine(times, values, normals)]
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +257,6 @@ class EvolveConfig:
     noise: Optional[NoiseSetup] = None
     adaptive: bool = True
     max_steps: Optional[int] = None
-    force_dyadic: bool = False  # step exactly like a noise run (twin comparisons)
     # record only t, ||grad v||, lambda and the mass (an ensemble row); the
     # other series of the trajectory are None
     lean_record: bool = False
@@ -421,9 +453,9 @@ def integrate(config: EvolveConfig) -> Trajectory:
 
     t = t0 + pos * unit with the integer position pos (see POS_LEVEL).  The
     target step dt0 * min(1, (g0/g)^2), g = ||grad v||, is rounded down to a
-    ladder level, or to a dyadic level of the path grid for a noise run or
-    its twin; a ladder step is clipped to the end of the span, a dyadic one
-    halved until it fits.  Stops at the end of the span, at the gradient
+    ladder level; a noise run floors it further to the drive's grain (see
+    DRIVE_FLOOR_LEVELS), and the last step is clipped to the end of the
+    span.  Stops at the end of the span, at the gradient
     threshold, when the fitted width falls below width_factor * dx, on
     non-finite values (keeping the last good state), or when the level
     passes the finest but two of the position grid (``step_underflow``).
@@ -442,13 +474,12 @@ def integrate(config: EvolveConfig) -> Trajectory:
         j0 = int(round(ratio))
         if j0 < 0 or abs(ratio - j0) > 1e-9:
             raise EvolveError("dt0 must be the path step divided by a power of two")
-    dyadic = config.noise is not None or config.force_dyadic
     unit = base_dt * 2.0**-POS_LEVEL
     pos = 0
     end_pos = int(round((t1 - t0) / unit))
     if config.noise is not None:
         profiles = build_profiles(config.noise.profiles, grid)
-        drive = _BrownianDrive(profiles, config.noise.seed, t0, base_dt, end_pos)
+        drive = _BrownianDrive(profiles.n_modes, config.noise.seed, t0, base_dt, end_pos)
 
     rec = _Recorder(config, profiles)
     weights0 = drive.value(0) if drive is not None else None
@@ -478,21 +509,16 @@ def integrate(config: EvolveConfig) -> Trajectory:
             break
 
         dt_target = config.dt0 * min(1.0, (g0 / g) ** 2) if config.adaptive else config.dt0
-        if dyadic:
-            level = LADDER_LEVELS * max(j0, math.ceil(math.log2(base_dt / dt_target) - 1e-12))
-        else:
-            # round down to the ladder, so that steps repeat a few cached phases
-            level = max(0, math.ceil(LADDER_LEVELS * math.log2(config.dt0 / dt_target)))
+        # round down to the ladder, so that steps repeat a few cached phases
+        level = max(0, math.ceil(LADDER_LEVELS * math.log2(config.dt0 / dt_target)))
+        level += LADDER_LEVELS * j0
         if level > LADDER_LEVELS * (POS_LEVEL - 2):
             stop_reason = "step_underflow"
             break
         dpos = int(2.0 ** (POS_LEVEL - level / LADDER_LEVELS))
-        if dyadic:
-            # stay on a dyadic level inside the span
-            while pos + dpos > end_pos:
-                dpos //= 2
-        else:
-            dpos = min(dpos, end_pos - pos)
+        if drive is not None:
+            dpos -= dpos % (1 << max(0, POS_LEVEL - DRIVE_FLOOR_LEVELS - level // LADDER_LEVELS))
+        dpos = min(dpos, end_pos - pos)
 
         attempts = 0
         while True:

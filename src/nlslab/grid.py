@@ -369,6 +369,16 @@ def write_snapshot(path, field: ComplexField, t: float) -> None:
             fh.write(f"{z.real:.17g},{z.imag:.17g}\n")
 
 
+def read_rows(fh, ndmin: int = 0) -> np.ndarray:
+    """The comma-separated numbers on the rest of ``fh``; a ValueError when
+    there are none (numpy's loadtxt would only warn)."""
+    start = fh.tell()
+    if not fh.readline().strip():
+        raise ValueError("no rows")
+    fh.seek(start)
+    return np.loadtxt(fh, delimiter=",", ndmin=ndmin)
+
+
 def read_snapshot(path):
     """Read a snapshot file; returns (ComplexField, t).  A header or body that
     does not parse, or a grid the grid model refuses, is a GridError."""
@@ -376,7 +386,7 @@ def read_snapshot(path):
         with open(path) as fh:
             d, n, extent, t = fh.readline().strip().split(",")
             grid = make_grid(int(d), float(extent), int(n))
-            data = np.loadtxt(fh, delimiter=",")
+            data = read_rows(fh)
         # the (re, im) pairs as complex128, bit for bit (signed zeros included)
         values = data.view(np.complex128).reshape(grid.shape)
         return ComplexField(grid, values), float(t)

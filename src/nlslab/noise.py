@@ -262,21 +262,26 @@ class BrownianPath:
 
     def refine(self) -> "BrownianPath":
         """Split every interval at its midpoint by bridge sampling."""
-        n = self.times.size
-        rng = np.random.default_rng(np.random.SeedSequence([int(self.seed), self.level + 1]))
-        dts = np.diff(self.times)
-        mids_t = self.times[:-1] + 0.5 * dts
-        noise = rng.standard_normal((n - 1, self.n_modes))
-        mids_v = 0.5 * (self.values[:-1] + self.values[1:]) + np.sqrt(dts / 4.0)[
-            :, None
-        ] * noise
-        times = np.empty(2 * n - 1)
-        values = np.empty((2 * n - 1, self.n_modes))
-        times[0::2] = self.times
-        times[1::2] = mids_t
-        values[0::2] = self.values
-        values[1::2] = mids_v
+        normals = level_stream(self.seed, self.level + 1).standard_normal(
+            (self.times.size - 1, self.n_modes)
+        )
+        times, values = bridge_refine(self.times, self.values, normals)
         return BrownianPath(seed=self.seed, times=times, values=values, level=self.level + 1)
+
+
+def level_stream(seed: int, level: int) -> np.random.Generator:
+    """Refinement ``level``'s normals: a row per interval above, in path order."""
+    return np.random.default_rng(np.random.SeedSequence([int(seed), level]))
+
+
+def bridge_refine(times: np.ndarray, values: np.ndarray, normals: np.ndarray) -> tuple:
+    """(times, values) with every interval bridge-sampled at its midpoint."""
+    dts = np.diff(times)
+    out_t, out_v = np.empty(2 * times.size - 1), np.empty((2 * times.size - 1, values.shape[1]))
+    out_t[0::2], out_t[1::2] = times, times[:-1] + 0.5 * dts
+    out_v[0::2] = values
+    out_v[1::2] = 0.5 * (values[:-1] + values[1:]) + np.sqrt(dts / 4.0)[:, None] * normals
+    return out_t, out_v
 
 
 def sample_brownian(seed: int, times, n_modes: int) -> BrownianPath:

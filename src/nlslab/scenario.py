@@ -42,8 +42,8 @@ from .exact import (
     solitary_wave,
 )
 from .grid import (
-    ComplexField, GridError, GridSpec, l2_norm_sq, make_grid, norm_suite, read_snapshot,
-    write_snapshot,
+    ComplexField, GridError, GridSpec, l2_norm_sq, make_grid, norm_suite, read_rows,
+    read_snapshot, write_snapshot,
 )
 from .ground_state import GroundProfile, critical_exponent, ground_profile
 from .noise import ProfileSpec
@@ -445,7 +445,7 @@ def _prepare(sc: ScenarioConfig) -> PreparedRun:
     )
 
 
-def evolve_config_for(sc: ScenarioConfig, prep: PreparedRun, seed: int, force_dyadic=False) -> EvolveConfig:
+def evolve_config_for(sc: ScenarioConfig, prep: PreparedRun, seed: int) -> EvolveConfig:
     spec = ProfileSpec(kind=sc.noise_kind, amplitude=sc.noise_amplitude,
                        n_modes=sc.noise_modes, flat_points=sc.noise_flat_points)
     noise = None if sc.noise_kind == "none" else NoiseSetup(profiles=spec, seed=seed)
@@ -460,7 +460,6 @@ def evolve_config_for(sc: ScenarioConfig, prep: PreparedRun, seed: int, force_dy
         grad_ref=prep.grad_ref,
         cadence=sc.cadence,
         noise=noise,
-        force_dyadic=force_dyadic,
     )
 
 
@@ -482,15 +481,10 @@ def write_csv(path, columns: dict) -> None:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def _read_csv(path) -> dict:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return dict(zip(header, np.ascontiguousarray(data.T)))
-
-
-# (column, Trajectory series) per file; a 2-d series takes one column per
-# axis (center_x, center_y) or per noise mode (B_1, B_2, ...)
+# (column, Trajectory series) per file.  A wide series (_WIDE) takes one
+# column per axis (center_x, center_y) or per noise mode (B_1, B_2, ...),
+# as many in every wide series of one file.
+_WIDE = ("center", "smear", "marty", "noise_values")
 _DIAGNOSTICS_COLUMNS = (
     ("t", "times"), ("mass", "mass"), ("hamiltonian", "hamiltonian"),
     ("grad_norm", "grad_norm"), ("lambda", "lam"), ("center", "center"),
@@ -503,29 +497,41 @@ _HEVO_COLUMNS = (
 )
 
 
+def _header(layout, width: int) -> list:
+    names = []
+    for name, attr in layout:
+        labels = "xy"[:width] if attr == "center" else range(1, width + 1)
+        names += [f"{name}_{label}" for label in labels] if attr in _WIDE else [name]
+    return names
+
+
 def _columns(traj: Trajectory, layout) -> dict:
-    cols = {}
-    for name, attr in layout:
-        series = getattr(traj, attr)
-        if series.ndim == 1:
-            cols[name] = series
-        else:
-            labels = "xy" if attr == "center" else range(1, series.shape[1] + 1)
-            for label, column in zip(labels, series.T):
-                cols[f"{name}_{label}"] = column
-    return cols
+    series = [getattr(traj, attr) for _, attr in layout]
+    width = max(s.shape[1] for s in series if s.ndim == 2)
+    columns = [c for s in series for c in (s.T if s.ndim == 2 else [s])]
+    return dict(zip(_header(layout, width), columns))
 
 
-def _series(cols: dict, layout) -> dict:
-    out = {}
-    for name, attr in layout:
-        if name in cols:
-            out[attr] = cols[name]
-        else:
-            out[attr] = np.column_stack(
-                [c for key, c in cols.items() if key.rsplit("_", 1)[0] == name]
-            )
-    return out
+def _read_series(path: Path, layout) -> dict:
+    """The series ``_columns`` gave ``write_csv``, bitwise; a header not the
+    layout's, no rows, or a value not a number is a TrajectoryError."""
+    try:
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            n_wide = sum(attr in _WIDE for _, attr in layout)
+            width = (len(header) - len(layout) + n_wide) // n_wide
+            if width < 1 or header != _header(layout, width):
+                raise ValueError(f"columns {','.join(header)!r} are not its layout")
+            data = read_rows(fh, ndmin=2)
+        if data.shape[1] != len(header):
+            raise ValueError(f"{data.shape[1]} values per row, {len(header)} columns")
+    except ValueError as exc:
+        raise TrajectoryError(f"damaged trajectory: {path}: {exc}") from exc
+    cols = iter(np.ascontiguousarray(data.T))
+    return {
+        attr: np.column_stack([next(cols) for _ in range(width)]) if attr in _WIDE else next(cols)
+        for _, attr in layout
+    }
 
 
 def _snapshot_files(tdir: Path) -> list:
@@ -551,15 +557,16 @@ def read_trajectory(tdir) -> Trajectory:
     """The trajectory ``write_trajectory_artifacts`` wrote to ``tdir``: every
     series bitwise, and every written snapshot (all of them, or the final
     one).  What is not on disk reads back as None: the momenta, the noise
-    profiles and the stop reason.  A ``hevo.csv`` whose rows are not those
-    of ``diagnostics.csv`` raises TrajectoryError."""
+    profiles and the stop reason.  A CSV that is not its layout's, or a
+    ``hevo.csv`` whose rows are not those of ``diagnostics.csv``, raises
+    TrajectoryError."""
     tdir = Path(tdir)
     if not (tdir / "diagnostics.csv").exists():
         raise TrajectoryError(f"no trajectory: {tdir} holds no diagnostics.csv")
-    series = _series(_read_csv(tdir / "diagnostics.csv"), _DIAGNOSTICS_COLUMNS)
+    series = _read_series(tdir / "diagnostics.csv", _DIAGNOSTICS_COLUMNS)
     hevo = tdir / "hevo.csv"
     if hevo.exists():
-        series.update(_series(_read_csv(hevo), _HEVO_COLUMNS))
+        series.update(_read_series(hevo, _HEVO_COLUMNS))
         if len(series["times"]) != len(series["mass"]):
             raise TrajectoryError(f"damaged trajectory: {hevo} and diagnostics.csv differ in length")
     final = tdir / "snapshot_final.txt"
@@ -752,7 +759,10 @@ def diagnose_run(run_dir: Path) -> dict:
     half of the sweep needs are not on disk."""
     run_dir = Path(run_dir)
     config = run_dir / "config.txt"
-    raw = parse_config_text(config.read_text()).get("physics.p") if config.exists() else None
+    try:
+        raw = parse_config_text(config.read_text()).get("physics.p") if config.exists() else None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{config} is not UTF-8 text ({exc.reason})") from exc
     try:
         p = None if raw is None else _float(raw)
     except ValueError as exc:
@@ -889,10 +899,12 @@ def run_scenario(sc: ScenarioConfig, outdir: Optional[Path] = None) -> tuple:
 
 
 def _gauge_check(sc: ScenarioConfig, prep: PreparedRun, noisy: Trajectory, summary: dict) -> None:
-    """Constant-profile runs must match the deterministic twin pointwise."""
-    det_cfg = evolve_config_for(sc, prep, sc.noise_seed, force_dyadic=True)
-    det_cfg = replace(det_cfg, noise=None)
-    det = integrate(det_cfg)
+    """Constant-profile runs must match the deterministic twin pointwise: the
+    same run at amplitude 0, whose Strang steps share the noise run's clock."""
+    cfg = evolve_config_for(sc, prep, sc.noise_seed)
+    if cfg.noise is not None:
+        cfg.noise = replace(cfg.noise, profiles=replace(cfg.noise.profiles, amplitude=0.0))
+    det = integrate(replace(cfg, lean_record=True))  # only its snapshots and stop are read
     n = min(len(noisy.snapshots), len(det.snapshots))
     worst = 0.0
     for (t1, s1), (t2, s2) in zip(noisy.snapshots[:n], det.snapshots[:n]):

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from nlslab.evolution import (
+    DRIVE_BLOCK,
+    DRIVE_FLOOR_LEVELS,
     LADDER_LEVELS,
     PHASE_CACHE_LEVELS,
     POS_LEVEL,
+    _BrownianDrive,
     _phase,
     _step_gnls_values,
     EvolveConfig,
@@ -343,42 +346,51 @@ def test_fixed_step_clock_is_exact():
 def _replay_times(cfg, traj):
     """The clock of every run, replayed from its recorded gradient norms.
 
-    Positions count base_dt 2^-POS_LEVEL.  A noise run or its twin steps
-    2^(POS_LEVEL - j) at the coarsest dyadic level j >= j0 not above the
-    adaptive target, refined further to stay inside the span; any other run
-    steps floor(2^(POS_LEVEL - l / LADDER_LEVELS)) at the coarsest ladder
-    level l not above the target, clipped to the span.
+    Positions count base_dt 2^-POS_LEVEL, with dt0 = base_dt 2^-j0.  A run
+    steps floor(2^(POS_LEVEL - l / LADDER_LEVELS)) at l = 8 j0 plus the
+    coarsest ladder level not above the adaptive target; a noise run floors
+    that to a multiple of 2^(POS_LEVEL - DRIVE_FLOOR_LEVELS - l // 8); the
+    step is clipped to the span.
     """
     base_dt = (cfg.noise.path_dt if cfg.noise else None) or cfg.dt0
-    dyadic = cfg.noise is not None or cfg.force_dyadic
     unit = base_dt * 2.0**-POS_LEVEL
     end = int(round((cfg.t1 - cfg.t0) / unit))
     j0 = int(round(math.log2(base_dt / cfg.dt0)))
     pos, times = 0, [cfg.t0]
     for target in _targets(cfg, traj):
-        if dyadic:
-            j = max(j0, math.ceil(math.log2(base_dt / target) - 1e-12))
-            while pos + 2 ** (POS_LEVEL - j) > end:
-                j += 1
-            pos += 2 ** (POS_LEVEL - j)
-        else:
-            level = max(0, math.ceil(LADDER_LEVELS * math.log2(cfg.dt0 / target)))
-            pos += min(math.floor(2.0 ** (POS_LEVEL - level / LADDER_LEVELS)), end - pos)
+        level = LADDER_LEVELS * j0 + max(0, math.ceil(LADDER_LEVELS * math.log2(cfg.dt0 / target)))
+        dpos = math.floor(2.0 ** (POS_LEVEL - level / LADDER_LEVELS))
+        if cfg.noise is not None:
+            grain = 2 ** max(0, POS_LEVEL - DRIVE_FLOOR_LEVELS - level // LADDER_LEVELS)
+            dpos = dpos // grain * grain
+        pos += min(dpos, end - pos)
         times.append(cfg.t0 + pos * unit)
     return np.array(times)
 
 
-def test_noise_and_twin_runs_keep_the_dyadic_clock():
-    noise = NoiseSetup(profiles=ProfileSpec(kind="schwartz", amplitude=0.2, n_modes=2), seed=3)
-    noisy_cfg = _bubble_config(n=512, noise=noise)
-    twin_cfg = _bubble_config(n=512, force_dyadic=True)
-    for cfg in (noisy_cfg, twin_cfg):
+def test_noise_and_twin_runs_keep_the_ladder_clock():
+    # a noise run and its twin (the same run at amplitude 0) step on the
+    # ladder, floored to the drive's grain: each step is at most 8.3% below
+    # its ladder value, and its midpoint lies at most DRIVE_FLOOR_LEVELS + 1
+    # path levels below its octave
+    for amplitude in (0.2, 0.0):
+        spec = ProfileSpec(kind="schwartz", amplitude=amplitude, n_modes=2)
+        cfg = _bubble_config(n=512, noise=NoiseSetup(profiles=spec, seed=3))
         traj = integrate(cfg)
         assert traj.n_steps > 100
         assert np.array_equal(traj.times, _replay_times(cfg, traj))
-        # dyadic levels only: dt0 / 2^j
-        level = np.log2(cfg.dt0 / np.diff(traj.times))
-        assert np.abs(level - np.round(level)).max() < 1e-6
+        unit = cfg.dt0 * 2.0**-POS_LEVEL
+        pos = np.rint((traj.times - cfg.t0) / unit).astype(np.int64)
+        dpos = np.diff(pos)[:-1]  # the last step is clipped to the span
+        level = np.array([
+            max(0, math.ceil(LADDER_LEVELS * math.log2(cfg.dt0 / target)))
+            for target in _targets(cfg, traj)[:-1]
+        ])
+        ladder = np.floor(2.0 ** (POS_LEVEL - level / LADDER_LEVELS))
+        assert np.all(dpos <= ladder) and np.all(dpos > (1 - 1 / 12) * ladder)
+        mid = pos[:-2] + dpos // 2
+        assert np.all(POS_LEVEL - np.log2(mid & -mid)
+                      <= level // LADDER_LEVELS + DRIVE_FLOOR_LEVELS + 1)
 
 
 def _off_grid_span_config(**kw):
@@ -393,7 +405,7 @@ def _off_grid_span_config(**kw):
 
 @pytest.mark.parametrize("kw", [
     dict(noise=NoiseSetup(profiles=ProfileSpec(kind="schwartz", amplitude=0.2, n_modes=2), seed=3)),
-    dict(force_dyadic=True),
+    dict(noise=NoiseSetup(profiles=ProfileSpec(kind="schwartz", amplitude=0.0, n_modes=2), seed=3)),
 ], ids=["noise", "twin"])
 def test_dyadic_run_ends_at_the_end_position(kw):
     traj = integrate(_off_grid_span_config(**kw))
@@ -415,8 +427,13 @@ def test_brownian_span_off_the_path_grid_rejected():
 def _replay_path(cfg, base_dt):
     """The run's Brownian path, refined (by time) until it holds t."""
     n = int(round((cfg.t1 - cfg.t0) / base_dt))
-    path = sample_brownian(cfg.noise.seed, cfg.t0 + np.arange(n + 1) * base_dt,
-                           cfg.noise.profiles.n_modes).refine()
+    return _refined_value_at(sample_brownian(
+        cfg.noise.seed, cfg.t0 + np.arange(n + 1) * base_dt, cfg.noise.profiles.n_modes
+    ))
+
+
+def _refined_value_at(path):
+    """Lookup by time on ``path``, refined globally until it holds t."""
 
     def value_at(t):
         nonlocal path
@@ -429,6 +446,44 @@ def _replay_path(cfg, base_dt):
     return value_at
 
 
+def test_lazy_drive_reads_the_refined_path_bitwise():
+    # 37 base intervals: two full blocks and a partial last one; each step
+    # looks up its midpoint, a retried midpoint behind it and its end
+    n, base_dt, seed = 37, 1e-3, 40
+    unit = base_dt * 2.0**-POS_LEVEL
+    end = n << POS_LEVEL
+    drive = _BrownianDrive(2, seed, 0.0, base_dt, end)
+    value_at = _refined_value_at(sample_brownian(seed, np.arange(n + 1) * base_dt, 2))
+    rng = np.random.default_rng(1)
+    pos, opened = 0, set()
+    while pos < end:
+        grain = 1 << (POS_LEVEL - DRIVE_FLOOR_LEVELS - int(rng.integers(0, 4)))
+        dpos = min(int(rng.integers(8, 18)) * grain, end - pos)
+        for q in (pos + dpos // 2, pos + dpos // 4, pos + dpos):
+            assert drive.value(q).tobytes() == value_at(q * unit).tobytes()
+        assert len(drive.blocks) <= 2
+        opened |= set(drive.blocks)
+        pos += dpos
+    assert opened == {0, 1, 2}
+
+
+def test_lazy_drive_keeps_two_blocks_and_refuses_a_lookup_behind_them():
+    n, base_dt, seed = 40, 1e-3, 3
+    unit = base_dt * 2.0**-POS_LEVEL
+    drive = _BrownianDrive(2, seed, 0.0, base_dt, n << POS_LEVEL)
+    value_at = _refined_value_at(sample_brownian(seed, np.arange(n + 1) * base_dt, 2))
+    edge = DRIVE_BLOCK << POS_LEVEL  # the first position of block 1
+    # block 1 opens deeper than block 0 holds; then a retry-style lookup
+    # reads block 0 deeper still, behind the last lookup
+    for q in (edge - (1 << 27), edge + (1 << 22), edge - (1 << 20), edge + (3 << 21)):
+        assert drive.value(q).tobytes() == value_at(q * unit).tobytes()
+    assert sorted(drive.blocks) == [0, 1]
+    assert drive.value(2 * edge + (1 << 29)).tobytes() == value_at((2 * edge + (1 << 29)) * unit).tobytes()
+    assert sorted(drive.blocks) == [1, 2]
+    with pytest.raises(EvolveError, match="behind the kept path blocks"):
+        drive.value(edge - (1 << 29))
+
+
 def _assert_steps_replay(cfg, base_dt):
     """Every recorded step equals a fresh gauged step from the previous
     snapshot, with the weights looked up by time at the step midpoint."""
@@ -439,7 +494,7 @@ def _assert_steps_replay(cfg, base_dt):
     for (ta, a), (tb, b) in zip(traj.snapshots, traj.snapshots[1:]):
         pa, pb = (int(round((t - cfg.t0) / unit)) for t in (ta, tb))
         dpos = pb - pa
-        dt = base_dt * 2.0 ** -(POS_LEVEL - dpos.bit_length() + 1)
+        dt = dpos * unit
         weights = value_at(cfg.t0 + (pa + dpos // 2) * unit)
         gauge = coefficient_fields(traj.profiles, weights)
         assert gauge is not None

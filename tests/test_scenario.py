@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -643,24 +644,44 @@ def gauge_run(tmp_path_factory):
     return out
 
 
-# (file, damage to its lines): a snapshot header extent nan, a header field
-# abc, a body value abc and a truncated body; hevo.csv cut to 2 rows
+def _drop_column(lines, name):
+    at = lines[0].split(",").index(name)
+    return [",".join(f for i, f in enumerate(line.split(",")) if i != at) for line in lines]
+
+
+# (file under the run directory, damage to its lines), the lines written
+# back in Latin-1: a snapshot header extent nan, a header field abc, a body
+# value abc, a truncated body and a body cut away; hevo.csv cut to 2 rows or
+# without its smear_1 column; diagnostics.csv emptied, cut to its header,
+# without its loc_mass column or with a value x; config.txt not UTF-8
 @pytest.mark.parametrize("name, damage", [
-    ("snapshot_final.txt", lambda lines: [lines[0].replace(",40,", ",nan,", 1)] + lines[1:]),
-    ("snapshot_final.txt", lambda lines: [lines[0].replace(",256,", ",abc,", 1)] + lines[1:]),
-    ("snapshot_final.txt", lambda lines: lines[:9] + ["abc,0"] + lines[10:]),
-    ("snapshot_final.txt", lambda lines: lines[:100]),
-    ("hevo.csv", lambda lines: lines[:3]),
-], ids=["extent_nan", "header_abc", "body_abc", "body_truncated", "hevo_two_rows"])
+    ("traj_000/snapshot_final.txt", lambda lines: [lines[0].replace(",40,", ",nan,", 1)] + lines[1:]),
+    ("traj_000/snapshot_final.txt", lambda lines: [lines[0].replace(",256,", ",abc,", 1)] + lines[1:]),
+    ("traj_000/snapshot_final.txt", lambda lines: lines[:9] + ["abc,0"] + lines[10:]),
+    ("traj_000/snapshot_final.txt", lambda lines: lines[:100]),
+    ("traj_000/snapshot_final.txt", lambda lines: lines[:1]),
+    ("traj_000/hevo.csv", lambda lines: lines[:3]),
+    ("traj_000/hevo.csv", lambda lines: _drop_column(lines, "smear_1")),
+    ("traj_000/diagnostics.csv", lambda lines: []),
+    ("traj_000/diagnostics.csv", lambda lines: lines[:1]),
+    ("traj_000/diagnostics.csv", lambda lines: _drop_column(lines, "loc_mass")),
+    ("traj_000/diagnostics.csv", lambda lines: lines[:5] + ["x" + lines[5][1:]] + lines[6:]),
+    ("config.txt", lambda lines: lines + ["# caf\xe9"]),
+], ids=["extent_nan", "header_abc", "body_abc", "body_truncated", "body_empty",
+        "hevo_two_rows", "hevo_no_smear_1", "diagnostics_empty", "diagnostics_header_only",
+        "diagnostics_no_loc_mass", "diagnostics_value_x", "config_not_utf8"])
 def test_diagnose_damaged_trajectory_exit_2(tmp_path, gauge_run, name, damage):
     run_dir = tmp_path / "run"
     shutil.copytree(gauge_run, run_dir)
-    path = run_dir / "traj_000" / name
-    path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
-    res = CliRunner().invoke(cli.main, ["diagnose", str(run_dir)])
+    path = run_dir / name
+    path.write_bytes("".join(line + "\n" for line in damage(path.read_text().splitlines())).encode("latin-1"))
+    # outside pytest a warning prints to stderr too
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = CliRunner().invoke(cli.main, ["diagnose", str(run_dir)])
     assert res.exit_code == 2, res.output
-    assert str(path) in res.stderr and res.stderr.count("\n") == 1
-    assert "Traceback" not in res.output
+    assert str(path) in res.stderr and res.stderr.count("\n") == 1, res.stderr
+    assert "Traceback" not in res.output and not caught
 
 
 def test_cli_malformed_config_exit_2(tmp_path):
