@@ -6,6 +6,10 @@ identity, localized mass, modulation fits against the ground-state family,
 and blow-up rate fitting with log-log discrimination.  The sharp
 Gagliardo-Nirenberg inequality is ``ground_state.gn_ratio``.
 
+The pairing bound is read off the integrands a run records (``banica_sweep``).
+No run calls ``functionals``, ``build_cutoff`` or ``virial_evolution_residual``:
+they are independent oracles for the tests.
+
 Everything here is pure over immutable fields and trajectories; series
 reductions run in fixed index order so results are bitwise reproducible.
 """
@@ -26,7 +30,6 @@ from .grid import (
     fourier_interp_coefficients,
     grad_norm_sq,
     gradient_values,
-    l2_norm_sq,
     norm_suite,
 )
 from .ground_state import GroundProfile
@@ -58,49 +61,6 @@ def functionals(v: ComplexField) -> Functionals:
 
 # ---------------------------------------------------------------------------
 # Banica pairing bound
-
-
-@dataclass(frozen=True)
-class BanicaResult:
-    lhs: float
-    rhs: float
-    satisfied: bool
-
-
-def banica_check(
-    v: ComplexField,
-    phi: np.ndarray,
-    q_mass: float,
-    grad_phi: Optional[list] = None,
-    slack: float = 1e-10,
-) -> BanicaResult:
-    """|Im int v grad(conj v) . grad(phi)| <= sqrt(2 H(v) int |v grad(phi)|^2).
-
-    Applies only at subcritical-or-critical mass; raises otherwise since the
-    bound has no content there.  For non-periodic weights (coordinate
-    functions) pass ``grad_phi`` analytically; the spectral fallback assumes
-    phi is smooth on the torus.
-    """
-    grid = v.grid
-    mass = math.sqrt(l2_norm_sq(v))
-    if mass > q_mass + 1e-8:
-        raise DiagnosticsError(
-            f"mass {mass:.8f} exceeds the ground-state mass {q_mass:.8f}; bound does not apply"
-        )
-    if grad_phi is None:
-        grad_phi = [g.real for g in gradient_values(grid, phi.astype(np.complex128))]
-    grads = gradient_values(grid, v.values)
-    lhs = 0.0
-    smear = 0.0
-    dens = np.abs(v.values) ** 2
-    for j in range(grid.d):
-        lhs += float(np.sum((v.values * np.conj(grads[j])).imag * grad_phi[j]))
-        smear += float(np.sum(grad_phi[j] ** 2 * dens))
-    lhs = abs(lhs) * grid.dvol
-    smear *= grid.dvol
-    ham = functionals(v).hamiltonian
-    rhs = math.sqrt(max(2.0 * ham * smear, 0.0))
-    return BanicaResult(lhs=lhs, rhs=rhs, satisfied=lhs <= rhs + slack)
 
 
 @dataclass(frozen=True)
@@ -367,9 +327,8 @@ def modulation_fit(v: ComplexField, profile: GroundProfile) -> ModulationFit:
     if gsq == 0.0 or not np.any(v.values):
         raise DiagnosticsError("modulation fit needs a nonzero field")
     lam = math.sqrt(profile.grad_sq / gsq)
-    y = _polish_peak(v, peak_center(grid, v.values))
-
     absv = np.abs(v.values)
+    y = _polish_peak(v, peak_center(grid, absv))
     away = grid.radius_squared(y) > (5.0 * lam) ** 2
     second = float(absv[away].max()) if away.any() else 0.0
     ambiguous = second > 0.5 * float(absv.max())
@@ -436,7 +395,7 @@ def blowup_rate_fit(times, grad_norms) -> RateFit:
 
     def sum_sq(T, correct):
         left = T - t
-        z = logg + (_lnln_correction(left) * 0.0 if not correct else -_lnln_correction(left))
+        z = logg - (_lnln_correction(left) if correct else 0.0)
         _, rms = _linear_fit_rms(np.log(left), z)
         return rms
 

@@ -324,12 +324,8 @@ def _refine_peak_1d(absv: np.ndarray, idx: int, dx: float) -> float:
     return 0.5 * (y0 - y2) / denom * dx
 
 
-def peak_center(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Location of max |v|, refined by per-axis quadratic interpolation."""
-    return _peak_center_abs(grid, np.abs(values))
-
-
-def _peak_center_abs(grid: GridSpec, absv: np.ndarray) -> np.ndarray:
+def peak_center(grid: GridSpec, absv: np.ndarray) -> np.ndarray:
+    """Location of max |v| (``absv``), refined by per-axis quadratic interpolation."""
     flat_idx = int(np.argmax(absv))
     x = grid.axis()
     if grid.d == 1:
@@ -395,7 +391,7 @@ class _Recorder:
         if not self.lean:
             # |v|^(2 + 4/d)
             lp_sum = float(np.sum(dens * dens if grid.d == 2 else dens * dens * dens)) * dvol
-            center = _peak_center_abs(grid, absv)
+            center = peak_center(grid, absv)
             row.update(hamiltonian=0.5 * kinetic - grid.d / (2.0 * grid.d + 4.0) * lp_sum,
                        loc_mass=_ball_mass(grid, dens, center, 1.0), center=center, momentum=mom)
         for name, rows in self.series.items():

@@ -238,12 +238,6 @@ def blowup_grad_sq(profile: GroundProfile, width: float, time_left: float) -> fl
     return profile.grad_sq / lam**2 + width**2 * profile.moment2 / 4.0
 
 
-def soliton_hamiltonian(profile: GroundProfile, velocity) -> float:
-    """H of a critical solitary wave: |c|^2 ||Q||^2 / 8."""
-    c = np.atleast_1d(np.asarray(velocity, dtype=float))
-    return float(c @ c) * profile.mass_sq / 8.0
-
-
 def blowup_modulation_scale(profile: GroundProfile, width: float, time_left: float) -> float:
     """Modulation scale ||grad Q|| / ||grad S|| of a single bubble."""
     return np.sqrt(profile.grad_sq / blowup_grad_sq(profile, width, time_left))

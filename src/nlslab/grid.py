@@ -189,13 +189,6 @@ def laplacian_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(-grid.k_squared() * vhat)
 
 
-def spectral_derivatives(f: ComplexField):
-    """Gradient components and Laplacian of a field, exact for band-limited data."""
-    grads = [ComplexField(f.grid, g) for g in gradient_values(f.grid, f.values)]
-    lap = ComplexField(f.grid, laplacian_values(f.grid, f.values))
-    return grads, lap
-
-
 # ---------------------------------------------------------------------------
 # quadrature and norms
 
@@ -237,13 +230,6 @@ def norm_suite(f: ComplexField) -> NormSuite:
         grad_l2=np.sqrt(gsq),
         h1=np.sqrt(l2sq + gsq),
     )
-
-
-def l2_inner(f: ComplexField, g: ComplexField) -> complex:
-    """L2 inner product, conjugate-linear in the first slot."""
-    if f.grid != g.grid:
-        raise GridError("inner product requires fields on the same grid")
-    return complex(np.sum(np.conj(f.values) * g.values) * f.grid.dvol)
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +357,24 @@ def write_snapshot(path, field: ComplexField, t: float) -> None:
 
 def read_rows(fh, ndmin: int = 0) -> np.ndarray:
     """The comma-separated numbers on the rest of ``fh``; a ValueError when
-    there are none (numpy's loadtxt would only warn)."""
+    there are none (numpy's loadtxt would only warn) or when the last line
+    has no newline.  Every writer ends each line with one, so a file cut
+    within a line is refused, not read with its last number shortened."""
     start = fh.tell()
     if not fh.readline().strip():
         raise ValueError("no rows")
     fh.seek(start)
-    return np.loadtxt(fh, delimiter=",", ndmin=ndmin)
+    last = ""
+
+    def lines():  # the rows streamed, never held whole; ``last`` keeps the last
+        nonlocal last
+        for last in fh:
+            yield last
+
+    data = np.loadtxt(lines(), delimiter=",", ndmin=ndmin)
+    if not last.endswith("\n"):
+        raise ValueError("the last line is cut short")
+    return data
 
 
 def read_snapshot(path):

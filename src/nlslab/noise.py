@@ -8,8 +8,8 @@ L^p norm exactly.  With psi = sum_l phi_l B_l the gauged linear operator is
     e^{-i psi} Lap e^{i psi} = Lap + a1 . grad + a0,
     a1 = 2i grad(psi),   a0 = -|grad psi|^2 + i Lap(psi),
 
-so with the weights frozen its flow is the free flow conjugated by e^{i psi};
-this module supplies that factor.  Every profile is an amplitude times a
+so with the weights frozen its flow is the free flow conjugated by e^{i psi},
+the factor ``coefficient_fields`` gives.  Every profile is an amplitude times a
 product of radial factors F_k(|x - c_k|^2); each factor gives F, F'/r and F''
 once, and one product rule turns them into phi, its analytic gradient (for the
 gauged-back diagnostics) and its analytic Laplacian (for the flatness check).
@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import ComplexField, GridSpec
+from .grid import GridSpec
 
 
 class NoiseError(ValueError):
@@ -304,25 +304,6 @@ def sample_brownian(seed: int, times, n_modes: int) -> BrownianPath:
 
 # ---------------------------------------------------------------------------
 # the gauge
-
-
-def gauge_transform(
-    X: ComplexField, profiles: NoiseProfileSet, path: BrownianPath, t: float, direction: str = "forward"
-) -> ComplexField:
-    """Multiply by e^{-W} (forward, X -> v) or e^{+W} (inverse, v -> X).
-
-    W(t,x) = i sum_l phi_l(x) B_l(t) is purely imaginary, so the modulus is
-    preserved pointwise.
-    """
-    weights = path.value_at(t)
-    psi = profiles.psi(weights)
-    if direction == "forward":
-        factor = np.exp(-1j * psi)
-    elif direction == "inverse":
-        factor = np.exp(1j * psi)
-    else:
-        raise NoiseError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    return ComplexField(X.grid, X.values * factor)
 
 
 def coefficient_fields(profiles: NoiseProfileSet, weights) -> np.ndarray | None:

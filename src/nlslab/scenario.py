@@ -557,9 +557,11 @@ def read_trajectory(tdir) -> Trajectory:
     """The trajectory ``write_trajectory_artifacts`` wrote to ``tdir``: every
     series bitwise, and every written snapshot (all of them, or the final
     one).  What is not on disk reads back as None: the momenta, the noise
-    profiles and the stop reason.  A CSV that is not its layout's, or a
-    ``hevo.csv`` whose rows are not those of ``diagnostics.csv``, raises
-    TrajectoryError."""
+    profiles and the stop reason.  A CSV that is not its layout's, a
+    ``hevo.csv`` whose rows are not those of ``diagnostics.csv``, or a last
+    ``t`` that is not the final snapshot's time (a cut at a row) raises
+    TrajectoryError; a run without snapshots (``output.snapshots = none``)
+    has no time to check its rows against."""
     tdir = Path(tdir)
     if not (tdir / "diagnostics.csv").exists():
         raise TrajectoryError(f"no trajectory: {tdir} holds no diagnostics.csv")
@@ -572,6 +574,8 @@ def read_trajectory(tdir) -> Trajectory:
     final = tdir / "snapshot_final.txt"
     paths = _snapshot_files(tdir) or ([final] if final.exists() else [])
     snapshots = [(t, field) for field, t in map(read_snapshot, paths)]
+    if snapshots and series["times"][-1] != snapshots[-1][0]:
+        raise TrajectoryError(f"damaged trajectory: {tdir / 'diagnostics.csv'} does not end at its final snapshot")
     return Trajectory(snapshots=snapshots, **series)
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from nlslab.diagnostics import (
     DiagnosticsError,
-    banica_check,
     banica_sweep,
     blowup_rate_fit,
     build_cutoff,
@@ -67,26 +66,34 @@ def test_soliton_hamiltonian(profile, grid):
 # Banica
 
 
+def _one_record(v):
+    # the recorder's integrands of v alone: a run stopped before its first step
+    return integrate(EvolveConfig(5.0, v, 0.0, 1.0, 1e-3, max_steps=0, cadence=None))
+
+
 def test_banica_real_field_zero_lhs(profile, grid, q_mass):
-    ones = [np.ones(grid.shape)]
-    res = banica_check(profile.sample(grid), grid.axis().copy(), q_mass, grad_phi=ones)
-    assert res.lhs < 1e-12
-    assert res.satisfied
+    traj = _one_record(profile.sample(grid))
+    assert np.abs(traj.momentum).max() < 1e-12
+    sweep = banica_sweep(traj, q_mass)
+    assert sweep.satisfied
+    assert sweep.n_checked == 1
 
 
 def test_banica_boosted_state(profile, grid, q_mass):
     vals = profile.sample(grid).values * np.exp(1j * 0.7 * grid.axis())
-    ones = [np.ones(grid.shape)]
-    res = banica_check(ComplexField(grid, vals), grid.axis().copy(), q_mass, grad_phi=ones)
-    assert res.satisfied
-    # the bound is sharp on boosted ground states
-    assert res.lhs == pytest.approx(res.rhs, rel=1e-6)
+    traj = _one_record(ComplexField(grid, vals))
+    sweep = banica_sweep(traj, q_mass)
+    assert sweep.satisfied
+    # the bound is sharp on boosted ground states: |P| = sqrt(2 H M)
+    rhs = np.sqrt(2.0 * traj.hamiltonian[0] * traj.mass[0] ** 2)
+    assert abs(traj.momentum[0, 0]) == pytest.approx(rhs, rel=1e-6)
+    assert abs(sweep.max_violation) < 1e-9
 
 
 def test_banica_mass_precondition(profile, grid, q_mass):
     doubled = ComplexField(grid, 2.0 * profile.sample(grid).values)
     with pytest.raises(DiagnosticsError):
-        banica_check(doubled, grid.axis().copy(), q_mass, grad_phi=[np.ones(grid.shape)])
+        banica_sweep(_one_record(doubled), q_mass)
 
 
 def test_banica_sweep_over_noise_run(profile, q_mass):

@@ -11,7 +11,6 @@ from nlslab.exact import (
     pseudo_conformal_blowup,
     pseudo_conformal_map,
     solitary_wave,
-    soliton_hamiltonian,
 )
 from nlslab.grid import ComplexField, grad_norm_sq, l2_norm_sq, make_grid
 from nlslab.ground_state import ground_profile
@@ -101,16 +100,6 @@ def test_soliton_mass_independent_of_time_and_speed(profile, grid):
         params = SolitonParams(solitons=(Soliton(velocity=(c,), width=1.0),))
         f = solitary_wave(params, t, grid, profile)
         assert l2_norm_sq(f) == pytest.approx(profile.mass_sq, rel=1e-10)
-
-
-def test_soliton_hamiltonian_value(profile, grid):
-    from nlslab.diagnostics import functionals
-
-    params = SolitonParams(solitons=(Soliton(velocity=(1.0,), width=1.0),))
-    f = solitary_wave(params, 0.0, grid, profile)
-    assert functionals(f).hamiltonian == pytest.approx(
-        soliton_hamiltonian(profile, (1.0,)), rel=1e-9
-    )
 
 
 def test_soliton_translation_by_cross_correlation(profile):

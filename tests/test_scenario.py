@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nlslab
@@ -682,6 +683,100 @@ def test_diagnose_damaged_trajectory_exit_2(tmp_path, gauge_run, name, damage):
     assert res.exit_code == 2, res.output
     assert str(path) in res.stderr and res.stderr.count("\n") == 1, res.stderr
     assert "Traceback" not in res.output and not caught
+
+
+# one critical-mass bubble whose rows a cut at a row boundary shortens
+# without breaking any file's layout
+ROW_CUT_BUBBLE = """
+scenario.kind = critical_blowup
+grid.d = 1
+grid.L = 40
+grid.N = 512
+blowup.T = 1.0
+blowup.bubbles = 0:1:0
+evolve.t1 = 0.5
+evolve.dt0 = 1e-3
+evolve.cadence = 50
+"""
+
+# every file each run directory holds before diagnose writes into it
+_RUN_FILES = {
+    "bubble": ("config.txt", "profile_residuals.csv", "summary.json",
+               "traj_000/diagnostics.csv", "traj_000/snapshot_final.txt"),
+    "gauge": ("config.txt", "hevo_residual.csv", "summary.json", "traj_000/diagnostics.csv",
+              "traj_000/hevo.csv", "traj_000/path.csv", "traj_000/snapshot_final.txt"),
+}
+
+
+@pytest.fixture(scope="module")
+def intact_runs(tmp_path_factory, gauge_run):
+    """(run directory, the report.json diagnose writes on it intact) of a
+    deterministic bubble and of a noise run."""
+    bubble = tmp_path_factory.mktemp("bubble") / "run"
+    assert run_scenario(build_scenario(parse_config_text(ROW_CUT_BUBBLE)), bubble)[1] == 0
+    runs = {}
+    for name, run_dir in (("bubble", bubble), ("gauge", gauge_run)):
+        files = sorted(str(p.relative_to(run_dir)) for p in run_dir.rglob("*") if p.is_file())
+        assert files == sorted(_RUN_FILES[name])
+        scratch = tmp_path_factory.mktemp(f"{name}_report") / "run"
+        shutil.copytree(run_dir, scratch)
+        assert CliRunner().invoke(cli.main, ["diagnose", str(scratch)]).exit_code == 0
+        runs[name] = (run_dir, (scratch / "report.json").read_bytes())
+    return runs
+
+
+def _damage(text: str, damage: str, at: int, col: int) -> str:
+    """``text`` cut at a character or after a line, emptied, without one
+    comma-separated column, or with a body or header field not a number."""
+    lines = text.splitlines(keepends=True)
+    if damage == "cut":
+        return text[: at % len(text)]
+    if damage == "rows":
+        return "".join(lines[: at % len(lines)])
+    if damage == "empty":
+        return ""
+    row = 0 if damage in ("drop_column", "header") else 1 + at % (len(lines) - 1)
+    fields = lines[row].rstrip("\n").split(",")
+    j = col % len(fields)
+    if damage == "drop_column":
+        return "".join(
+            ",".join(f for i, f in enumerate(line.rstrip("\n").split(",")) if i != j) + "\n"
+            for line in lines
+        )
+    fields[j] = "x"
+    lines[row] = ",".join(fields) + "\n"
+    return "".join(lines)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    st.sampled_from([(run, name) for run, names in _RUN_FILES.items() for name in names]),
+    st.sampled_from(["cut", "rows", "empty", "drop_column", "value", "header"]),
+    st.integers(0, 2**20),
+    st.integers(0, 64),
+)
+# diagnostics.csv cut to 200 of its lines, at a row boundary: every file
+# keeps its layout, so only the final snapshot's time tells
+@example(("bubble", "traj_000/diagnostics.csv"), "rows", 200, 0)
+def test_diagnose_damaged_run_refused_or_unchanged(intact_runs, target, damage, at, col):
+    # a damaged run directory is refused with one line (exit 2), or, when
+    # diagnose does not read the damaged file, reported as if intact
+    run, name = target
+    intact, report = intact_runs[run]
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp) / "run"
+        shutil.copytree(intact, run_dir)
+        path = run_dir / name
+        path.write_text(_damage(path.read_text(), damage, at, col))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = CliRunner().invoke(cli.main, ["diagnose", str(run_dir)])
+        assert "Traceback" not in res.output and not caught
+        if res.exit_code == 0:
+            assert (run_dir / "report.json").read_bytes() == report
+        else:
+            assert res.exit_code == 2, res.output
+            assert res.stderr.count("\n") == 1, res.stderr
 
 
 def test_cli_malformed_config_exit_2(tmp_path):

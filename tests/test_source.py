@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-defines a private top-level name no module reads or has a config field no
-module reads, every time loop runs through ``integrate``, every package
+defines a private top-level name no module reads, a public one that only
+tests read (the named oracles aside) or has a config field no module
+reads, every time loop runs through ``integrate``, every package
 name the benchmark harness (``bench/``) imports or wraps, and every
 attribute it reads off one, exists, and its tracer reads a run, so a rename
 fails here rather than in a traced benchmark run."""
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nlslab"
+BENCH = PACKAGE.parents[1] / "bench"
 
 
 def unused_imports(source: str) -> list:
@@ -162,10 +164,81 @@ def test_every_march_runs_through_integrate():
     assert sorted(set(step_kernel_callers(sources)) - allowed) == []
 
 
+# public names no run, command or benchmark reads: independent oracles the
+# tests check the run's own code against, each with what it checks
+ORACLES = (
+    ("diagnostics.functionals", "mass, H and ||grad v|| of one field by quadrature, "
+     "against the recorder's Parseval sums"),
+    ("diagnostics.build_cutoff", "the cut-off of the virial drift identity (criterion 11)"),
+    ("diagnostics.virial_evolution_residual", "the virial drift identity from snapshots (criterion 11)"),
+    ("exact.blowup_modulation_scale", "the exact bubble's scale, against modulation_fit"),
+    ("noise.finite_difference_derivative", "finite differences against the profiles' "
+     "analytic derivatives and their flatness"),
+)
+
+
+def _is_command(node) -> bool:
+    """Decorated as a click command or group (``@main.command(...)``)."""
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr in ("command", "group")
+        for d in node.decorator_list
+    )
+
+
+def unread_public_names(readers: dict, modules) -> list:
+    """Public top-level functions and classes of ``modules`` (names of
+    ``readers``, name -> text) that no text of ``readers`` reads outside
+    their own body, click commands aside: a name only tests read is a second
+    copy of a check.  A read is a loaded name, an attribute or an imported
+    name."""
+    trees = {name: ast.parse(text) for name, text in readers.items()}
+    reads = {}  # name -> ids of the nodes that read it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            reads.setdefault(name, set()).add(id(node))
+    unread = []
+    for module in modules:
+        for top in trees[module].body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) or top.name.startswith("_") or _is_command(top):
+                continue
+            own = {id(node) for node in ast.walk(top)}
+            if not reads.get(top.name, set()) - own:
+                unread.append(f"{module}.{top.name}")
+    return sorted(unread)
+
+
+def test_checker_finds_an_unread_public_name():
+    sources = {
+        "a": "import click\n\n@click.group()\ndef main():\n    pass\n\n"
+             "@main.command('go')\ndef go_cmd():\n    return helper()\n\n"
+             "def helper():\n    return 1\n\ndef oracle():\n    return oracle\n\n"
+             "class Result:\n    pass\n",
+        "b": "from a import helper as h\n\ndef _private():\n    return h\n",
+    }
+    assert unread_public_names(dict(sources, bench="import a\n\nx = a.Result\n"), sources) == ["a.oracle"]
+    assert unread_public_names(sources, sources) == ["a.Result", "a.oracle"]
+
+
+def test_every_public_name_has_a_reader():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    readers = dict(sources, **{f"bench/{path.name}": path.read_text() for path in sorted(BENCH.glob("*.py"))})
+    unread = unread_public_names(readers, sources)
+    oracles = [name for name, _ in ORACLES]
+    assert [name for name in unread if name not in oracles] == []
+    # and no oracle has gained a reader (or left the package) unnoticed
+    assert sorted(oracles) == [name for name in unread if name in oracles]
+
+
 # ---------------------------------------------------------------------------
 # the names the benchmark harness reaches into
-
-BENCH = PACKAGE.parents[1] / "bench"
 
 
 def _tracing_module():
