@@ -183,6 +183,7 @@ class NoiseSetup:
 # floor(2^(POS_LEVEL - l / LADDER_LEVELS)) units, exactly 2^(POS_LEVEL - j) at l = 8j.
 POS_LEVEL = 30
 DRIVE_BLOCK = 16  # base intervals in a lazily refined block of the path
+MAX_PATH_STEPS = 1 << 20  # the path is sampled whole before the first step: this bounds its memory
 
 
 class _BrownianDrive:
@@ -199,6 +200,8 @@ class _BrownianDrive:
         n, rest = divmod(end_pos, 1 << POS_LEVEL)
         if n < 1 or rest:
             raise EvolveError("time span must be an integer multiple of the path step")
+        if n > MAX_PATH_STEPS:
+            raise EvolveError(f"time span of {n} path steps is over the {MAX_PATH_STEPS} limit")
         self.base = sample_brownian(seed, t0 + np.arange(n + 1) * base_dt, n_modes)
         self.streams = {}  # level -> (generator, rows drawn)
         self.blocks = {}  # block index -> [level, times, values]

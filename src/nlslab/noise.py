@@ -308,8 +308,8 @@ def sample_brownian(seed: int, times, n_modes: int) -> BrownianPath:
 
 def coefficient_fields(profiles: NoiseProfileSet, weights) -> np.ndarray | None:
     """The factor e^{i psi} that conjugates a gauged step at the given mode
-    weights (Brownian values or a smooth drive), or None when psi is
-    constant in space: the gauged step is then the plain Strang step."""
+    weights (the Brownian path's values), or None when psi is constant in
+    space: the gauged step is then the plain Strang step."""
     psi = profiles.psi(weights)
     if psi.min() == psi.max():
         return None

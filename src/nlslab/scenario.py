@@ -15,7 +15,7 @@ import math
 import os
 import re
 import shutil
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -72,7 +72,8 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config schema: one row per key drives parsing, defaults and rendering
+# config schema: each ScenarioConfig field names its key, codec and default;
+# SCHEMA lists them in config order and drives parsing, defaults and rendering
 
 
 def parse_config_text(text: str) -> dict:
@@ -102,17 +103,12 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _parse_kind(raw: str, d) -> str:
-    if raw not in SCENARIO_KINDS:
-        raise ConfigError(f"scenario.kind must be one of {SCENARIO_KINDS}, got {raw!r}")
-    return raw
+class _Codec(NamedTuple):
+    """``parse(raw, d)`` reads a value in a d-dimensional config, ``render``
+    writes it back."""
 
-
-def _parse_dim(raw: str, d) -> int:
-    d = int(raw)
-    if d not in (1, 2):
-        raise ConfigError("grid.d must be 1 or 2")
-    return d
+    parse: Callable
+    render: Callable
 
 
 def _float(raw: str, d=None) -> float:
@@ -122,171 +118,142 @@ def _float(raw: str, d=None) -> float:
     return x
 
 
-def _parse_point(raw: str, d: int):
-    parts = [_float(p) for p in raw.split(",")]
+def _point(raw: str, d: int) -> tuple:
+    parts = tuple(_float(c) for c in raw.split(","))
     if len(parts) != d:
         raise ValueError(f"point needs {d} components, got {raw!r}")
-    return tuple(parts)
+    return parts
 
 
-def _render_point(point) -> str:
-    return ",".join(_fmt(c) for c in point)
+_FLOAT = _Codec(_float, _fmt)
+_INT = _Codec(lambda raw, d: int(raw), str)
+_STR = _Codec(lambda raw, d: raw, str)
+_POINT = _Codec(_point, lambda point: ",".join(map(_fmt, point)))
 
 
-def _parse_points(raw: str, d: int):
-    return tuple(_parse_point(c, d) for c in raw.split(";"))
-
-
-def _render_points(points) -> str:
-    return ";".join(_render_point(pt) for pt in points)
-
-
-def _parse_bubbles(raw: str, d: int):
-    bubbles = []
-    for chunk in raw.split(";"):
-        fields = chunk.strip().split(":")
-        if len(fields) != 3:
-            raise ValueError(f"bubble needs position:width:phase, got {chunk!r}")
-        position, width, phase = fields
-        bubbles.append(Bubble(_parse_point(position, d), _float(width), _float(phase)))
-    return tuple(bubbles)
-
-
-def _render_bubbles(bubbles) -> str:
-    return ";".join(
-        ":".join([_render_point(b.position), _fmt(b.width), _fmt(b.phase)]) for b in bubbles
+def _listed(codec: _Codec) -> _Codec:
+    """``a;b;...``: a tuple of ``codec`` values."""
+    return _Codec(
+        lambda raw, d: tuple(codec.parse(item, d) for item in raw.split(";")),
+        lambda values: ";".join(map(codec.render, values)),
     )
 
 
-def _parse_solitons(raw: str, d: int):
-    waves = []
-    for chunk in raw.split(";"):
-        fields = chunk.strip().split(":")
-        if len(fields) != 4:
-            raise ValueError(
-                f"soliton needs velocity:width:phase:position, got {chunk!r}"
-            )
-        velocity, width, phase, position0 = fields
-        waves.append(
-            Soliton(_parse_point(velocity, d), _float(width), _float(phase), _parse_point(position0, d))
-        )
-    return tuple(waves)
+def _record(cls, layout: str, codecs: tuple) -> _Codec:
+    """``a:b:...``: a ``cls`` whose fields, in order, ``layout`` names and
+    ``codecs`` read."""
 
+    def parse(raw: str, d: int):
+        parts = raw.split(":")
+        if len(parts) != len(codecs):
+            raise ValueError(f"{cls.__name__.lower()} needs {layout}, got {raw!r}")
+        return cls(*(codec.parse(part, d) for codec, part in zip(codecs, parts)))
 
-def _render_solitons(waves) -> str:
-    return ";".join(
-        ":".join([_render_point(s.velocity), _fmt(s.width), _fmt(s.phase), _render_point(s.position0)])
-        for s in waves
+    return _Codec(
+        parse, lambda rec: ":".join(codec.render(x) for codec, x in zip(codecs, astuple(rec)))
     )
+
+
+def _choice(key: str, values: tuple, codec: _Codec = _STR) -> _Codec:
+    """One of ``values``, read by ``codec``."""
+
+    def parse(raw: str, d):
+        value = codec.parse(raw, d)
+        if value not in values:
+            raise ConfigError(f"{key} must be one of {values}, got {raw!r}")
+        return value
+
+    return _Codec(parse, codec.render)
 
 
 class _Key(NamedTuple):
-    """One config key: ``parse(raw, d)`` reads it, ``render`` writes it back.
-
-    ``default`` is a value, a function of the fields parsed before this row,
-    or ``REQUIRED``.
-    """
+    """One config key, read into ScenarioConfig's ``field`` by ``codec``.
+    ``default`` is a value, a function of the fields read before this row,
+    or MISSING (the key is required)."""
 
     key: str
     field: str
-    parse: Callable
-    render: Callable
+    codec: _Codec
     default: object
 
 
-REQUIRED = object()
-# (parse, render) of the scalar keys
-_FLOAT = (_float, _fmt)
-_INT = (lambda raw, d: int(raw), str)
-_STR = (lambda raw, d: raw, str)
-
-SCHEMA = (
-    _Key("scenario.kind", "kind", _parse_kind, str, REQUIRED),
-    _Key("grid.d", "d", _parse_dim, str, 1),
-    _Key("grid.L", "extent", *_FLOAT, 40.0),
-    _Key("grid.N", "points", *_INT, 1024),
-    _Key("physics.p", "p", *_FLOAT, lambda f: critical_exponent(f["d"])),
-    _Key("blowup.bubbles", "bubbles", _parse_bubbles, _render_bubbles, ()),
-    _Key("blowup.T", "blowup_time", *_FLOAT, 1.0),
-    _Key("soliton.waves", "solitons", _parse_solitons, _render_solitons, ()),
-    _Key("zstar.amplitude_rel", "zstar_amplitude_rel", *_FLOAT, 0.05),
-    _Key("zstar.center", "zstar_center", _parse_point, _render_point, lambda f: (10.0,) * f["d"]),
-    _Key("zstar.width", "zstar_width", *_FLOAT, 1.0),
-    _Key("noise.kind", "noise_kind", *_STR, "none"),
-    _Key("noise.amplitude", "noise_amplitude", *_FLOAT, 0.0),
-    _Key("noise.modes", "noise_modes", *_INT, 1),
-    _Key("noise.seed", "noise_seed", *_INT, 0),
-    _Key("noise.flat_points", "noise_flat_points", _parse_points, _render_points, ()),
-    _Key("init.mass_sq_ratio", "init_mass_sq_ratio", *_FLOAT, 1.2),
-    _Key("init.width", "init_width", *_FLOAT, 1.0),
-    _Key("evolve.t0", "t0", *_FLOAT, 0.0),
-    _Key("evolve.t1", "t1", *_FLOAT, REQUIRED),
-    _Key("evolve.dt0", "dt0", *_FLOAT, 1e-3),
-    _Key("evolve.gmax", "g_max", *_FLOAT, 1e5),
-    _Key("evolve.width_factor", "width_factor", *_FLOAT, 4.0),
-    _Key("evolve.cadence", "cadence", *_INT, 100),
-    _Key("output.dir", "out_dir", *_STR, lambda f: f"runs/{f['kind']}"),
-    _Key("output.snapshots", "snapshots", *_STR, "final"),
-    _Key("ensemble.size", "ensemble_size", *_INT, 1),
-    _Key("ensemble.workers", "ensemble_workers", *_INT, None),
-)
+def _key(key: str, codec: _Codec, default=MISSING):
+    """A ScenarioConfig field read from config key ``key`` (see _Key)."""
+    return field(metadata={"key": key, "codec": codec, "default": default})
 
 
 @dataclass
 class ScenarioConfig:
-    kind: str
-    d: int
-    extent: float
-    points: int
-    p: float
-    blowup_time: float
-    bubbles: tuple
-    solitons: tuple
-    zstar_amplitude_rel: float
-    zstar_center: tuple
-    zstar_width: float
-    noise_kind: str
-    noise_amplitude: float
-    noise_modes: int
-    noise_seed: int
-    noise_flat_points: tuple
-    init_mass_sq_ratio: float
-    init_width: float
-    t0: float
-    t1: float
-    dt0: float
-    g_max: float
-    width_factor: float
-    cadence: int
-    out_dir: str
-    snapshots: str
-    ensemble_size: int
-    ensemble_workers: Optional[int]
+    """A scenario, one field per config key, in config order."""
+
+    kind: str = _key("scenario.kind", _choice("scenario.kind", SCENARIO_KINDS))
+    d: int = _key("grid.d", _choice("grid.d", (1, 2), _INT), 1)
+    extent: float = _key("grid.L", _FLOAT, 40.0)
+    points: int = _key("grid.N", _INT, 1024)
+    p: float = _key("physics.p", _FLOAT, lambda f: critical_exponent(f["d"]))
+    bubbles: tuple = _key("blowup.bubbles", _listed(
+        _record(Bubble, "position:width:phase", (_POINT, _FLOAT, _FLOAT))
+    ), ())
+    blowup_time: float = _key("blowup.T", _FLOAT, 1.0)
+    solitons: tuple = _key("soliton.waves", _listed(
+        _record(Soliton, "velocity:width:phase:position", (_POINT, _FLOAT, _FLOAT, _POINT))
+    ), ())
+    zstar_amplitude_rel: float = _key("zstar.amplitude_rel", _FLOAT, 0.05)
+    zstar_center: tuple = _key("zstar.center", _POINT, lambda f: (10.0,) * f["d"])
+    zstar_width: float = _key("zstar.width", _FLOAT, 1.0)
+    noise_kind: str = _key(
+        "noise.kind", _choice("noise.kind", ("none", "constant", "schwartz", "flat")), "none"
+    )
+    noise_amplitude: float = _key("noise.amplitude", _FLOAT, 0.0)
+    noise_modes: int = _key("noise.modes", _INT, 1)
+    noise_seed: int = _key("noise.seed", _INT, 0)
+    noise_flat_points: tuple = _key("noise.flat_points", _listed(_POINT), ())
+    init_mass_sq_ratio: float = _key("init.mass_sq_ratio", _FLOAT, 1.2)
+    init_width: float = _key("init.width", _FLOAT, 1.0)
+    t0: float = _key("evolve.t0", _FLOAT, 0.0)
+    t1: float = _key("evolve.t1", _FLOAT)
+    dt0: float = _key("evolve.dt0", _FLOAT, 1e-3)
+    g_max: float = _key("evolve.gmax", _FLOAT, 1e5)
+    width_factor: float = _key("evolve.width_factor", _FLOAT, 4.0)
+    cadence: int = _key("evolve.cadence", _INT, 100)
+    out_dir: str = _key("output.dir", _STR, lambda f: f"runs/{f['kind']}")
+    snapshots: str = _key(
+        "output.snapshots", _choice("output.snapshots", ("none", "final", "all")), "final"
+    )
+    ensemble_size: int = _key("ensemble.size", _INT, 1)
+    ensemble_workers: Optional[int] = _key("ensemble.workers", _INT, None)
 
     @property
     def grid(self) -> GridSpec:
         return make_grid(self.d, self.extent, self.points)
 
 
+SCHEMA = tuple(_Key(field=f.name, **f.metadata) for f in fields(ScenarioConfig))
+
+
+def _read(key: str, codec: _Codec, raw: str, d):
+    """``raw`` read by ``codec``; a value it refuses is a config error."""
+    try:
+        return codec.parse(raw, d)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"key {key!r}: cannot parse {raw!r} ({exc})") from exc
+
+
 def build_scenario(cfg: dict) -> ScenarioConfig:
     cfg = dict(cfg)
-    fields: dict = {}
+    values: dict = {}
     for row in SCHEMA:
         if row.key in cfg:
-            raw = cfg.pop(row.key)
-            try:
-                fields[row.field] = row.parse(raw, fields.get("d"))
-            except ConfigError:
-                raise
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"key {row.key!r}: cannot parse {raw!r} ({exc})") from exc
-        elif row.default is REQUIRED:
+            values[row.field] = _read(row.key, row.codec, cfg.pop(row.key), values.get("d"))
+        elif row.default is MISSING:
             raise ConfigError(f"missing required key {row.key!r}")
         else:
-            fields[row.field] = row.default(fields) if callable(row.default) else row.default
+            values[row.field] = row.default(values) if callable(row.default) else row.default
     if cfg:
         raise ConfigError(f"unknown config keys: {sorted(cfg)}")
-    sc = ScenarioConfig(**fields)
+    sc = ScenarioConfig(**values)
     _validate_scenario(sc)
     return sc
 
@@ -298,16 +265,12 @@ def render_config(sc: ScenarioConfig) -> str:
     for row in SCHEMA:
         value = getattr(sc, row.field)
         if value is not None and value != ():
-            lines.append(f"{row.key} = {row.render(value)}")
+            lines.append(f"{row.key} = {row.codec.render(value)}")
     return "\n".join(lines) + "\n"
 
 
 def _validate_scenario(sc: ScenarioConfig) -> None:
     problems = []
-    if sc.noise_kind not in ("none", "constant", "schwartz", "flat"):
-        problems.append(f"noise.kind {sc.noise_kind!r} unknown")
-    if sc.snapshots not in ("none", "final", "all"):
-        problems.append(f"output.snapshots {sc.snapshots!r} unknown")
     if sc.ensemble_size < 1:
         problems.append("ensemble.size must be >= 1")
     if sc.ensemble_workers is not None and sc.ensemble_workers < 1:
@@ -329,7 +292,7 @@ def _validate_scenario(sc: ScenarioConfig) -> None:
         problems.append("nonpure_soliton requires evolve.t0 > 0")
     if abs(sc.p - critical_exponent(sc.d)) > 1e-12:
         if sc.d != 1 or not (1.0 < sc.p < critical_exponent(1)):
-            problems.append("subcritical exponents are supported for d=1 only")
+            problems.append(f"physics.p must be in (1, 5] in 1-d and 3 in 2-d, got {sc.p!r}")
         if sc.kind in ("critical_blowup", "multi_bubble", "bourgain_wang", "loglog_supercritical"):
             problems.append(f"{sc.kind} requires the critical exponent")
     if problems:
@@ -767,10 +730,7 @@ def diagnose_run(run_dir: Path) -> dict:
         raw = parse_config_text(config.read_text()).get("physics.p") if config.exists() else None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{config} is not UTF-8 text ({exc.reason})") from exc
-    try:
-        p = None if raw is None else _float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"key 'physics.p': cannot parse {raw!r} ({exc})") from exc
+    p = None if raw is None else _read("physics.p", _FLOAT, raw, None)
     tdir = run_dir / "traj_000"
     if not tdir.exists():
         tdir = run_dir

@@ -101,12 +101,90 @@ def test_custom_kind_rejected():
         build_scenario(parse_config_text("scenario.kind = custom\nevolve.t1 = 1"))
 
 
+_BUBBLE_RUN = {"scenario.kind": "critical_blowup", "blowup.bubbles": "0:1:0", "evolve.t1": "1"}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("blowup.bubbles", "0:1",
+     "key 'blowup.bubbles': cannot parse '0:1' (bubble needs position:width:phase, got '0:1')"),
+    ("blowup.bubbles", "0:1:0; 5:1",
+     "key 'blowup.bubbles': cannot parse '0:1:0; 5:1' (bubble needs position:width:phase, got ' 5:1')"),
+    ("soliton.waves", "1:1:0",
+     "key 'soliton.waves': cannot parse '1:1:0' "
+     "(soliton needs velocity:width:phase:position, got '1:1:0')"),
+    ("zstar.center", "1,2", "key 'zstar.center': cannot parse '1,2' (point needs 1 components, got '1,2')"),
+    ("scenario.kind", "custom", f"scenario.kind must be one of {SCENARIO_KINDS}, got 'custom'"),
+    ("grid.d", "3", "grid.d must be one of (1, 2), got '3'"),
+    ("grid.d", "two", "key 'grid.d': cannot parse 'two' (invalid literal for int() with base 10: 'two')"),
+    ("noise.kind", "white",
+     "noise.kind must be one of ('none', 'constant', 'schwartz', 'flat'), got 'white'"),
+    ("output.snapshots", "some", "output.snapshots must be one of ('none', 'final', 'all'), got 'some'"),
+], ids=["bubble_fields", "bubble_in_list", "soliton_fields", "point_components", "kind", "dim",
+        "dim_not_int", "noise_kind", "snapshots"])
+def test_codec_refusals(key, value, message):
+    text = "".join(f"{k} = {v}\n" for k, v in {**_BUBBLE_RUN, key: value}.items())
+    with pytest.raises(ConfigError) as exc:
+        build_scenario(parse_config_text(text))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("d, p", [(1, "6"), (1, "0.5"), (2, "2")])
+def test_cli_refuses_an_exponent_without_a_run_profile(tmp_path, d, p):
+    point = ",".join(["0"] * d)
+    cfg_file = tmp_path / "p.cfg"
+    cfg_file.write_text(
+        f"scenario.kind = multi_soliton\ngrid.d = {d}\nphysics.p = {p}\n"
+        f"soliton.waves = {point}:1:0:{point}\nevolve.t1 = 0.1\noutput.dir = run\n"
+    )
+    res = CliRunner().invoke(cli.main, ["scenario", "run", str(cfg_file)], env={"NLSLAB_OUT": str(tmp_path)})
+    assert res.exit_code == 2, res.output
+    assert res.stderr == f"config error: physics.p must be in (1, 5] in 1-d and 3 in 2-d, got {float(p)!r}\n"
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
 def test_rendered_config_loads_back_equal(path):
     sc = load_scenario(path)
     text = render_config(sc)
     assert build_scenario(parse_config_text(text)) == sc
     assert render_config(build_scenario(parse_config_text(text))) == text
+
+
+def test_rendered_config_is_pinned():
+    # every key set, defaults resolved, in schema order, floats to 17 digits
+    assert render_config(load_scenario(CONFIGS / "critical_blowup.cfg")) == """\
+scenario.kind = critical_blowup
+grid.d = 1
+grid.L = 40
+grid.N = 4096
+physics.p = 5
+blowup.bubbles = 0:1:0
+blowup.T = 1
+zstar.amplitude_rel = 0.050000000000000003
+zstar.center = 10
+zstar.width = 1
+noise.kind = none
+noise.amplitude = 0
+noise.modes = 1
+noise.seed = 0
+init.mass_sq_ratio = 1.2
+init.width = 1
+evolve.t0 = 0
+evolve.t1 = 1
+evolve.dt0 = 0.00025000000000000001
+evolve.gmax = 100000
+evolve.width_factor = 4
+evolve.cadence = 2000
+output.dir = runs/critical_blowup
+output.snapshots = final
+ensemble.size = 1
+"""
+
+
+def test_readme_lists_every_key_in_schema_order():
+    readme = (CONFIGS.parent / "README.md").read_text()
+    block = readme.split("## Scenario configs", 1)[1].split("```", 2)[1]
+    assert [line.split()[0] for line in block.splitlines() if line.strip()] == [row.key for row in SCHEMA]
 
 
 _floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -796,8 +874,9 @@ def test_cli_malformed_config_exit_2(tmp_path):
     ("evolve", "evolve.cadence = 50", "evolve.cadence = 0"),
     ("scenario run", "grid.N = 256", "grid.N = 250"),
     ("scenario run", "soliton.waves = 1.0:1.0:0.0:0.0", "soliton.waves = 1.0:1.0:0.0:18.0"),
+    ("scenario run", "evolve.t1 = 0.25", "evolve.t1 = 1e9"),
 ], ids=["run_modes", "run_dt0", "run_cadence", "ensemble_modes", "evolve_cadence",
-        "run_grid", "run_profile"])
+        "run_grid", "run_profile", "run_path_span"])
 def test_cli_config_value_errors_exit_2(tmp_path, command, old, new):
     # values the schema accepts but the grid, the exact profiles, the noise
     # model or the integrator refuses; the refusal comes before the run
