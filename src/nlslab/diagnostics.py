@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .grid import (
     ComplexField,
@@ -383,6 +382,8 @@ def blowup_rate_fit(times, grad_norms) -> RateFit:
     relative improvement of the fit residual when the sqrt(ln |ln(T-t)|)
     factor of the log-log law is included.
     """
+    from scipy.optimize import minimize_scalar  # on first call: most runs never fit a rate
+
     t = np.asarray(times, dtype=float)
     g = np.asarray(grad_norms, dtype=float)
     if t.size < 20:

@@ -176,7 +176,7 @@ def gradient_moments(grid: GridSpec, values: np.ndarray) -> tuple:
     ``gradient_values`` to rounding.
     """
     sp = _spectral(grid)
-    vhat = np.fft.fft(values) if grid.d == 1 else np.fft.fftn(values)
+    vhat = sfft.fft(values) if grid.d == 1 else np.fft.fftn(values)  # as gradient_values
     power = vhat.real**2 + vhat.imag**2
     scale = grid.dvol / power.size
     grad_sq = float(np.sum(sp.k_squared * power)) * scale
@@ -348,11 +348,10 @@ def fourier_interp_coefficients(grid: GridSpec, chat: np.ndarray, axes_targets) 
 
 def write_snapshot(path, field: ComplexField, t: float) -> None:
     """Write ``d,N,L,t`` header then one ``re,im`` line per point (row-major)."""
-    flat = field.values.reshape(-1)
+    pairs = np.ascontiguousarray(field.values).view(float).reshape(-1, 2).tolist()
+    header = f"{field.grid.d},{field.grid.points},{field.grid.extent:.17g},{t:.17g}\n"
     with open(path, "w") as fh:
-        fh.write(f"{field.grid.d},{field.grid.points},{field.grid.extent:.17g},{t:.17g}\n")
-        for z in flat:
-            fh.write(f"{z.real:.17g},{z.imag:.17g}\n")
+        fh.write(header + "".join(["%.17g,%.17g\n" % (re, im) for re, im in pairs]))
 
 
 def read_rows(fh, ndmin: int = 0) -> np.ndarray:

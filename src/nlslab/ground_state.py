@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .grid import (
     ComplexField,
@@ -200,6 +198,8 @@ def _shoot_once(a: float, d: int, p: float, r_max: float, rtol: float):
     profile crossed zero (amplitude too large), -1 if it turned upward
     while positive (too small), and 0 if it survived to r_max.
     """
+    from scipy.integrate import solve_ivp  # on first call: a run shoots only for a 2-d profile
+
     r0 = 1e-8
 
     def rhs(r, y):
@@ -335,6 +335,8 @@ def ground_profile(d: int, p: float | None = None) -> GroundProfile:
     if d == 1:
         radial = closed_form_radial(p)
     elif d == 2:
+        from scipy.interpolate import CubicSpline  # on first call, as solve_ivp
+
         table = radial_shooting_oracle(d, p, tol=1e-13)
         spline = CubicSpline(table.r, table.q, bc_type=((1, 0.0), "not-a-knot"))
         r_top = table.r[-1]

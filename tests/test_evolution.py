@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from nlslab.evolution import (
     DRIVE_BLOCK,
@@ -10,7 +11,10 @@ from nlslab.evolution import (
     LADDER_LEVELS,
     PHASE_CACHE_LEVELS,
     POS_LEVEL,
+    _LONGDOUBLE,
     _BrownianDrive,
+    _linear_full,
+    _nonlinear_half,
     _phase,
     _step_gnls_values,
     EvolveConfig,
@@ -234,16 +238,18 @@ def _same_bits(a, b):
     )
 
 
-@pytest.mark.parametrize("d,n", [(1, 8), (1, 1024), (2, 8), (2, 16)])
+STEP_GRIDS = [(1, 8), (1, 1024), (1, 4096), (2, 8), (2, 16), (2, 256)]
+STEP_DTS = (1e-3, 4e-3 * 2.0**-7, 0.37, 1e-3 * 2.0**-0.625)
+
+
+@pytest.mark.parametrize("d,n", STEP_GRIDS)
 @pytest.mark.parametrize("real", [np.longdouble, np.float64])
 def test_phase_bitwise_equals_direct_formula(d, n, real):
+    # the phase carries the inverse transform's 1/N^d, in the same precision
     g = make_grid(d, 40, n)
-    k2 = g.k_squared()
-    for dt in (1e-3, 4e-3 * 2.0**-7, 0.37):
-        if real is np.float64:
-            direct = np.exp(-1j * k2 * dt)  # the double-precision path as written
-        else:
-            direct = np.exp(-1j * k2.astype(np.longdouble) * np.longdouble(dt))
+    k2 = g.k_squared().astype(real)
+    for dt in STEP_DTS:
+        direct = np.exp(-1j * k2 * real(dt)) * (real(1.0) / real(n**d))
         _phase.cache_clear()
         cold = _phase(g, dt, real)
         warm = _phase(g, dt, real)
@@ -251,6 +257,44 @@ def test_phase_bitwise_equals_direct_formula(d, n, real):
         assert _same_bits(cold, direct)
         with pytest.raises(ValueError):
             cold[(0,) * d] = 0.0
+
+
+def _packet(g):
+    """A sharply peaked, rough complex field on ``g``."""
+    rng = np.random.default_rng(g.points)
+    noise = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    return 3.0 * noise * np.exp(-g.radius_squared())
+
+
+@pytest.mark.parametrize("d,n", STEP_GRIDS)
+def test_linear_step_bitwise_equals_scaled_inverse(d, n):
+    # folding 1/N^d into the phase and running the inverse unscaled is exact:
+    # the round trip is the one whose inverse applies 1/N^d itself
+    g = make_grid(d, 40, n)
+    v = _packet(g)
+    fwd, inv = (sfft.fft, sfft.ifft) if d == 1 else (sfft.fftn, sfft.ifftn)
+    for dt in STEP_DTS:
+        if _LONGDOUBLE:
+            phase = np.exp(-1j * g.k_squared().astype(np.longdouble) * np.longdouble(dt))
+            want = inv(phase * fwd(v.astype(np.clongdouble))).astype(np.complex128)
+        else:
+            phase = np.exp(-1j * g.k_squared() * dt)
+            want = np.fft.ifftn(phase * np.fft.fftn(v))
+        assert _same_bits(_linear_full(g, v, dt), want)
+
+
+@pytest.mark.parametrize("d,n", [(1, 4096), (2, 256)])
+@pytest.mark.parametrize("p", [3.0, 5.0])
+def test_nonlinear_half_bitwise_equals_rotation_product(d, n, p):
+    # 2-d N = 256 is past numpy's 256 KB temporary elision: a rotation held
+    # in a named array moves the last bit of about a quarter of the entries
+    g = make_grid(d, 40, n)
+    v = _packet(g)
+    dt_half = 0.37e-3
+    dens = v.real**2 + v.imag**2
+    theta = dens ** (0.5 * (p - 1.0)) * dt_half
+    want = v * (np.cos(theta) + 1j * np.sin(theta))
+    assert _same_bits(_nonlinear_half(v, dt_half, p), want)
 
 
 def test_noise_run_independent_of_phase_memo(profile):

@@ -204,16 +204,29 @@ def test_parseval_gradient_moments_match_gradient_sums(d, n):
         assert abs(got - want) <= 1e-14 * abs(want)
 
 
+IMPORT_PROBE = """
+import sys
+import numpy as np
+import nlslab.cli
+from nlslab.diagnostics import blowup_rate_fit
+mods = ("scipy.signal", "scipy.optimize", "scipy.integrate", "scipy.interpolate")
+print([m for m in mods if m in sys.modules])
+t = np.linspace(0.0, 0.9, 40)
+blowup_rate_fit(t, (1.0 - t) ** -1.0)  # a decade of growth
+print([m for m in mods if m in sys.modules])
+"""
+
+
 def test_import_does_not_load_scipy_signal():
-    # scipy.signal takes about 1.6 s to import, more than the whole package
+    # scipy.signal takes about 1.6 s to import, more than the whole package;
+    # the solver modules are loaded by the one function that calls each
     pkg_root = str(Path(nlslab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
-    code = "import sys, nlslab.cli; print('scipy.signal' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == ["[]", "['scipy.optimize']"]
 
 
 def test_snapshot_roundtrip(tmp_path):
@@ -226,6 +239,28 @@ def test_snapshot_roundtrip(tmp_path):
     assert t == 0.625
     assert np.array_equal(f.values, f2.values)
     assert f2.grid == g
+
+
+def test_snapshot_bytes_are_pinned(tmp_path):
+    # signed zeros, a subnormal and values that need all 17 digits
+    pairs = [[-0.0, 0.0], [0.1, 1.0 / 3.0], [0.0, -1e-300], [2.0**-1074, 0.0],
+             [-2.5, -0.0], [1e22, 0.0], [np.pi, 0.0], [0.0, 0.0]]
+    values = np.array(pairs).view(np.complex128).reshape(-1)
+    path = tmp_path / "snap.txt"
+    write_snapshot(path, ComplexField(make_grid(1, 10.0, 8), values), 0.1)
+    assert path.read_bytes() == (
+        b"1,8,10,0.10000000000000001\n"
+        b"-0,0\n"
+        b"0.10000000000000001,0.33333333333333331\n"
+        b"0,-1e-300\n"
+        b"4.9406564584124654e-324,0\n"
+        b"-2.5,-0\n"
+        b"1e+22,0\n"
+        b"3.1415926535897931,0\n"
+        b"0,0\n"
+    )
+    back = read_snapshot(path)[0].values
+    assert np.array_equal(back.view(np.int64), values.view(np.int64))
 
 
 def test_snapshot_cut_within_its_last_line_is_refused(tmp_path):
