@@ -374,6 +374,107 @@ def _linear_fit_rms(tt: np.ndarray, z: np.ndarray):
     return coef, rms
 
 
+def _rate_fit_at(t: np.ndarray, logg: np.ndarray, T, correct: bool):
+    """(coef, rms) of the line through log ||grad v|| against log(T - t),
+    less the log-log factor when ``correct``."""
+    left = T - t
+    z = logg - (_lnln_correction(left) if correct else 0.0)
+    return _linear_fit_rms(np.log(left), z)
+
+
+def _gap_rms(t: np.ndarray, logg: np.ndarray, correct: bool):
+    """u -> the rms of ``_rate_fit_at`` at T = t[-1] + e^u: what the blow-up
+    time is scanned on."""
+    t_end = t[-1]
+    return lambda u: _rate_fit_at(t, logg, t_end + np.exp(u), correct)[1]
+
+
+def _bounded_minimum(func, lo, hi, xatol: float):
+    """Brent's bounded minimiser of ``func`` on [lo, hi]: golden-section
+    steps, parabolic where the parabola is acceptable (R. P. Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 5, as in
+    ``fminbound``).  Returns (x, number of evaluations).
+
+    A step-for-step port of ``_minimize_scalar_bounded`` from scipy 1.17.1
+    (``scipy/optimize/_optimize.py``; BSD-3-Clause licence, Copyright (c)
+    2001-2002 Enthought, Inc., 2003 SciPy Developers), without its printing,
+    status flag and result object: every comparison, the sign rule and the
+    500-evaluation stop are scipy's, so x and the count are scipy's bitwise,
+    and the fit needs no ``scipy.optimize`` import.
+    """
+    maxfun = 500
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # a parabola through the three best points
+        if np.abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            # its minimum is acceptable inside the bracket
+            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, num
+
+
 def blowup_rate_fit(times, grad_norms) -> RateFit:
     """Joint least squares of ||grad v|| ~ C (T - t)^(-alpha).
 
@@ -382,43 +483,30 @@ def blowup_rate_fit(times, grad_norms) -> RateFit:
     relative improvement of the fit residual when the sqrt(ln |ln(T-t)|)
     factor of the log-log law is included.
     """
-    from scipy.optimize import minimize_scalar  # on first call: most runs never fit a rate
-
     t = np.asarray(times, dtype=float)
     g = np.asarray(grad_norms, dtype=float)
     if t.size < 20:
         raise DiagnosticsError("rate fit needs at least 20 samples")
+    if not (np.isfinite(t).all() and np.isfinite(g).all() and (g > 0).all()):
+        raise DiagnosticsError("rate fit needs finite times and positive finite gradient norms")
     if np.max(g) < 10.0 * np.min(g):
         raise DiagnosticsError("rate fit needs a decade of gradient growth")
     logg = np.log(g)
     t_end = t[-1]
     span = t_end - t[0]
 
-    def sum_sq(T, correct):
-        left = T - t
-        z = logg - (_lnln_correction(left) if correct else 0.0)
-        _, rms = _linear_fit_rms(np.log(left), z)
-        return rms
-
     # the basin can be a sliver just past the last sample, so scan the gap
     # log-uniformly before refining between the bracketing grid points
     u_grid = np.linspace(np.log(1e-9 * max(1.0, span)), np.log(2.0 * span), 120)
     out = {}
     for correct in (False, True):
-        rms_grid = np.array([sum_sq(t_end + np.exp(u), correct) for u in u_grid])
-        k = int(np.argmin(rms_grid))
+        rms_at = _gap_rms(t, logg, correct)
+        k = int(np.argmin([rms_at(u) for u in u_grid]))
         lo = u_grid[max(k - 1, 0)]
         hi = u_grid[min(k + 1, u_grid.size - 1)]
-        res = minimize_scalar(
-            lambda u: sum_sq(t_end + np.exp(u), correct),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-14},
-        )
-        T = t_end + float(np.exp(res.x))
-        left = T - t
-        z = logg - (_lnln_correction(left) if correct else 0.0)
-        coef, rms = _linear_fit_rms(np.log(left), z)
+        u, _ = _bounded_minimum(rms_at, lo, hi, 1e-14)
+        T = t_end + float(np.exp(u))
+        coef, rms = _rate_fit_at(t, logg, T, correct)
         out[correct] = (T, -float(coef[1]), float(np.exp(coef[0])), rms)
 
     T0, alpha0, c0, rms0 = out[False]

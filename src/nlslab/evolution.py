@@ -34,6 +34,7 @@ import scipy.fft as sfft
 from .grid import (
     ComplexField,
     GridSpec,
+    _rotation,
     grad_norm_sq,
     gradient_moments,
     gradient_values,
@@ -74,14 +75,6 @@ LADDER_LEVELS = 8
 DRIVE_FLOOR_LEVELS = 4
 # phases kept: a run steps on a few neighbouring levels at a time
 PHASE_CACHE_LEVELS = 4
-
-
-def _rotation(theta: np.ndarray) -> np.ndarray:
-    """cos(theta) + i sin(theta), written straight into one complex array."""
-    rot = np.empty(theta.shape, np.complex128)
-    np.cos(theta, out=rot.real)
-    np.sin(theta, out=rot.imag)
-    return rot
 
 
 def _nonlinear_half(values: np.ndarray, dt_half: float, p: float) -> np.ndarray:

@@ -153,6 +153,15 @@ def make_grid(d: int, extent: float, points: int) -> GridSpec:
     return GridSpec(d=d, extent=float(extent), points=int(points))
 
 
+def _rotation(theta: np.ndarray) -> np.ndarray:
+    """cos(theta) + i sin(theta), written straight into one complex array:
+    the phase factor of the nonlinear step and of the noise gauge."""
+    rot = np.empty(theta.shape, np.complex128)
+    np.cos(theta, out=rot.real)
+    np.sin(theta, out=rot.imag)
+    return rot
+
+
 # ---------------------------------------------------------------------------
 # spectral derivatives
 
@@ -378,12 +387,15 @@ def read_rows(fh, ndmin: int = 0) -> np.ndarray:
 
 def read_snapshot(path):
     """Read a snapshot file; returns (ComplexField, t).  A header or body that
-    does not parse, or a grid the grid model refuses, is a GridError."""
+    does not parse, a time or value not finite (a run writes none), or a
+    grid the grid model refuses, is a GridError."""
     try:
         with open(path) as fh:
             d, n, extent, t = fh.readline().strip().split(",")
             grid = make_grid(int(d), float(extent), int(n))
             data = read_rows(fh)
+        if not math.isfinite(float(t)):
+            raise ValueError(f"time {t} is not finite")
         # the (re, im) pairs as complex128, bit for bit (signed zeros included)
         values = data.view(np.complex128).reshape(grid.shape)
         return ComplexField(grid, values), float(t)

@@ -453,6 +453,8 @@ _DIAGNOSTICS_COLUMNS = (
     ("grad_norm", "grad_norm"), ("lambda", "lam"), ("center", "center"),
     ("loc_mass", "loc_mass"), ("residual", "residual"),
 )
+# the one column a run writes nan in: lambda, without grad_ref
+_MAY_BE_NAN = ("lambda",)
 _PATH_COLUMNS = (("t", "times"), ("B", "noise_values"))
 _HEVO_COLUMNS = (
     ("t", "times"), ("hamiltonian", "hamiltonian"), ("smear", "smear"),
@@ -477,7 +479,8 @@ def _columns(traj: Trajectory, layout) -> dict:
 
 def _read_series(path: Path, layout) -> dict:
     """The series ``_columns`` gave ``write_csv``, bitwise; a header not the
-    layout's, no rows, or a value not a number is a TrajectoryError."""
+    layout's, no rows, a value not a number, or a non-finite value where a
+    run writes finite ones is a TrajectoryError."""
     try:
         with open(path) as fh:
             header = fh.readline().rstrip("\n").split(",")
@@ -488,6 +491,10 @@ def _read_series(path: Path, layout) -> dict:
             data = read_rows(fh, ndmin=2)
         if data.shape[1] != len(header):
             raise ValueError(f"{data.shape[1]} values per row, {len(header)} columns")
+        ok = np.isfinite(data) | (np.isnan(data) & np.isin(header, _MAY_BE_NAN))
+        if not ok.all():
+            row, col = np.argwhere(~ok)[0]
+            raise ValueError(f"{header[col]} of row {row + 1} is {data[row, col]}, not finite")
     except ValueError as exc:
         raise TrajectoryError(f"damaged trajectory: {path}: {exc}") from exc
     cols = iter(np.ascontiguousarray(data.T))

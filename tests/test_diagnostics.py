@@ -3,6 +3,8 @@ import pytest
 
 from nlslab.diagnostics import (
     DiagnosticsError,
+    _bounded_minimum,
+    _gap_rms,
     banica_sweep,
     blowup_rate_fit,
     build_cutoff,
@@ -238,19 +240,31 @@ def test_modulation_rejects_zero(profile, grid):
 # rate fits
 
 
-def test_rate_fit_synthetic_pseudoconformal():
+def _pseudo_conformal_series():
     t = np.linspace(0, 0.99, 120)
-    fit = blowup_rate_fit(t, 2.0 / (1.0 - t))
+    return t, 2.0 / (1.0 - t)
+
+
+def _loglog_series():
+    left = np.logspace(-6, -0.7, 150)[::-1]
+    return 1.0 - left, np.sqrt(np.log(np.abs(np.log(left))) / left)
+
+
+def _series_rms(series, correct: bool):
+    """The rate fit's objective of u = log(T - t_end) on a synthetic series."""
+    t, g = series()
+    return _gap_rms(t, np.log(g), correct)
+
+
+def test_rate_fit_synthetic_pseudoconformal():
+    fit = blowup_rate_fit(*_pseudo_conformal_series())
     assert abs(fit.alpha - 1.0) < 1e-6
     assert abs(fit.t_est - 1.0) < 1e-6
     assert classify_rate(fit) == "pseudoconformal"
 
 
 def test_rate_fit_synthetic_loglog():
-    left = np.logspace(-6, -0.7, 150)[::-1]
-    t = 1.0 - left
-    g = np.sqrt(np.log(np.abs(np.log(left))) / left)
-    fit = blowup_rate_fit(t, g)
+    fit = blowup_rate_fit(*_loglog_series())
     assert 0.45 <= fit.alpha <= 0.6
     assert fit.loglog_score > 0
     assert classify_rate(fit) == "loglog"
@@ -271,6 +285,55 @@ def test_rate_fit_preconditions():
         blowup_rate_fit(t, np.full(30, 2.0))  # no growth
     with pytest.raises(DiagnosticsError):
         blowup_rate_fit(t[:10], 1.0 / (1.0 - t[:10]))  # too few samples
+
+
+@pytest.mark.parametrize("series, bad", [
+    ("times", np.nan), ("times", np.inf), ("times", -np.inf),
+    ("grad_norms", np.nan), ("grad_norms", np.inf), ("grad_norms", -np.inf),
+    ("grad_norms", 0.0), ("grad_norms", -1.0),
+])
+def test_rate_fit_refuses_samples_it_cannot_fit(series, bad):
+    # the bounded search would otherwise minimise a NaN objective
+    t, g = _pseudo_conformal_series()
+    (t if series == "times" else g)[60] = bad
+    with pytest.raises(DiagnosticsError, match="finite"):
+        blowup_rate_fit(t, g)
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda x: (x - 0.3) ** 2, -1.0, 2.0),
+    (lambda x: abs(x - 0.7), -1.0, 2.0),
+    (lambda x: x, -1.0, 2.0),
+    (lambda x: -x, -1.0, 2.0),
+    (lambda x: 1.0, -1.0, 2.0),
+    (lambda x: np.nan, -1.0, 2.0),
+    (lambda x: np.nan if x > 0.5 else (x - 0.2) ** 2, -1.0, 2.0),
+    (_series_rms(_pseudo_conformal_series, False), -21.0, 0.7),
+    (_series_rms(_pseudo_conformal_series, True), -21.0, 0.7),
+    (_series_rms(_loglog_series, False), -21.0, 0.4),
+    (_series_rms(_loglog_series, True), -21.0, 0.4),
+], ids=["parabola", "abs", "min_at_lower", "min_at_upper", "constant", "nan", "nan_past_half",
+        "pseudoconformal_rms", "pseudoconformal_loglog_rms", "loglog_rms", "loglog_loglog_rms"])
+def test_bounded_minimum_is_scipys_bitwise(f, lo, hi):
+    # the port against the scipy 1.17.1 search it was taken from, loaded here only
+    from scipy.optimize import minimize_scalar
+
+    want = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-14})
+    x, nfev = _bounded_minimum(f, lo, hi, 1e-14)
+    assert np.float64(x).tobytes() == np.float64(want.x).tobytes()
+    assert nfev == want.nfev
+
+
+def test_rate_fit_pinned():
+    # the fits the scipy.optimize search gave, bit for bit
+    assert repr(blowup_rate_fit(*_pseudo_conformal_series())) == (
+        "RateFit(t_est=np.float64(0.9999999999009562), alpha=0.9999999990651446, "
+        "amplitude=2.0000000007968652, loglog_score=-170438546.09764272)"
+    )
+    assert repr(blowup_rate_fit(*_loglog_series())) == (
+        "RateFit(t_est=np.float64(1.0000006702596602), alpha=0.5584947395911856, "
+        "amplitude=0.877649860544287, loglog_score=0.9999999231549677)"
+    )
 
 
 def test_extrapolate_blowup_time_exact_on_linear():

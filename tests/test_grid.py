@@ -219,14 +219,15 @@ print([m for m in mods if m in sys.modules])
 
 def test_import_does_not_load_scipy_signal():
     # scipy.signal takes about 1.6 s to import, more than the whole package;
-    # the solver modules are loaded by the one function that calls each
+    # the solver modules are loaded by the one function that calls each, and
+    # the rate fit calls none
     pkg_root = str(Path(nlslab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.splitlines() == ["[]", "['scipy.optimize']"]
+    assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_snapshot_roundtrip(tmp_path):

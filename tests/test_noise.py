@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,22 @@ def test_coefficient_structure(grid):
     rng = np.random.default_rng(1)
     v = rng.standard_normal(512) + 1j * rng.standard_normal(512)
     assert np.abs(np.abs(gauge * v) - np.abs(v)).max() < 1e-15 * np.abs(v).max()
+
+
+@pytest.mark.parametrize("d, n", [(1, 512), (1, 1024), (1, 4096), (2, 256)])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 100.0])
+def test_coefficient_fields_bitwise_complex_exp(d, n, scale):
+    # the factor is built as cos + i sin, bitwise np.exp(1j * psi) for every
+    # psi a profile set gives (a sum started at +0, so never -0)
+    g = make_grid(d, 40, n)
+    rng = np.random.default_rng(n)
+    prof = replace(
+        build_profiles(ProfileSpec(kind="schwartz", amplitude=0.5, n_modes=2), g),
+        phi=[rng.standard_normal(g.shape) for _ in range(2)],
+    )
+    w = scale * rng.standard_normal(2)
+    want = np.exp(1j * prof.psi(w))
+    assert coefficient_fields(prof, w).tobytes() == want.tobytes()
 
 
 def test_coefficients_vanish_at_flat_points(grid):

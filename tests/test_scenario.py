@@ -579,9 +579,9 @@ def test_ensemble_exit_3_when_mass_drift_reaches_budget(tmp_path, monkeypatch):
     assert summary["max_mass_drift"] == 1e-12
 
 
-def _cli(args, cwd, env=None):
-    # The child runs in ``cwd``, where a relative PYTHONPATH (such as the
-    # ``src`` of an uninstalled checkout) no longer resolves.  Put the
+def _child_env(env=None) -> dict:
+    # A child may run in another directory, where a relative PYTHONPATH (such
+    # as the ``src`` of an uninstalled checkout) no longer resolves.  Put the
     # directory holding the package under test first, so the child runs the
     # same ``nlslab`` the suite imported.
     e = dict(os.environ)
@@ -589,11 +589,14 @@ def _cli(args, cwd, env=None):
     e["PYTHONPATH"] = os.pathsep.join(
         [pkg_root, *filter(None, e.get("PYTHONPATH", "").split(os.pathsep))]
     )
-    if env:
-        e.update(env)
+    e.update(env or {})
+    return e
+
+
+def _cli(args, cwd, env=None):
     return subprocess.run(
         [sys.executable, "-m", "nlslab.cli", *args],
-        cwd=cwd, env=e, capture_output=True, text=True,
+        cwd=cwd, env=_child_env(env), capture_output=True, text=True,
     )
 
 
@@ -729,26 +732,31 @@ def _drop_column(lines, name):
 
 
 # (file under the run directory, damage to its lines), the lines written
-# back in Latin-1: a snapshot header extent nan, a header field abc, a body
-# value abc, a truncated body and a body cut away; hevo.csv cut to 2 rows or
-# without its smear_1 column; diagnostics.csv emptied, cut to its header,
-# without its loc_mass column or with a value x; config.txt not UTF-8
+# back in Latin-1: a snapshot header extent nan or time inf, a header field
+# abc, a body value abc or nan, a truncated body and a body cut away;
+# hevo.csv cut to 2 rows, without its smear_1 column or with a time -inf;
+# diagnostics.csv emptied, cut to its header, without its loc_mass column or
+# with a value x; config.txt not UTF-8
 @pytest.mark.parametrize("name, damage", [
     ("traj_000/snapshot_final.txt", lambda lines: [lines[0].replace(",40,", ",nan,", 1)] + lines[1:]),
+    ("traj_000/snapshot_final.txt", lambda lines: [lines[0].rsplit(",", 1)[0] + ",inf"] + lines[1:]),
     ("traj_000/snapshot_final.txt", lambda lines: [lines[0].replace(",256,", ",abc,", 1)] + lines[1:]),
     ("traj_000/snapshot_final.txt", lambda lines: lines[:9] + ["abc,0"] + lines[10:]),
+    ("traj_000/snapshot_final.txt", lambda lines: lines[:9] + ["nan,0"] + lines[10:]),
     ("traj_000/snapshot_final.txt", lambda lines: lines[:100]),
     ("traj_000/snapshot_final.txt", lambda lines: lines[:1]),
     ("traj_000/hevo.csv", lambda lines: lines[:3]),
     ("traj_000/hevo.csv", lambda lines: _drop_column(lines, "smear_1")),
+    ("traj_000/hevo.csv", lambda lines: lines[:5] + ["-inf" + lines[5][lines[5].index(","):]] + lines[6:]),
     ("traj_000/diagnostics.csv", lambda lines: []),
     ("traj_000/diagnostics.csv", lambda lines: lines[:1]),
     ("traj_000/diagnostics.csv", lambda lines: _drop_column(lines, "loc_mass")),
     ("traj_000/diagnostics.csv", lambda lines: lines[:5] + ["x" + lines[5][1:]] + lines[6:]),
     ("config.txt", lambda lines: lines + ["# caf\xe9"]),
-], ids=["extent_nan", "header_abc", "body_abc", "body_truncated", "body_empty",
-        "hevo_two_rows", "hevo_no_smear_1", "diagnostics_empty", "diagnostics_header_only",
-        "diagnostics_no_loc_mass", "diagnostics_value_x", "config_not_utf8"])
+], ids=["extent_nan", "time_inf", "header_abc", "body_abc", "body_nan", "body_truncated",
+        "body_empty", "hevo_two_rows", "hevo_no_smear_1", "hevo_time_inf", "diagnostics_empty",
+        "diagnostics_header_only", "diagnostics_no_loc_mass", "diagnostics_value_x",
+        "config_not_utf8"])
 def test_diagnose_damaged_trajectory_exit_2(tmp_path, gauge_run, name, damage):
     run_dir = tmp_path / "run"
     shutil.copytree(gauge_run, run_dir)
@@ -777,23 +785,72 @@ evolve.dt0 = 1e-3
 evolve.cadence = 50
 """
 
+# a bubble resolved below a tenth of its width on a small box: its
+# ||grad v|| grows by a decade, so scenario run and diagnose fit a rate
+FIT_BUBBLE = """
+scenario.kind = critical_blowup
+grid.d = 1
+grid.L = 16
+grid.N = 512
+blowup.T = 1.0
+blowup.bubbles = 0:1:0
+evolve.t1 = 1.0
+evolve.dt0 = 2e-3
+evolve.width_factor = 2
+evolve.cadence = 1000
+"""
+
 # every file each run directory holds before diagnose writes into it
 _RUN_FILES = {
     "bubble": ("config.txt", "profile_residuals.csv", "summary.json",
                "traj_000/diagnostics.csv", "traj_000/snapshot_final.txt"),
+    "fit": ("config.txt", "profile_residuals.csv", "summary.json",
+            "traj_000/diagnostics.csv", "traj_000/snapshot_final.txt", "virial.csv"),
     "gauge": ("config.txt", "hevo_residual.csv", "summary.json", "traj_000/diagnostics.csv",
               "traj_000/hevo.csv", "traj_000/path.csv", "traj_000/snapshot_final.txt"),
 }
 
 
 @pytest.fixture(scope="module")
-def intact_runs(tmp_path_factory, gauge_run):
+def fit_run(tmp_path_factory):
+    """The run directory of ``FIT_BUBBLE``, whose battery fits a rate."""
+    out = tmp_path_factory.mktemp("fit") / "run"
+    summary, code = run_scenario(build_scenario(parse_config_text(FIT_BUBBLE)), out)
+    assert code == 0 and summary["T_est"] is not None
+    return out
+
+
+DIAGNOSE_PROBE = """
+import sys
+import nlslab.cli
+nlslab.cli.main(["diagnose", sys.argv[1]], standalone_mode=False)
+mods = ("scipy.signal", "scipy.optimize", "scipy.integrate", "scipy.interpolate")
+print([m for m in mods if m in sys.modules])
+"""
+
+
+def test_diagnose_of_a_rate_fit_loads_no_solver_module(fit_run, tmp_path):
+    # the rate fit's bounded search is the package's own: a fresh process
+    # that diagnoses a blow-up run loads scipy.fft and no solver module
+    run_dir = tmp_path / "run"
+    shutil.copytree(fit_run, run_dir)
+    out = subprocess.run(
+        [sys.executable, "-c", DIAGNOSE_PROBE, str(run_dir)],
+        env=_child_env(), capture_output=True, text=True, check=True,
+    )
+    report, mods = out.stdout.splitlines()
+    assert json.loads(report)["T_est"] is not None
+    assert mods == "[]"
+
+
+@pytest.fixture(scope="module")
+def intact_runs(tmp_path_factory, gauge_run, fit_run):
     """(run directory, the report.json diagnose writes on it intact) of a
-    deterministic bubble and of a noise run."""
+    deterministic bubble, of one that fits a rate, and of a noise run."""
     bubble = tmp_path_factory.mktemp("bubble") / "run"
     assert run_scenario(build_scenario(parse_config_text(ROW_CUT_BUBBLE)), bubble)[1] == 0
     runs = {}
-    for name, run_dir in (("bubble", bubble), ("gauge", gauge_run)):
+    for name, run_dir in (("bubble", bubble), ("fit", fit_run), ("gauge", gauge_run)):
         files = sorted(str(p.relative_to(run_dir)) for p in run_dir.rglob("*") if p.is_file())
         assert files == sorted(_RUN_FILES[name])
         scratch = tmp_path_factory.mktemp(f"{name}_report") / "run"
@@ -803,9 +860,14 @@ def intact_runs(tmp_path_factory, gauge_run):
     return runs
 
 
+_NON_FINITE = ("nan", "inf", "-inf")
+
+
 def _damage(text: str, damage: str, at: int, col: int) -> str:
     """``text`` cut at a character or after a line, emptied, without one
-    comma-separated column, or with a body or header field not a number."""
+    comma-separated column, with a body or header field not a number, or
+    with a body field not finite (``_NON_FINITE``: a run writes none, bar
+    ``lambda`` without a reference gradient)."""
     lines = text.splitlines(keepends=True)
     if damage == "cut":
         return text[: at % len(text)]
@@ -821,7 +883,7 @@ def _damage(text: str, damage: str, at: int, col: int) -> str:
             ",".join(f for i, f in enumerate(line.rstrip("\n").split(",")) if i != j) + "\n"
             for line in lines
         )
-    fields[j] = "x"
+    fields[j] = damage if damage in _NON_FINITE else "x"
     lines[row] = ",".join(fields) + "\n"
     return "".join(lines)
 
@@ -829,13 +891,16 @@ def _damage(text: str, damage: str, at: int, col: int) -> str:
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(
     st.sampled_from([(run, name) for run, names in _RUN_FILES.items() for name in names]),
-    st.sampled_from(["cut", "rows", "empty", "drop_column", "value", "header"]),
+    st.sampled_from(["cut", "rows", "empty", "drop_column", "value", "header", *_NON_FINITE]),
     st.integers(0, 2**20),
     st.integers(0, 64),
 )
 # diagnostics.csv cut to 200 of its lines, at a row boundary: every file
 # keeps its layout, so only the final snapshot's time tells
 @example(("bubble", "traj_000/diagnostics.csv"), "rows", 200, 0)
+# t = nan in row 1000 of a run that fits a rate: the fit's least squares
+# would fail inside LAPACK
+@example(("fit", "traj_000/diagnostics.csv"), "nan", 999, 0)
 def test_diagnose_damaged_run_refused_or_unchanged(intact_runs, target, damage, at, col):
     # a damaged run directory is refused with one line (exit 2), or, when
     # diagnose does not read the damaged file, reported as if intact
