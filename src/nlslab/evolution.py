@@ -29,11 +29,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.fft as sfft
 
 from .grid import (
     ComplexField,
     GridSpec,
+    _c2c,
     _rotation,
     grad_norm_sq,
     gradient_moments,
@@ -128,10 +128,10 @@ def _linear_full(grid: GridSpec, values: np.ndarray, dt: float) -> np.ndarray:
     """
     phase = _phase(grid, dt, _REAL)  # carries the inverse's 1/N^d
     if _LONGDOUBLE:
-        # 1-d: fft/ifft, the transforms fftn/ifftn make there
-        fwd, inv = (sfft.fft, sfft.ifft) if grid.d == 1 else (sfft.fftn, sfft.ifftn)
-        out = inv(phase * fwd(values.astype(np.clongdouble)), norm="forward")
-        return out.astype(np.complex128)
+        axes = tuple(range(grid.d))
+        vhat = values.astype(np.clongdouble)
+        vhat = phase * _c2c(vhat, True, axes, out=vhat)
+        return _c2c(vhat, False, axes, out=vhat).astype(np.complex128)
     return np.fft.ifftn(phase * np.fft.fftn(values), norm="forward")
 
 

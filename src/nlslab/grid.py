@@ -10,12 +10,15 @@ spectrally accurate for smooth decaying fields.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft as sfft
 
 
 class GridError(ValueError):
@@ -163,6 +166,57 @@ def _rotation(theta: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# transforms
+
+
+def _load_pocketfft():
+    """scipy's compiled pocketfft (M. Reinecke's FFT), loaded from its file.
+
+    ``import scipy.fft`` costs about 0.2 s and 27 MB, nearly all of it in
+    modules no transform uses (the array-API layer loads numpy.f2py and
+    numpy.testing; fftlog loads scipy.special).  scipy 1.4 through 1.17.1
+    keep the extension at ``scipy/fft/_pocketfft/pypocketfft<suffix>``, with
+    ``c2c(a, axes, forward, inorm, out, nthreads)`` and
+    ``good_size(target, real)``; scipy.fft's functions are thin wrappers
+    around these two.  The module is registered under its own name before
+    it runs, so a later ``import scipy.fft`` reuses this module object, and
+    one that ran first is reused here.  Where the file is not found the
+    normal import loads the same module.
+    """
+    name = "scipy.fft._pocketfft.pypocketfft"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")  # does not import scipy
+    for root in getattr(scipy_spec, "submodule_search_locations", None) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "fft", "_pocketfft", "pypocketfft" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(name, path)
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[name] = module
+                spec.loader.exec_module(module)
+                return module
+    from scipy.fft._pocketfft import pypocketfft
+
+    return pypocketfft
+
+
+_pocketfft = _load_pocketfft()
+
+
+def _c2c(a: np.ndarray, forward: bool, axes=(-1,), inorm: int = 0, out=None) -> np.ndarray:
+    """pocketfft's complex transform of ``a`` along ``axes``, bitwise
+    scipy.fft's fft/ifft (one axis) and fftn/ifftn (all axes).
+
+    ``inorm`` 0 is unscaled (scipy's forward default and its inverse with
+    ``norm="forward"``), 2 divides by n (its inverse default).  ``out`` may
+    be ``a`` itself, which gives the same bits.  One thread, as scipy.fft's
+    default ``workers``.
+    """
+    return _pocketfft.c2c(a, axes, forward, inorm, out, 1)
+
+
+# ---------------------------------------------------------------------------
 # spectral derivatives
 
 
@@ -171,8 +225,9 @@ def gradient_values(grid: GridSpec, values: np.ndarray) -> list:
     ik = _spectral(grid).ik
     if grid.d == 1:
         # the transform numpy's fftn makes, bitwise, with less wrapper cost;
-        # for complex input only (scipy's real-input transform differs)
-        return [sfft.ifft(ik[0] * sfft.fft(values))]
+        # for complex input only (pocketfft's real-input transform differs)
+        vhat = ik[0] * _c2c(values, True)
+        return [_c2c(vhat, False, inorm=2, out=vhat)]
     vhat = np.fft.fftn(values)
     return [np.fft.ifftn(ikj * vhat) for ikj in ik]
 
@@ -185,7 +240,7 @@ def gradient_moments(grid: GridSpec, values: np.ndarray) -> tuple:
     ``gradient_values`` to rounding.
     """
     sp = _spectral(grid)
-    vhat = sfft.fft(values) if grid.d == 1 else np.fft.fftn(values)  # as gradient_values
+    vhat = _c2c(values, True) if grid.d == 1 else np.fft.fftn(values)  # as gradient_values
     power = vhat.real**2 + vhat.imag**2
     scale = grid.dvol / power.size
     grad_sq = float(np.sum(sp.k_squared * power)) * scale
@@ -304,7 +359,7 @@ def _chirp_z(grid: GridSpec, chat: np.ndarray, start: float, step: float, count:
     r = step / grid.extent
     q = np.arange(-half, half + 1, dtype=float)
     m = np.arange(count, dtype=float)
-    size = sfft.next_fast_len(count + n)
+    size = _pocketfft.good_size(count + n, False)
     lag = np.arange(-n, count)  # m - (q + N/2), stored modulo size
     chirp = np.zeros(size, dtype=np.complex128)
     chirp[lag % size] = np.exp(-1j * np.pi * _half_turns(r, (lag + float(half)) ** 2))
@@ -312,9 +367,11 @@ def _chirp_z(grid: GridSpec, chat: np.ndarray, start: float, step: float, count:
     pre[0] *= 0.5
     pre[-1] *= 0.5
     coef *= pre
-    spec = sfft.fft(coef, size, axis=-1)
-    spec *= sfft.fft(chirp)
-    conv = sfft.ifft(spec, axis=-1, overwrite_x=True)[..., :count]
+    spec = np.zeros(coef.shape[:-1] + (size,), dtype=np.complex128)
+    spec[..., : coef.shape[-1]] = coef
+    _c2c(spec, True, out=spec)
+    spec *= _c2c(chirp, True, out=chirp)
+    conv = _c2c(spec, False, inorm=2, out=spec)[..., :count]
     return conv * (np.exp(1j * np.pi * _half_turns(r, m * m)) / n)
 
 

@@ -12,6 +12,8 @@ from nlslab.grid import (
     ComplexField,
     GridError,
     GridSpec,
+    _c2c,
+    _pocketfft,
     _spectral,
     fourier_interp_axes,
     gradient_moments,
@@ -208,26 +210,143 @@ IMPORT_PROBE = """
 import sys
 import numpy as np
 import nlslab.cli
-from nlslab.diagnostics import blowup_rate_fit
-mods = ("scipy.signal", "scipy.optimize", "scipy.integrate", "scipy.interpolate")
+from nlslab.diagnostics import blowup_rate_fit, modulation_fit
+from nlslab.evolution import step_strang
+from nlslab.ground_state import ground_profile
+from nlslab.grid import ComplexField, make_grid
+mods = ("scipy.signal", "scipy.optimize", "scipy.integrate", "scipy.interpolate",
+        "scipy.fft", "scipy.special", "scipy._lib._array_api", "numpy.f2py")
 print([m for m in mods if m in sys.modules])
 t = np.linspace(0.0, 0.9, 40)
 blowup_rate_fit(t, (1.0 - t) ** -1.0)  # a decade of growth
+profile = ground_profile(1)
+f = profile.sample(make_grid(1, 20.0, 256))
+for _ in range(3):
+    f = step_strang(f, 1e-3, 5.0)  # the long-double pair, where the platform has one
+modulation_fit(f, profile)  # the 1-d gradient and the chirp-z interpolation
+g2 = make_grid(2, 10.0, 16)
+step_strang(ComplexField(g2, np.exp(-g2.radius_squared())), 1e-3, 3.0)
 print([m for m in mods if m in sys.modules])
+print("scipy.fft._pocketfft.pypocketfft" in sys.modules)
 """
+
+
+def _run_probe(code: str, *args) -> list:
+    """Standard output lines of ``code`` run in a fresh interpreter that
+    imports the package under test."""
+    pkg_root = str(Path(nlslab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.splitlines()
 
 
 def test_import_does_not_load_scipy_signal():
     # scipy.signal takes about 1.6 s to import, more than the whole package;
     # the solver modules are loaded by the one function that calls each, and
-    # the rate fit calls none
-    pkg_root = str(Path(nlslab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True, check=True
+    # the rate fit calls none.  The transforms run on scipy's pocketfft
+    # extension, loaded from its file: scipy.fft's package (0.2 s, 27 MB,
+    # with scipy.special and numpy.f2py) is not imported
+    assert _run_probe(IMPORT_PROBE) == ["[]", "[]", "True"]
+
+
+ORDER_PROBE = """
+import sys
+import numpy as np
+if sys.argv[1] == "scipy first":
+    import scipy.fft
+    import nlslab.grid
+else:
+    import nlslab.grid
+    import scipy.fft
+from scipy.fft._pocketfft import basic
+x = np.arange(8.0) + 0.5j
+print(sys.modules["scipy.fft._pocketfft.pypocketfft"] is nlslab.grid._pocketfft)
+print(basic.pfft is nlslab.grid._pocketfft)
+print(np.array_equal(scipy.fft.fft(x), np.fft.fft(x)))
+"""
+
+
+@pytest.mark.parametrize("first", ["nlslab first", "scipy first"])
+def test_pocketfft_module_is_shared_with_scipy_fft(first):
+    # one extension module whichever is imported first: scipy.fft reuses the
+    # one the package loaded, and the package reuses scipy's
+    assert _run_probe(ORDER_PROBE, first) == ["True"] * 3
+
+
+FALLBACK_PROBE = """
+import importlib.machinery
+import sys
+if sys.argv[1] == "no file":
+    importlib.machinery.EXTENSION_SUFFIXES.clear()  # the file lookup finds nothing
+import numpy as np
+from nlslab.evolution import step_strang
+from nlslab.grid import ComplexField, _pocketfft, make_grid
+print("scipy.fft" in sys.modules, _pocketfft is sys.modules["scipy.fft._pocketfft.pypocketfft"])
+g = make_grid(1, 40.0, 1024)
+rng = np.random.default_rng(1024)
+v = 3.0 * (rng.standard_normal(1024) + 1j * rng.standard_normal(1024)) * np.exp(-g.radius_squared())
+print(step_strang(ComplexField(g, v), 1e-3, 5.0).values.tobytes().hex())
+"""
+
+
+def test_pocketfft_falls_back_to_the_normal_import():
+    # without the file the normal import (through scipy.fft) loads the same
+    # extension, and a step gives the same bits
+    flags, step = _run_probe(FALLBACK_PROBE, "file")
+    assert flags == "False True"
+    assert _run_probe(FALLBACK_PROBE, "no file") == ["True True", step]
+
+
+def _same_bits(a, b):
+    """Equal dtype, values and signs of zero: the same bits, for finite data
+    (long double's padding bytes are not compared)."""
+    return (
+        a.dtype == b.dtype
+        and np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
     )
-    assert out.stdout.splitlines() == ["[]", "[]"]
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+@pytest.mark.parametrize("d,n", [(1, 8), (1, 1024), (1, 4096), (2, 16), (2, 256)])
+def test_transform_is_scipy_fft_bitwise(d, n, dtype):
+    # scipy.fft, imported here only, is the oracle: each norm, contiguous and
+    # strided input, and the transform written over its own input
+    import scipy.fft as sfft
+
+    rng = np.random.default_rng(n)
+    w = (rng.standard_normal((2 * n,) * d) + 1j * rng.standard_normal((2 * n,) * d)).astype(dtype)
+    axes = tuple(range(d))
+    fwd, inv = (sfft.fft, sfft.ifft) if d == 1 else (sfft.fftn, sfft.ifftn)
+    for v in (np.ascontiguousarray(w[(slice(0, n),) * d]), w[(slice(None, None, 2),) * d]):
+        for norm, inorm in (("backward", 0), ("forward", 2)):
+            for forward, want in ((True, fwd(v, norm=norm)), (False, inv(v, norm=norm))):
+                scale = inorm if forward else 2 - inorm
+                assert _same_bits(_c2c(v, forward, axes, scale), want)
+                a = v.copy()
+                assert _same_bits(_c2c(a, forward, axes, scale, out=a), want)
+
+
+def test_chirp_z_padded_transform_is_scipy_fft_bitwise():
+    # the batched, zero-padded forward transform of ``_chirp_z``
+    import scipy.fft as sfft
+
+    rng = np.random.default_rng(7)
+    coef = rng.standard_normal((5, 257)) + 1j * rng.standard_normal((5, 257))
+    size = _pocketfft.good_size(300 + 256, False)
+    spec = np.zeros((5, size), dtype=np.complex128)
+    spec[..., :257] = coef
+    assert _same_bits(_c2c(spec, True, out=spec), sfft.fft(coef, size, axis=-1))
+
+
+def test_good_size_is_next_fast_len():
+    import scipy.fft as sfft
+
+    assert all(_pocketfft.good_size(n, False) == sfft.next_fast_len(n) for n in range(1, 10_001))
 
 
 def test_snapshot_roundtrip(tmp_path):
@@ -280,8 +399,8 @@ def test_snapshot_cut_within_its_last_line_is_refused(tmp_path):
 
 @pytest.mark.parametrize("d,n", [(1, 8), (1, 1024), (1, 4096), (2, 16)])
 def test_gradient_bitwise_equals_nd_transform(d, n):
-    # numpy.fft is the reference; 1-d runs on scipy.fft, bitwise equal for
-    # complex input, contiguous or strided
+    # numpy.fft is the reference; 1-d runs on scipy's pocketfft, bitwise
+    # equal for complex input, contiguous or strided
     g = make_grid(d, 40, n)
     rng = np.random.default_rng(n)
     w = rng.standard_normal((2 * n,) * d) + 1j * rng.standard_normal((2 * n,) * d)

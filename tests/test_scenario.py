@@ -824,23 +824,28 @@ DIAGNOSE_PROBE = """
 import sys
 import nlslab.cli
 nlslab.cli.main(["diagnose", sys.argv[1]], standalone_mode=False)
-mods = ("scipy.signal", "scipy.optimize", "scipy.integrate", "scipy.interpolate")
+mods = ("scipy.signal", "scipy.optimize", "scipy.integrate", "scipy.interpolate",
+        "scipy.fft", "scipy.special", "scipy._lib._array_api", "numpy.f2py")
 print([m for m in mods if m in sys.modules])
+print("scipy.fft._pocketfft.pypocketfft" in sys.modules)
 """
 
 
 def test_diagnose_of_a_rate_fit_loads_no_solver_module(fit_run, tmp_path):
-    # the rate fit's bounded search is the package's own: a fresh process
-    # that diagnoses a blow-up run loads scipy.fft and no solver module
+    # the rate fit's bounded search is the package's own and the transforms
+    # run on scipy's pocketfft extension, loaded from its file: a fresh
+    # process that diagnoses a blow-up run loads no solver module and not
+    # scipy.fft's package (nor scipy.special or numpy.f2py, which it pulls in)
     run_dir = tmp_path / "run"
     shutil.copytree(fit_run, run_dir)
     out = subprocess.run(
         [sys.executable, "-c", DIAGNOSE_PROBE, str(run_dir)],
         env=_child_env(), capture_output=True, text=True, check=True,
     )
-    report, mods = out.stdout.splitlines()
+    report, mods, pocketfft = out.stdout.splitlines()
     assert json.loads(report)["T_est"] is not None
     assert mods == "[]"
+    assert pocketfft == "True"
 
 
 @pytest.fixture(scope="module")
