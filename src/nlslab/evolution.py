@@ -39,6 +39,7 @@ from .grid import (
     gradient_moments,
     gradient_values,
     l2_norm_sq,
+    spectrum,
 )
 from .ground_state import ground_profile
 from .noise import (
@@ -295,8 +296,10 @@ class Trajectory:
     ``residual``.  A full run (not ``lean_record``) also records
     ``hamiltonian``, ``center``, ``loc_mass`` and ``momentum``, and a full
     noise run ``noise_values``, ``marty`` and ``smear``; a series a run does
-    not record is None.  Read back from a run directory, the momenta, the
-    stop reason and the profiles are None: they are not on disk.
+    not record is None.  Each series is a C-contiguous float64 array of
+    ``n_steps + 1`` rows, (n,) or (n, width).  Read back from a run directory,
+    the momenta, the stop reason and the profiles are None: they are not on
+    disk.
     """
 
     times: np.ndarray
@@ -354,9 +357,17 @@ def _ball_mass(grid: GridSpec, dens: np.ndarray, center, radius: float) -> float
     return float(np.sum(dens[grid.radius_squared(center) <= radius * radius])) * grid.dvol
 
 
+# rows a recorder's series hold at first; a series that fills doubles
+_RECORD_ROWS = 1024
+
+
 class _Recorder:
-    """Per-step series under their ``Trajectory`` names: the names a run
-    records are fixed here, once, by ``lean_record`` and the noise."""
+    """Per-step series under their ``Trajectory`` names, each one float64
+    array of ``_RECORD_ROWS`` rows at first, doubled whenever it fills; a
+    wide series (``center``, ``momentum``, the noise series) has one
+    d- or mode-wide row per step.  The names a run records are fixed here,
+    once, by ``lean_record`` and the noise: a lean record skips the momenta,
+    the gauged terms and the drive weights."""
 
     def __init__(self, config: EvolveConfig, profiles: Optional[NoiseProfileSet]):
         self.config = config
@@ -364,22 +375,31 @@ class _Recorder:
         self.profiles = profiles
         self.lean = config.lean_record
         self.gauged = profiles is not None and not self.lean
-        names = ["times", "mass", "grad_norm", "lam", "residual"]
-        names += [] if self.lean else ["hamiltonian", "loc_mass", "center", "momentum"]
-        names += ["noise_values", "marty", "smear"] if self.gauged else []
-        self.series = {name: [] for name in names}
+        d = self.grid.d
+        widths = dict.fromkeys(["times", "mass", "grad_norm", "lam", "residual"], ())
+        if not self.lean:
+            widths.update(hamiltonian=(), loc_mass=(), center=(d,), momentum=(d,))
+        if self.gauged:
+            widths.update(dict.fromkeys(["noise_values", "marty", "smear"], (profiles.n_modes,)))
+        self.series = {name: np.empty((_RECORD_ROWS, *w)) for name, w in widths.items()}
+        self.rows = 0
         self.snapshots = []
         self.mass0 = None
         # |grad phi_l|^2 per mode and axis, for the smear series
-        self.grad_phi_sq = None if profiles is None else [
-            [g**2 for g in grad] for grad in profiles.grad
-        ]
+        self.grad_phi_sq = [[g**2 for g in grad] for grad in profiles.grad] if self.gauged else None
 
-    def record(self, t: float, values: np.ndarray, weights, step: int):
-        """Record the state at t, after ``step`` steps; returns
-        (||grad v||, lambda)."""
+    def record(self, t: float, values: np.ndarray, weights):
+        """Record the state at t into the next row of every series (row n
+        after n steps); returns (||grad v||, lambda)."""
         grid = self.grid
         dvol = grid.dvol
+        s = self.series
+        n = self.rows
+        if n == len(s["times"]):
+            for name, rows in s.items():
+                s[name] = np.empty((2 * n, *rows.shape[1:]))
+                s[name][:n] = rows
+        self.rows = n + 1
         # |v| and |v|^2 once per step, shared by every sum below
         absv = np.abs(values)
         dens = absv**2
@@ -388,52 +408,53 @@ class _Recorder:
         if self.mass0 is None:
             self.mass0 = mass
 
-        row = {}
-        # one FFT, by Parseval; only the gauged-back terms need grad v pointwise
-        grad_sq, mom = gradient_moments(grid, values)
-        kinetic = grad_sq
-        if self.gauged:
-            kinetic, mom = self._gauged_back(values, dens, mom, weights, row)
-
+        # one forward transform: the Parseval sums here, and the gauged-back
+        # terms' pointwise gradient
+        vhat = spectrum(grid, values)
+        grad_sq, mom = gradient_moments(grid, vhat, momenta=not self.lean)
         grad_norm = math.sqrt(grad_sq)
         lam = self.config.grad_ref / grad_norm if (
             self.config.grad_ref is not None and grad_norm > 0
         ) else np.nan
-        row.update(times=t, mass=mass, grad_norm=grad_norm, lam=lam,
-                   residual=abs(mass - self.mass0) / self.mass0)
+        s["times"][n] = t
+        s["mass"][n] = mass
+        s["grad_norm"][n] = grad_norm
+        s["lam"][n] = lam
+        s["residual"][n] = abs(mass - self.mass0) / self.mass0
         if not self.lean:
+            s["momentum"][n] = mom
+            kinetic = self._gauged_back(values, vhat, dens, weights, n) if self.gauged else grad_sq
             # |v|^(2 + 4/d)
             lp_sum = float(np.sum(dens * dens if grid.d == 2 else dens * dens * dens)) * dvol
             center = peak_center(grid, absv)
-            row.update(hamiltonian=0.5 * kinetic - grid.d / (2.0 * grid.d + 4.0) * lp_sum,
-                       loc_mass=_ball_mass(grid, dens, center, 1.0), center=center, momentum=mom)
-        for name, rows in self.series.items():
-            rows.append(row[name])
+            s["hamiltonian"][n] = 0.5 * kinetic - grid.d / (2.0 * grid.d + 4.0) * lp_sum
+            s["loc_mass"][n] = _ball_mass(grid, dens, center, 1.0)
+            s["center"][n] = center
         cadence = self.config.cadence
-        if cadence is not None and step % cadence == 0:
+        if cadence is not None and n % cadence == 0:
             self.snapshots.append((t, ComplexField(grid, values.copy())))
         return grad_norm, lam
 
-    def _gauged_back(self, values, dens, mom, weights, row) -> tuple:
-        """Kinetic energy and momenta of the gauged-back field X = e^{i psi} v,
-        from v's momenta ``mom``; puts the weights and the Marty and smear
-        values in ``row``."""
+    def _gauged_back(self, values, vhat, dens, weights, n: int) -> float:
+        """Kinetic energy of the gauged-back field X = e^{i psi} v; adds the
+        gauge's share to row ``n`` of the momenta (v's) and fills row ``n``
+        of the weights and of the Marty and smear series."""
         grid = self.grid
         dvol = grid.dvol
-        grads = gradient_values(grid, values)
+        s = self.series
+        grads = gradient_values(grid, values, vhat)
         # gauge back: X = e^{i psi} v; |X| = |v|, grad X picks up i grad(psi) X
         gpsi = self.profiles.grad_psi(weights)
         kinetic = sum(
             float(np.sum(np.abs(g + 1j * gp * values) ** 2))
             for g, gp in zip(grads, gpsi)
         ) * dvol
-        mom = mom + np.array(
-            [float(np.sum(gp * dens)) * dvol for gp in gpsi]
-        )
+        mom = s["momentum"][n]
+        for j, gp in enumerate(gpsi):
+            mom[j] += float(np.sum(gp * dens)) * dvol
         # Im(v conj(d_j v)) does not depend on the mode
         cross = [(values * np.conj(g)).imag for g in grads]
-        marty_row, smear_row = [], []
-        for gl, gsq in zip(self.profiles.grad, self.grad_phi_sq):
+        for mode, (gl, gsq) in enumerate(zip(self.profiles.grad, self.grad_phi_sq)):
             # Im int X grad(conj X) . grad(phi_l) on the gauged-back field
             acc = 0.0
             sm = 0.0
@@ -441,19 +462,21 @@ class _Recorder:
                 acc += float(np.sum(cross[j] * gl[j]))
                 acc -= float(np.sum(gpsi[j] * gl[j] * dens))
                 sm += float(np.sum(gsq[j] * dens))
-            marty_row.append(acc * dvol)
-            smear_row.append(sm * dvol)
-        row.update(noise_values=np.array(weights, dtype=float), marty=marty_row, smear=smear_row)
-        return kinetic, mom
+            s["marty"][n, mode] = acc * dvol
+            s["smear"][n, mode] = sm * dvol
+        s["noise_values"][n] = weights
+        return kinetic
 
     def build(self, stop_reason: str, final_t, final_values) -> Trajectory:
         # the final state is always retained, whatever the snapshot policy
         if not self.snapshots or self.snapshots[-1][0] != final_t:
             self.snapshots.append((final_t, ComplexField(self.grid, final_values.copy())))
+        # a copy of the filled rows, which frees the spare ones: it measured
+        # a lower peak RSS than a view of the whole array
         return Trajectory(
             snapshots=self.snapshots, stop_reason=stop_reason,
             profiles=self.profiles,
-            **{name: np.array(rows) for name, rows in self.series.items()},
+            **{name: rows[:self.rows].copy() for name, rows in self.series.items()},
         )
 
 
@@ -491,8 +514,9 @@ def integrate(config: EvolveConfig) -> Trajectory:
         drive = _BrownianDrive(profiles.n_modes, config.noise.seed, t0, base_dt, end_pos)
 
     rec = _Recorder(config, profiles)
-    weights0 = drive.value(0) if drive is not None else None
-    g, lam = rec.record(t0, v, weights0, 0)
+    # the step-end weights: only the gauged record reads them
+    weights = drive.value(0) if rec.gauged else None
+    g, lam = rec.record(t0, v, weights)
     g0 = g
     if config.g_max <= g0:
         raise EvolveError("gradient stop threshold must exceed the initial gradient norm")
@@ -552,8 +576,8 @@ def integrate(config: EvolveConfig) -> Trajectory:
         v = v_new
         pos += dpos
         steps += 1
-        weights = drive.value(pos) if drive is not None else None
-        g, lam = rec.record(t0 + pos * unit, v, weights, steps)
+        weights = drive.value(pos) if rec.gauged else None
+        g, lam = rec.record(t0 + pos * unit, v, weights)
 
     return rec.build(stop_reason, t0 + pos * unit, v)
 

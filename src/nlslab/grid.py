@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -220,30 +220,39 @@ def _c2c(a: np.ndarray, forward: bool, axes=(-1,), inorm: int = 0, out=None) -> 
 # spectral derivatives
 
 
-def gradient_values(grid: GridSpec, values: np.ndarray) -> list:
-    """Spectral gradient components as raw arrays."""
+def spectrum(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """The forward transform of v that ``gradient_values`` and
+    ``gradient_moments`` share: pocketfft's in 1-d (bitwise numpy's fftn,
+    with less wrapper cost; for complex input only, as pocketfft's
+    real-input transform differs), numpy's fftn in 2-d."""
+    return _c2c(values, True) if grid.d == 1 else np.fft.fftn(values)
+
+
+def gradient_values(grid: GridSpec, values: np.ndarray, vhat: Optional[np.ndarray] = None) -> list:
+    """Spectral gradient components as raw arrays; ``vhat``, v's
+    ``spectrum`` when the caller has it, saves the forward transform."""
     ik = _spectral(grid).ik
+    vhat = spectrum(grid, values) if vhat is None else vhat
     if grid.d == 1:
-        # the transform numpy's fftn makes, bitwise, with less wrapper cost;
-        # for complex input only (pocketfft's real-input transform differs)
-        vhat = ik[0] * _c2c(values, True)
-        return [_c2c(vhat, False, inorm=2, out=vhat)]
-    vhat = np.fft.fftn(values)
+        g = ik[0] * vhat
+        return [_c2c(g, False, inorm=2, out=g)]
     return [np.fft.ifftn(ikj * vhat) for ikj in ik]
 
 
-def gradient_moments(grid: GridSpec, values: np.ndarray) -> tuple:
-    """||grad v||^2 and the momenta Im int conj(v) d_j v dx, by Parseval.
+def gradient_moments(grid: GridSpec, vhat: np.ndarray, momenta: bool = True) -> tuple:
+    """||grad v||^2 and the momenta Im int conj(v) d_j v dx (None without
+    ``momenta``), by Parseval from v's ``spectrum`` ``vhat``.
 
-    One forward transform; the spectral weights are the gradient's own
-    multipliers i k_j (Nyquist included), so the sums equal those over
-    ``gradient_values`` to rounding.
+    The spectral weights are the gradient's own multipliers i k_j (Nyquist
+    included), so the sums equal those over ``gradient_values`` to
+    rounding.
     """
     sp = _spectral(grid)
-    vhat = _c2c(values, True) if grid.d == 1 else np.fft.fftn(values)  # as gradient_values
     power = vhat.real**2 + vhat.imag**2
     scale = grid.dvol / power.size
     grad_sq = float(np.sum(sp.k_squared * power)) * scale
+    if not momenta:
+        return grad_sq, None
     momentum = np.array([float(np.sum(kj * power)) for kj in sp.k_mesh]) * scale
     return grad_sq, momentum
 

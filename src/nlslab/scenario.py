@@ -531,7 +531,8 @@ def read_trajectory(tdir) -> Trajectory:
     ``hevo.csv`` whose rows are not those of ``diagnostics.csv``, or a last
     ``t`` that is not the final snapshot's time (a cut at a row) raises
     TrajectoryError; a run without snapshots (``output.snapshots = none``)
-    has no time to check its rows against."""
+    has no time to check its rows against (``diagnose_run`` checks them
+    against the run's ``summary.json``)."""
     tdir = Path(tdir)
     if not (tdir / "diagnostics.csv").exists():
         raise TrajectoryError(f"no trajectory: {tdir} holds no diagnostics.csv")
@@ -723,12 +724,29 @@ def _residual_series(sc, traj, outdir, summary, prep: PreparedRun) -> None:
     summary["profile_residual_max_h1"] = float(np.max(h1s))
 
 
+def _check_step_count(summary: Path, traj: Trajectory, tdir: Path) -> None:
+    """``diagnostics.csv`` holds the ``n_steps + 1`` rows ``summary.json``
+    records: a cut at a row boundary keeps every file's layout, and
+    without a snapshot no final time shows it."""
+    try:
+        n_steps = json.loads(summary.read_text())["n_steps"]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise TrajectoryError(f"damaged trajectory: {summary} records no n_steps ({exc})") from exc
+    if type(n_steps) is not int or traj.times.size != n_steps + 1:
+        raise TrajectoryError(
+            f"damaged trajectory: {tdir / 'diagnostics.csv'} holds {traj.times.size} rows, "
+            f"not the n_steps + 1 of {summary} (n_steps = {n_steps!r})"
+        )
+
+
 def diagnose_run(run_dir: Path) -> dict:
     """The battery's checks that need no rerun, on the trajectory in
     ``run_dir/traj_000`` (or ``run_dir``), as ``report.json`` (also
     returned).  The ground profile is that of the snapshot's d and of the
     ``physics.p`` in ``run_dir/config.txt`` (critical without one); no other
     key of that file is read, so keys a later schema dropped do no harm.
+    Where ``scenario run`` left its ``summary.json``, the trajectory must
+    hold its ``n_steps + 1`` rows (``nlslab evolve`` writes none).
     ``banica_ok`` stays None without ``hevo.csv``: the momenta the other
     half of the sweep needs are not on disk."""
     run_dir = Path(run_dir)
@@ -742,6 +760,8 @@ def diagnose_run(run_dir: Path) -> dict:
     if not tdir.exists():
         tdir = run_dir
     traj = read_trajectory(tdir)
+    if (run_dir / "summary.json").exists():
+        _check_step_count(run_dir / "summary.json", traj, tdir)
     # first, so that an exponent the profile refuses stops before any file is written
     profile = run_profile(traj.final_state.grid.d, p) if traj.snapshots else None
     report = dict.fromkeys((

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from nlslab.evolution import (
     PHASE_CACHE_LEVELS,
     POS_LEVEL,
     _LONGDOUBLE,
+    _RECORD_ROWS,
     _BrownianDrive,
     _linear_full,
     _nonlinear_half,
@@ -581,3 +583,57 @@ def test_lean_record_keeps_the_clock_and_drops_the_rest():
     for key in ("hamiltonian", "center", "loc_mass", "momentum", "noise_values", "marty", "smear"):
         assert getattr(lean, key) is None
         assert getattr(full, key) is not None
+
+
+# every series a run may record: the lean five, then the full record's four,
+# then the gauged record's three
+_SERIES = ("times", "mass", "grad_norm", "lam", "residual",
+           "hamiltonian", "center", "loc_mass", "momentum",
+           "noise_values", "marty", "smear")
+
+
+def _gaussian_config(d, record, **kw):
+    """A fixed-step Gaussian below the critical mass on a coarse grid, so
+    that a run cheaply outgrows the recorder's first rows; the lean and
+    the gauged record run with noise."""
+    g = make_grid(d, 20, 64 if d == 1 else 16)
+    v0 = ComplexField(g, np.exp(-g.radius_squared() + 0.5j * g.mesh()[0]))
+    noise = None if record == "full" else NoiseSetup(
+        profiles=ProfileSpec(kind="schwartz", amplitude=0.2, n_modes=2), seed=5)
+    return EvolveConfig(p=1.0 + 4.0 / d, v0=v0, t0=0.0, t1=2.0, dt0=1e-3, adaptive=False,
+                        cadence=None, noise=noise, lean_record=record == "lean", **kw)
+
+
+@pytest.mark.parametrize("record", ["lean", "full", "gauged"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_record_growth_keeps_every_row_bitwise(d, record):
+    # a run past the recorder's first rows against one that stays below them
+    long = integrate(_gaussian_config(d, record, max_steps=_RECORD_ROWS + 100))
+    short = integrate(_gaussian_config(d, record, max_steps=_RECORD_ROWS // 2))
+    assert long.n_steps + 1 > _RECORD_ROWS > short.n_steps + 1
+    kept = _SERIES[:{"lean": 5, "full": 9, "gauged": 12}[record]]
+    assert [name for name in _SERIES if getattr(long, name) is not None] == list(kept)
+    widths = {"center": (d,), "momentum": (d,), "noise_values": (2,), "marty": (2,), "smear": (2,)}
+    for name in kept:
+        a, b = getattr(long, name), getattr(short, name)
+        assert a.dtype == np.float64 and a.flags.c_contiguous, name
+        assert a.shape == (long.n_steps + 1, *widths.get(name, ())), name
+        assert a[: short.n_steps + 1].tobytes() == b.tobytes(), name
+
+
+def test_record_memory_per_step():
+    # the series are preallocated float64 rows, with no Python object per
+    # step.  No noise here: a noise run samples its whole base path before
+    # the first step, so its peak grows with t1, not with the step count
+    g = make_grid(1, 20, 64)
+    v0 = ComplexField(g, np.exp(-g.radius_squared() + 0.5j * g.axis()))
+    cfg = EvolveConfig(p=5.0, v0=v0, t0=0.0, t1=2.0, dt0=1e-4, adaptive=False, cadence=None)
+    integrate(dataclasses.replace(cfg, max_steps=1))  # the grid's and the phase's caches
+    tracemalloc.start()
+    try:
+        traj = integrate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.n_steps == 20000 and traj.momentum is not None
+    assert peak / traj.n_steps < 300

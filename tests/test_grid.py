@@ -23,6 +23,7 @@ from nlslab.grid import (
     make_grid,
     norm_suite,
     read_snapshot,
+    spectrum,
     write_snapshot,
 )
 from nlslab.ground_state import closed_form_radial
@@ -197,13 +198,18 @@ def test_parseval_gradient_moments_match_gradient_sums(d, n):
     v = np.exp(-r2 + 1j * boost) + 1e-3 * (
         rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     )
-    grad_sq, momentum = gradient_moments(g, v)
+    vhat = spectrum(g, v)
+    grad_sq, momentum = gradient_moments(g, vhat)
     grads = gradient_values(g, v)
     want_sq = sum(float(np.sum(np.abs(gj) ** 2)) for gj in grads) * g.dvol
     want_mom = [float(np.sum((np.conj(v) * gj).imag)) * g.dvol for gj in grads]
     assert abs(grad_sq - want_sq) <= 1e-14 * want_sq
     for got, want in zip(momentum, want_mom):
         assert abs(got - want) <= 1e-14 * abs(want)
+    # the recorder's shared transform: the same gradient, bitwise, and the
+    # same ||grad v||^2 without the momenta
+    assert all(np.array_equal(a, b) for a, b in zip(gradient_values(g, v, vhat), grads))
+    assert gradient_moments(g, vhat, momenta=False) == (grad_sq, None)
 
 
 IMPORT_PROBE = """

@@ -726,40 +726,52 @@ def gauge_run(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def bare_run(tmp_path_factory):
+    """``ROW_CUT_BUBBLE`` without snapshots: 924 lines of diagnostics.csv."""
+    out = tmp_path_factory.mktemp("bare") / "run"
+    text = ROW_CUT_BUBBLE + "output.snapshots = none\n"
+    assert run_scenario(build_scenario(parse_config_text(text)), out)[1] == 0
+    assert len((out / "traj_000" / "diagnostics.csv").read_text().splitlines()) == 924
+    return out
+
+
 def _drop_column(lines, name):
     at = lines[0].split(",").index(name)
     return [",".join(f for i, f in enumerate(line.split(",")) if i != at) for line in lines]
 
 
-# (file under the run directory, damage to its lines), the lines written
+# (run, file under its directory, damage to its lines), the lines written
 # back in Latin-1: a snapshot header extent nan or time inf, a header field
 # abc, a body value abc or nan, a truncated body and a body cut away;
 # hevo.csv cut to 2 rows, without its smear_1 column or with a time -inf;
 # diagnostics.csv emptied, cut to its header, without its loc_mass column or
-# with a value x; config.txt not UTF-8
-@pytest.mark.parametrize("name, damage", [
-    ("traj_000/snapshot_final.txt", lambda lines: [lines[0].replace(",40,", ",nan,", 1)] + lines[1:]),
-    ("traj_000/snapshot_final.txt", lambda lines: [lines[0].rsplit(",", 1)[0] + ",inf"] + lines[1:]),
-    ("traj_000/snapshot_final.txt", lambda lines: [lines[0].replace(",256,", ",abc,", 1)] + lines[1:]),
-    ("traj_000/snapshot_final.txt", lambda lines: lines[:9] + ["abc,0"] + lines[10:]),
-    ("traj_000/snapshot_final.txt", lambda lines: lines[:9] + ["nan,0"] + lines[10:]),
-    ("traj_000/snapshot_final.txt", lambda lines: lines[:100]),
-    ("traj_000/snapshot_final.txt", lambda lines: lines[:1]),
-    ("traj_000/hevo.csv", lambda lines: lines[:3]),
-    ("traj_000/hevo.csv", lambda lines: _drop_column(lines, "smear_1")),
-    ("traj_000/hevo.csv", lambda lines: lines[:5] + ["-inf" + lines[5][lines[5].index(","):]] + lines[6:]),
-    ("traj_000/diagnostics.csv", lambda lines: []),
-    ("traj_000/diagnostics.csv", lambda lines: lines[:1]),
-    ("traj_000/diagnostics.csv", lambda lines: _drop_column(lines, "loc_mass")),
-    ("traj_000/diagnostics.csv", lambda lines: lines[:5] + ["x" + lines[5][1:]] + lines[6:]),
-    ("config.txt", lambda lines: lines + ["# caf\xe9"]),
+# with a value x; config.txt not UTF-8; the diagnostics.csv of a run without
+# snapshots cut to 200 lines, which only its summary.json's n_steps dates
+@pytest.mark.parametrize("run, name, damage", [
+    ("gauge_run", "traj_000/snapshot_final.txt", lambda lines: [lines[0].replace(",40,", ",nan,", 1)] + lines[1:]),
+    ("gauge_run", "traj_000/snapshot_final.txt", lambda lines: [lines[0].rsplit(",", 1)[0] + ",inf"] + lines[1:]),
+    ("gauge_run", "traj_000/snapshot_final.txt", lambda lines: [lines[0].replace(",256,", ",abc,", 1)] + lines[1:]),
+    ("gauge_run", "traj_000/snapshot_final.txt", lambda lines: lines[:9] + ["abc,0"] + lines[10:]),
+    ("gauge_run", "traj_000/snapshot_final.txt", lambda lines: lines[:9] + ["nan,0"] + lines[10:]),
+    ("gauge_run", "traj_000/snapshot_final.txt", lambda lines: lines[:100]),
+    ("gauge_run", "traj_000/snapshot_final.txt", lambda lines: lines[:1]),
+    ("gauge_run", "traj_000/hevo.csv", lambda lines: lines[:3]),
+    ("gauge_run", "traj_000/hevo.csv", lambda lines: _drop_column(lines, "smear_1")),
+    ("gauge_run", "traj_000/hevo.csv", lambda lines: lines[:5] + ["-inf" + lines[5][lines[5].index(","):]] + lines[6:]),
+    ("gauge_run", "traj_000/diagnostics.csv", lambda lines: []),
+    ("gauge_run", "traj_000/diagnostics.csv", lambda lines: lines[:1]),
+    ("gauge_run", "traj_000/diagnostics.csv", lambda lines: _drop_column(lines, "loc_mass")),
+    ("gauge_run", "traj_000/diagnostics.csv", lambda lines: lines[:5] + ["x" + lines[5][1:]] + lines[6:]),
+    ("gauge_run", "config.txt", lambda lines: lines + ["# caf\xe9"]),
+    ("bare_run", "traj_000/diagnostics.csv", lambda lines: lines[:200]),
 ], ids=["extent_nan", "time_inf", "header_abc", "body_abc", "body_nan", "body_truncated",
         "body_empty", "hevo_two_rows", "hevo_no_smear_1", "hevo_time_inf", "diagnostics_empty",
         "diagnostics_header_only", "diagnostics_no_loc_mass", "diagnostics_value_x",
-        "config_not_utf8"])
-def test_diagnose_damaged_trajectory_exit_2(tmp_path, gauge_run, name, damage):
+        "config_not_utf8", "diagnostics_rows_without_snapshots"])
+def test_diagnose_damaged_trajectory_exit_2(tmp_path, request, run, name, damage):
     run_dir = tmp_path / "run"
-    shutil.copytree(gauge_run, run_dir)
+    shutil.copytree(request.getfixturevalue(run), run_dir)
     path = run_dir / name
     path.write_bytes("".join(line + "\n" for line in damage(path.read_text().splitlines())).encode("latin-1"))
     # outside pytest a warning prints to stderr too
