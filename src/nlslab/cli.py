@@ -93,13 +93,17 @@ def ground_state_cmd(dim, power, extent, points, tol, out):
 @main.command("evolve")
 @click.argument("config_file", type=click.Path(exists=True))
 def evolve_cmd(config_file):
-    """Integrate a scenario config; write config.txt, diagnostics CSV and snapshots."""
+    """Integrate a scenario config; write config.txt, diagnostics CSV,
+    snapshots and a summary.json with the step count ``diagnose`` checks."""
     sc = _load(config_file)
     with _config_errors():
         prep = prepare_run(sc)
         outdir = open_run_dir(sc, prep)
         traj = run_trajectory(sc, prep, sc.noise_seed)
     write_trajectory_artifacts(sc, traj, outdir / "traj_000")
+    write_summary_json(outdir / "summary.json", {
+        "n_steps": traj.n_steps, "stop_reason": traj.stop_reason, "t_final": traj.final_time,
+    })
     click.echo(f"stop_reason={traj.stop_reason} steps={traj.n_steps} out={outdir}")
     sys.exit(3 if traj.stop_reason in FAILED_STOPS else 0)
 

@@ -30,6 +30,7 @@ from .grid import (
     grad_norm_sq,
     gradient_values,
     norm_suite,
+    spectrum,
 )
 from .ground_state import GroundProfile
 from .evolution import Trajectory, peak_center
@@ -285,11 +286,11 @@ class ModulationFit:
 def _polish_peak(v: ComplexField, start: np.ndarray, iters: int = 12) -> np.ndarray:
     """Newton refinement of the |v|^2 maximum on the trig interpolant."""
     grid = v.grid
-    dv = gradient_values(grid, v.values)
     # the DFT coefficients of v, d_j v and d_j^2 v, transformed once
-    vhat = np.fft.fftn(v.values)
-    dvhat = [np.fft.fftn(dv[j]) for j in range(grid.d)]
-    d2vhat = [np.fft.fftn(gradient_values(grid, dv[j])[j]) for j in range(grid.d)]
+    vhat = spectrum(grid, v.values)
+    dv = gradient_values(grid, v.values, vhat)
+    dvhat = [spectrum(grid, dvj) for dvj in dv]
+    d2vhat = [spectrum(grid, gradient_values(grid, dv[j], dvhat[j])[j]) for j in range(grid.d)]
     y = start.astype(float).copy()
 
     def at(chat, pt):

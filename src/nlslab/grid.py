@@ -104,6 +104,7 @@ class _Spectral(NamedTuple):
     k_mesh: tuple
     k_squared: np.ndarray
     ik: tuple  # 1j * k per axis, the gradient's Fourier multipliers
+    axes: tuple  # the transform axes, last first, as numpy's fftn takes them
 
 
 @functools.lru_cache(maxsize=16)
@@ -114,8 +115,12 @@ def _spectral(grid: GridSpec) -> _Spectral:
     a config parsed again) share them; nothing is stored on the instance,
     which keeps grids cheap to pickle into worker processes.
     """
-    axis = -0.5 * grid.extent + grid.dx * np.arange(grid.points)
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.points, d=grid.dx)
+    n = grid.points
+    axis = -0.5 * grid.extent + grid.dx * np.arange(n)
+    # numpy's fftfreq: signed integer modes times 1/(N dx)
+    modes = np.arange(n)
+    modes[n // 2 :] -= n
+    k = 2.0 * np.pi * (modes * (1.0 / (n * grid.dx)))
     k_mesh = (k,) if grid.d == 1 else (k[:, None], k[None, :])
     k_squared = k_mesh[0] ** 2
     for kj in k_mesh[1:]:
@@ -123,7 +128,7 @@ def _spectral(grid: GridSpec) -> _Spectral:
     ik = tuple(1j * kj for kj in k_mesh)
     for a in (axis, k, *k_mesh, k_squared, *ik):
         a.flags.writeable = False
-    return _Spectral(axis, k, k_mesh, k_squared, ik)
+    return _Spectral(axis, k, k_mesh, k_squared, ik, tuple(range(grid.d - 1, -1, -1)))
 
 
 @dataclass
@@ -205,8 +210,9 @@ _pocketfft = _load_pocketfft()
 
 
 def _c2c(a: np.ndarray, forward: bool, axes=(-1,), inorm: int = 0, out=None) -> np.ndarray:
-    """pocketfft's complex transform of ``a`` along ``axes``, bitwise
-    scipy.fft's fft/ifft (one axis) and fftn/ifftn (all axes).
+    """pocketfft's complex transform of ``a`` along ``axes``, taken in the
+    order given: bitwise scipy.fft's fft/ifft (one axis) and fftn/ifftn
+    (axes first to last), and numpy's (axes last to first).
 
     ``inorm`` 0 is unscaled (scipy's forward default and its inverse with
     ``norm="forward"``), 2 divides by n (its inverse default).  ``out`` may
@@ -221,22 +227,23 @@ def _c2c(a: np.ndarray, forward: bool, axes=(-1,), inorm: int = 0, out=None) -> 
 
 
 def spectrum(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """The forward transform of v that ``gradient_values`` and
-    ``gradient_moments`` share: pocketfft's in 1-d (bitwise numpy's fftn,
-    with less wrapper cost; for complex input only, as pocketfft's
-    real-input transform differs), numpy's fftn in 2-d."""
-    return _c2c(values, True) if grid.d == 1 else np.fft.fftn(values)
+    """v's DFT, bitwise numpy's fftn: pocketfft's complex transform over the
+    axes last first, as numpy takes them.  Real input is cast to complex
+    first, as numpy does (pocketfft's own real-input transform differs)."""
+    return _c2c(np.asarray(values, np.complex128), True, _spectral(grid).axes)
+
+
+def inverse_spectrum(grid: GridSpec, vhat: np.ndarray) -> np.ndarray:
+    """numpy's ifftn of the complex ``vhat``, bitwise, computed in place:
+    ``vhat`` is overwritten, so callers pass a temporary."""
+    return _c2c(vhat, False, _spectral(grid).axes, inorm=2, out=vhat)
 
 
 def gradient_values(grid: GridSpec, values: np.ndarray, vhat: Optional[np.ndarray] = None) -> list:
     """Spectral gradient components as raw arrays; ``vhat``, v's
     ``spectrum`` when the caller has it, saves the forward transform."""
-    ik = _spectral(grid).ik
     vhat = spectrum(grid, values) if vhat is None else vhat
-    if grid.d == 1:
-        g = ik[0] * vhat
-        return [_c2c(g, False, inorm=2, out=g)]
-    return [np.fft.ifftn(ikj * vhat) for ikj in ik]
+    return [inverse_spectrum(grid, ikj * vhat) for ikj in _spectral(grid).ik]
 
 
 def gradient_moments(grid: GridSpec, vhat: np.ndarray, momenta: bool = True) -> tuple:
@@ -258,8 +265,7 @@ def gradient_moments(grid: GridSpec, vhat: np.ndarray, momenta: bool = True) -> 
 
 
 def laplacian_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    vhat = np.fft.fftn(values)
-    return np.fft.ifftn(-grid.k_squared() * vhat)
+    return inverse_spectrum(grid, -grid.k_squared() * spectrum(grid, values))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +413,7 @@ def fourier_interp_axes(field: ComplexField, axes_targets) -> np.ndarray:
     the result has shape (len(t0),) in 1-d or (len(t0), len(t1)) in 2-d.
     Targets outside the box wrap periodically.
     """
-    return fourier_interp_coefficients(field.grid, np.fft.fftn(field.values), axes_targets)
+    return fourier_interp_coefficients(field.grid, spectrum(field.grid, field.values), axes_targets)
 
 
 def fourier_interp_coefficients(grid: GridSpec, chat: np.ndarray, axes_targets) -> np.ndarray:

@@ -27,10 +27,12 @@ from .grid import (
     GridSpec,
     fourier_interp_axes,
     grad_norm_sq,
+    inverse_spectrum,
     l2_norm_sq,
     laplacian_values,
     lp_norm,
     make_grid,
+    spectrum,
 )
 
 
@@ -154,7 +156,7 @@ def solve_ground_state(grid: GridSpec, p: float, tol: float = 1e-10) -> GroundSt
     residual = np.inf
     for it in range(1, max_iter + 1):
         nonlin = u**p
-        u_new = np.fft.ifftn(sym * np.fft.fftn(u + dtau * nonlin)).real
+        u_new = inverse_spectrum(grid, sym * spectrum(grid, u + dtau * nonlin)).real
         u_new *= mass_target / np.sqrt(np.sum(u_new * u_new) * grid.dvol)
         # eps-level spectral undershoot in the far tail is clipped; anything
         # structurally negative means the flow left the positive cone

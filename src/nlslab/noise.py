@@ -30,7 +30,7 @@ from .grid import GridSpec, _rotation
 
 
 class NoiseError(ValueError):
-    """Invalid profile construction or path lookup."""
+    """Invalid profile construction or path step grid."""
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +228,7 @@ def finite_difference_derivative(func: Callable, point, order: int, axis: int, d
 
 @dataclass
 class BrownianPath:
-    """Seeded Brownian values on a step grid; increments are value diffs.
+    """Seeded Brownian values on a step grid.
 
     Refinement inserts midpoints by Brownian-bridge sampling and leaves all
     existing values bitwise unchanged, so any statistic computed from shared
@@ -243,22 +243,6 @@ class BrownianPath:
     @property
     def n_modes(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values, axis=0)
-
-    def index_of(self, t: float) -> int:
-        i = int(np.searchsorted(self.times, t))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < self.times.size and abs(self.times[j] - t) <= 1e-9 * max(
-                1.0, abs(t)
-            ):
-                return j
-        raise NoiseError(f"time {t!r} is not on the path grid")
-
-    def value_at(self, t: float) -> np.ndarray:
-        return self.values[self.index_of(t)]
 
     def refine(self) -> "BrownianPath":
         """Split every interval at its midpoint by bridge sampling."""

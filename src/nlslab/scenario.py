@@ -283,13 +283,21 @@ def _validate_scenario(sc: ScenarioConfig) -> None:
         problems.append("multi_bubble requires at least two bubbles")
     if sc.kind in SOLITON_KINDS and not sc.solitons:
         problems.append(f"{sc.kind} requires soliton.waves")
-    if sc.kind == "bourgain_wang":
-        if sc.noise_kind != "none":
-            problems.append("bourgain_wang supports deterministic runs only")
-        if sc.zstar_amplitude_rel > 0.1:
-            problems.append("zstar.amplitude_rel must be <= 0.1 (smallness)")
+    if sc.kind == "bourgain_wang" and sc.noise_kind != "none":
+        problems.append("bourgain_wang supports deterministic runs only")
     if sc.kind == "nonpure_soliton" and sc.t0 <= 0:
         problems.append("nonpure_soliton requires evolve.t0 > 0")
+    if sc.kind in ("bourgain_wang", "nonpure_soliton"):
+        # z* is scaled to amplitude_rel * ||Q||_H1: the backward solve's smallness
+        if not 0.0 < sc.zstar_amplitude_rel <= 0.1:
+            problems.append("zstar.amplitude_rel must be in (0, 0.1] (smallness)")
+        if not sc.zstar_width > 0.0:
+            problems.append("zstar.width must be > 0")
+    if sc.kind == "loglog_supercritical":
+        if not sc.init_mass_sq_ratio > 0.0:
+            problems.append("init.mass_sq_ratio must be > 0")
+        if not sc.init_width > 0.0:
+            problems.append("init.width must be > 0")
     if abs(sc.p - critical_exponent(sc.d)) > 1e-12:
         if sc.d != 1 or not (1.0 < sc.p < critical_exponent(1)):
             problems.append(f"physics.p must be in (1, 5] in 1-d and 3 in 2-d, got {sc.p!r}")
@@ -343,20 +351,20 @@ def _regular_profile(
     """The solution at t0 that equals z* at ``blowup_time``.
 
     z* is a Gaussian whose H1 norm is ``zstar.amplitude_rel`` times the run
-    profile's, and the smallness check measures it against that same norm.
+    profile's, so the config's bound on that ratio is the smallness bound.
     """
     r2 = grid.radius_squared(sc.zstar_center)
     vals = np.exp(-r2 / sc.zstar_width**2).astype(np.complex128)
     q_h1 = norm_suite(profile.sample(grid)).h1
     scale = sc.zstar_amplitude_rel * q_h1 / norm_suite(ComplexField(grid, vals)).h1
     zstar = ComplexField(grid, vals * scale)
-    return backward_solve(zstar, blowup_time, t0, sc.p, dt0=sc.dt0, smallness_ref=q_h1)
+    return backward_solve(zstar, blowup_time, t0, sc.p, dt0=sc.dt0)
 
 
 def prepare_run(sc: ScenarioConfig) -> PreparedRun:
     """The run's initial data and exact family.  Data it cannot prepare (a
-    grid the grid model refuses, a profile out of its window, regular-profile
-    data the backward solve refuses) is a config error."""
+    grid the grid model refuses, a profile out of its window, a backward
+    solve the integrator refuses) is a config error."""
     try:
         return _prepare(sc)
     except (GridError, ProfileError, EvolveError) as exc:
@@ -745,8 +753,8 @@ def diagnose_run(run_dir: Path) -> dict:
     returned).  The ground profile is that of the snapshot's d and of the
     ``physics.p`` in ``run_dir/config.txt`` (critical without one); no other
     key of that file is read, so keys a later schema dropped do no harm.
-    Where ``scenario run`` left its ``summary.json``, the trajectory must
-    hold its ``n_steps + 1`` rows (``nlslab evolve`` writes none).
+    Where ``scenario run`` or ``nlslab evolve`` left its ``summary.json``,
+    the trajectory must hold its ``n_steps + 1`` rows.
     ``banica_ok`` stays None without ``hevo.csv``: the momenta the other
     half of the sweep needs are not on disk."""
     run_dir = Path(run_dir)

@@ -30,7 +30,7 @@ from nlslab.evolution import (
 from nlslab.exact import Bubble, BlowupParams, Soliton, SolitonParams, pseudo_conformal_blowup, solitary_wave
 from nlslab.grid import ComplexField, l2_norm_sq, make_grid, norm_suite
 from nlslab.ground_state import ground_profile
-from nlslab.noise import NoiseError, ProfileSpec, build_profiles, coefficient_fields, sample_brownian
+from nlslab.noise import ProfileSpec, build_profiles, coefficient_fields, sample_brownian
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +73,7 @@ def test_gnls_zero_coefficients_bitwise(profile):
     g = make_grid(1, 40, 512)
     prof = build_profiles(ProfileSpec(kind="constant", amplitude=0.8, n_modes=2), g)
     path = sample_brownian(1, np.linspace(0, 1, 11), 2)
-    gauge = coefficient_fields(prof, path.value_at(0.5))
+    gauge = coefficient_fields(prof, path.values[5])  # t = 0.5
     f = profile.sample(g)
     a = step_gnls(f, 1e-3, 5.0, gauge)
     b = step_strang(f, 1e-3, 5.0)
@@ -197,13 +197,12 @@ def test_backward_solve_roundtrip(profile):
 
 
 def test_backward_solve_zero_and_smallness(profile):
+    # zero data is refused by the march itself; the smallness bound is a
+    # config rule (zstar.amplitude_rel), not the solver's
     g = make_grid(1, 40, 512)
     zero = ComplexField(g, np.zeros(512))
-    out = backward_solve(zero, 1.0, 0.0, 5.0)
-    assert not np.any(out.values)
-    big = ComplexField(g, profile.sample(g).values)
-    with pytest.raises(EvolveError):
-        backward_solve(big, 1.0, 0.0, 5.0)
+    with pytest.raises(EvolveError, match="identically zero"):
+        backward_solve(zero, 1.0, 0.0, 5.0)
 
 
 def test_backward_solve_small_data_bound(profile):
@@ -274,14 +273,12 @@ def test_linear_step_bitwise_equals_scaled_inverse(d, n):
     # the round trip is the one whose inverse applies 1/N^d itself
     g = make_grid(d, 40, n)
     v = _packet(g)
+    # scipy's pair in extended precision, or in double without a long double
     fwd, inv = (sfft.fft, sfft.ifft) if d == 1 else (sfft.fftn, sfft.ifftn)
+    real, cplx = (np.longdouble, np.clongdouble) if _LONGDOUBLE else (np.float64, np.complex128)
     for dt in STEP_DTS:
-        if _LONGDOUBLE:
-            phase = np.exp(-1j * g.k_squared().astype(np.longdouble) * np.longdouble(dt))
-            want = inv(phase * fwd(v.astype(np.clongdouble))).astype(np.complex128)
-        else:
-            phase = np.exp(-1j * g.k_squared() * dt)
-            want = np.fft.ifftn(phase * np.fft.fftn(v))
+        phase = np.exp(-1j * g.k_squared().astype(real) * real(dt))
+        want = inv(phase * fwd(v.astype(cplx))).astype(np.complex128)
         assert _same_bits(_linear_full(g, v, dt), want)
 
 
@@ -484,10 +481,10 @@ def _refined_value_at(path):
     def value_at(t):
         nonlocal path
         while True:
-            try:
-                return path.value_at(t)
-            except NoiseError:
-                path = path.refine()
+            near = np.flatnonzero(np.abs(path.times - t) <= 1e-9 * max(1.0, abs(t)))
+            if near.size:
+                return path.values[near[0]]
+            path = path.refine()
 
     return value_at
 

@@ -18,6 +18,7 @@ from nlslab.grid import (
     fourier_interp_axes,
     gradient_moments,
     gradient_values,
+    inverse_spectrum,
     laplacian_values,
     l2_norm_sq,
     make_grid,
@@ -221,7 +222,7 @@ from nlslab.evolution import step_strang
 from nlslab.ground_state import ground_profile
 from nlslab.grid import ComplexField, make_grid
 mods = ("scipy.signal", "scipy.optimize", "scipy.integrate", "scipy.interpolate",
-        "scipy.fft", "scipy.special", "scipy._lib._array_api", "numpy.f2py")
+        "scipy.fft", "scipy.special", "scipy._lib._array_api", "numpy.f2py", "numpy.fft")
 print([m for m in mods if m in sys.modules])
 t = np.linspace(0.0, 0.9, 40)
 blowup_rate_fit(t, (1.0 - t) ** -1.0)  # a decade of growth
@@ -254,7 +255,7 @@ def test_import_does_not_load_scipy_signal():
     # the solver modules are loaded by the one function that calls each, and
     # the rate fit calls none.  The transforms run on scipy's pocketfft
     # extension, loaded from its file: scipy.fft's package (0.2 s, 27 MB,
-    # with scipy.special and numpy.f2py) is not imported
+    # with scipy.special and numpy.f2py) is not imported, nor numpy.fft
     assert _run_probe(IMPORT_PROBE) == ["[]", "[]", "True"]
 
 
@@ -403,10 +404,11 @@ def test_snapshot_cut_within_its_last_line_is_refused(tmp_path):
             read_snapshot(path)
 
 
-@pytest.mark.parametrize("d,n", [(1, 8), (1, 1024), (1, 4096), (2, 16)])
+@pytest.mark.parametrize("d,n", [(1, 8), (1, 1024), (1, 4096), (2, 16), (2, 256)])
 def test_gradient_bitwise_equals_nd_transform(d, n):
-    # numpy.fft is the reference; 1-d runs on scipy's pocketfft, bitwise
-    # equal for complex input, contiguous or strided
+    # numpy.fft is the reference; the gradient runs on scipy's pocketfft with
+    # the axes last first, bitwise equal for complex input, contiguous or
+    # strided
     g = make_grid(d, 40, n)
     rng = np.random.default_rng(n)
     w = rng.standard_normal((2 * n,) * d) + 1j * rng.standard_normal((2 * n,) * d)
@@ -415,6 +417,27 @@ def test_gradient_bitwise_equals_nd_transform(d, n):
         for got, kj in zip(gradient_values(g, v), g.k_mesh()):
             want = np.fft.ifftn(1j * kj * vhat)
             assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+@pytest.mark.parametrize("d,n", [(1, 8), (1, 4096), (2, 16), (2, 256)])
+def test_spectral_transforms_bitwise_equal_numpy(d, n):
+    # spectrum, inverse_spectrum and the Laplacian are pocketfft's complex
+    # transform with the axes last first: numpy.fft's bits, for real input
+    # (cast to complex, as numpy casts it) and for complex input
+    g = make_grid(d, 40, n)
+    rng = np.random.default_rng(n + 1)
+    real = rng.standard_normal(g.shape)
+    v = real + 1j * rng.standard_normal(g.shape)
+    for x in (real, v):
+        xhat = np.fft.fftn(x)
+        assert spectrum(g, x).tobytes() == xhat.tobytes()
+        want = np.fft.ifftn(-g.k_squared() * xhat)
+        assert laplacian_values(g, x).tobytes() == want.tobytes()
+    vhat = np.fft.fftn(v)
+    buf = vhat.copy()
+    got = inverse_spectrum(g, buf)
+    assert got.tobytes() == np.fft.ifftn(vhat).tobytes()
+    assert np.shares_memory(got, buf)  # in place
 
 
 @pytest.mark.parametrize("d", [1, 2])

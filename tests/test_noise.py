@@ -28,7 +28,7 @@ def test_constant_profiles_zero_coefficients(grid):
     # psi is constant in space: no gauge factor, the step is plain Strang
     prof = build_profiles(ProfileSpec(kind="constant", amplitude=0.7, n_modes=3), grid)
     path = sample_brownian(1, np.linspace(0, 1, 11), 3)
-    w = path.value_at(0.5)
+    w = path.values[5]  # t = 0.5
     assert np.any(w != 0.0)
     assert coefficient_fields(prof, w) is None
     assert all(np.abs(g).max() == 0.0 for g in prof.grad_psi(w))
@@ -114,7 +114,7 @@ def test_brownian_starts_at_zero_prefix_sums():
     times = np.linspace(0, 2, 21)
     p = sample_brownian(9, times, 2)
     assert np.all(p.values[0] == 0.0)
-    assert np.allclose(np.cumsum(p.increments, axis=0), p.values[1:], atol=1e-15)
+    assert np.allclose(np.cumsum(np.diff(p.values, axis=0), axis=0), p.values[1:], atol=1e-15)
 
 
 def test_brownian_variance_ensemble():
@@ -141,8 +141,9 @@ def test_brownian_refinement_bitwise():
     assert np.array_equal(fine.values[0::2], p.values)
     assert np.array_equal(fine.times[0::2], p.times)
     # coarse increments equal sums of the two bridge increments
-    sums = fine.increments[0::2] + fine.increments[1::2]
-    assert np.abs(sums - p.increments).max() < 1e-14
+    fine_incs = np.diff(fine.values, axis=0)
+    sums = fine_incs[0::2] + fine_incs[1::2]
+    assert np.abs(sums - np.diff(p.values, axis=0)).max() < 1e-14
     again = p.refine()
     assert np.array_equal(fine.values, again.values)
 
@@ -154,13 +155,6 @@ def test_brownian_rejects_bad_grid():
         sample_brownian(1, np.array([0.0]), 1)
 
 
-def test_path_lookup(grid):
-    p = sample_brownian(1, np.linspace(0, 1, 11), 1)
-    assert p.value_at(0.3).shape == (1,)
-    with pytest.raises(NoiseError):
-        p.value_at(0.31)
-
-
 # ---------------------------------------------------------------------------
 # the gauge
 
@@ -170,7 +164,7 @@ def test_gauge_preserves_modulus(grid):
     # e^{i psi}: each keeps |X| pointwise and the two undo each other
     prof = build_profiles(ProfileSpec(kind="schwartz", amplitude=0.6, n_modes=2), grid)
     path = sample_brownian(5, np.linspace(0, 1, 11), 2)
-    gauge = coefficient_fields(prof, path.value_at(0.5))
+    gauge = coefficient_fields(prof, path.values[5])  # t = 0.5
     assert gauge is not None
     rng = np.random.default_rng(0)
     X = rng.standard_normal(512) + 1j * rng.standard_normal(512)
@@ -185,7 +179,7 @@ def test_coefficient_structure(grid):
     # the gauge factor is e^{i psi}: unimodular, so it keeps the modulus
     prof = build_profiles(ProfileSpec(kind="schwartz", amplitude=0.5, n_modes=2), grid)
     path = sample_brownian(3, np.linspace(0, 1, 11), 2)
-    w = path.value_at(0.4)
+    w = path.values[4]  # t = 0.4
     gauge = coefficient_fields(prof, w)
     assert gauge is not None
     assert np.array_equal(gauge, np.exp(1j * prof.psi(w)))
@@ -215,7 +209,7 @@ def test_coefficients_vanish_at_flat_points(grid):
     # grad psi and Lap psi vanish at a flat point, and the factor is 1 there
     prof = build_profiles(ProfileSpec(kind="flat", amplitude=0.5, flat_points=((0.0,),)), grid)
     path = sample_brownian(11, np.linspace(0, 1, 11), 1)
-    w = path.value_at(0.5)
+    w = path.values[5]  # t = 0.5
     i0 = np.argmin(np.abs(grid.axis()))
     assert abs(prof.grad_psi(w)[0][i0]) < 1e-12
     assert abs(prof.lap[0][i0] * w[0]) < 1e-12

@@ -188,6 +188,7 @@ def test_readme_lists_every_key_in_schema_order():
 
 
 _floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False, width=64)
 
 
 def _point(d):
@@ -222,16 +223,16 @@ def _config_text(draw):
         "blowup.bubbles": ";".join(draw(st.lists(bubble, min_size=2, max_size=3))),
         "blowup.T": repr(draw(_floats)),
         "soliton.waves": ";".join(draw(st.lists(wave, min_size=1, max_size=3))),
-        "zstar.amplitude_rel": repr(draw(st.floats(max_value=0.1, allow_nan=False, allow_infinity=False))),
+        "zstar.amplitude_rel": repr(draw(st.floats(0.0, 0.1, exclude_min=True))),
         "zstar.center": draw(pt),
-        "zstar.width": repr(draw(_floats)),
+        "zstar.width": repr(draw(_positive)),
         "noise.kind": noise,
         "noise.amplitude": repr(draw(_floats)),
         "noise.modes": draw(st.integers()),
         "noise.seed": draw(st.integers(0, 2**64 - 1)),
         "noise.flat_points": ";".join(draw(st.lists(pt, min_size=1, max_size=3))),
-        "init.mass_sq_ratio": repr(draw(_floats)),
-        "init.width": repr(draw(_floats)),
+        "init.mass_sq_ratio": repr(draw(_positive)),
+        "init.width": repr(draw(_positive)),
         "evolve.t0": repr(draw(st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False))),
         "evolve.t1": repr(draw(_floats)),
         "evolve.dt0": repr(draw(_floats)),
@@ -461,7 +462,7 @@ def test_cli_backward_data_too_large_exit_2(tmp_path):
     cfg_file.write_text(text + "output.dir = big\n")
     res = _cli(["scenario", "run", str(cfg_file)], cwd=tmp_path, env={"NLSLAB_OUT": str(tmp_path)})
     assert res.returncode == 2, res.stderr
-    assert "config error: backward data too large" in res.stderr, res.stderr
+    assert "config error: zstar.amplitude_rel must be in (0, 0.1] (smallness)" in res.stderr, res.stderr
     assert "Traceback" not in res.stderr
 
 
@@ -736,6 +737,24 @@ def bare_run(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def evolve_run(tmp_path_factory):
+    """``nlslab evolve`` of ``ROW_CUT_BUBBLE`` without snapshots."""
+    root = tmp_path_factory.mktemp("evolve")
+    cfg_file = root / "bubble.cfg"
+    cfg_file.write_text(ROW_CUT_BUBBLE + "output.snapshots = none\noutput.dir = run\n")
+    res = CliRunner().invoke(cli.main, ["evolve", str(cfg_file)], env={"NLSLAB_OUT": str(root)})
+    assert res.exit_code == 0, res.output
+    assert len((root / "run" / "traj_000" / "diagnostics.csv").read_text().splitlines()) == 924
+    return root / "run"
+
+
+def test_evolve_records_its_step_count(evolve_run):
+    # the step count diagnose dates the rows of diagnostics.csv by
+    summary = json.loads((evolve_run / "summary.json").read_text())
+    assert summary == {"n_steps": 922, "stop_reason": "reached_end", "t_final": 0.5}
+
+
 def _drop_column(lines, name):
     at = lines[0].split(",").index(name)
     return [",".join(f for i, f in enumerate(line.split(",")) if i != at) for line in lines]
@@ -746,8 +765,9 @@ def _drop_column(lines, name):
 # abc, a body value abc or nan, a truncated body and a body cut away;
 # hevo.csv cut to 2 rows, without its smear_1 column or with a time -inf;
 # diagnostics.csv emptied, cut to its header, without its loc_mass column or
-# with a value x; config.txt not UTF-8; the diagnostics.csv of a run without
-# snapshots cut to 200 lines, which only its summary.json's n_steps dates
+# with a value x; config.txt not UTF-8; the diagnostics.csv of a run or of
+# an evolve without snapshots cut to 200 lines, which only its
+# summary.json's n_steps dates
 @pytest.mark.parametrize("run, name, damage", [
     ("gauge_run", "traj_000/snapshot_final.txt", lambda lines: [lines[0].replace(",40,", ",nan,", 1)] + lines[1:]),
     ("gauge_run", "traj_000/snapshot_final.txt", lambda lines: [lines[0].rsplit(",", 1)[0] + ",inf"] + lines[1:]),
@@ -765,10 +785,12 @@ def _drop_column(lines, name):
     ("gauge_run", "traj_000/diagnostics.csv", lambda lines: lines[:5] + ["x" + lines[5][1:]] + lines[6:]),
     ("gauge_run", "config.txt", lambda lines: lines + ["# caf\xe9"]),
     ("bare_run", "traj_000/diagnostics.csv", lambda lines: lines[:200]),
+    ("evolve_run", "traj_000/diagnostics.csv", lambda lines: lines[:200]),
 ], ids=["extent_nan", "time_inf", "header_abc", "body_abc", "body_nan", "body_truncated",
         "body_empty", "hevo_two_rows", "hevo_no_smear_1", "hevo_time_inf", "diagnostics_empty",
         "diagnostics_header_only", "diagnostics_no_loc_mass", "diagnostics_value_x",
-        "config_not_utf8", "diagnostics_rows_without_snapshots"])
+        "config_not_utf8", "diagnostics_rows_without_snapshots",
+        "evolve_diagnostics_rows_without_snapshots"])
 def test_diagnose_damaged_trajectory_exit_2(tmp_path, request, run, name, damage):
     run_dir = tmp_path / "run"
     shutil.copytree(request.getfixturevalue(run), run_dir)
@@ -837,7 +859,7 @@ import sys
 import nlslab.cli
 nlslab.cli.main(["diagnose", sys.argv[1]], standalone_mode=False)
 mods = ("scipy.signal", "scipy.optimize", "scipy.integrate", "scipy.interpolate",
-        "scipy.fft", "scipy.special", "scipy._lib._array_api", "numpy.f2py")
+        "scipy.fft", "scipy.special", "scipy._lib._array_api", "numpy.f2py", "numpy.fft")
 print([m for m in mods if m in sys.modules])
 print("scipy.fft._pocketfft.pypocketfft" in sys.modules)
 """
@@ -847,7 +869,8 @@ def test_diagnose_of_a_rate_fit_loads_no_solver_module(fit_run, tmp_path):
     # the rate fit's bounded search is the package's own and the transforms
     # run on scipy's pocketfft extension, loaded from its file: a fresh
     # process that diagnoses a blow-up run loads no solver module and not
-    # scipy.fft's package (nor scipy.special or numpy.f2py, which it pulls in)
+    # scipy.fft's package (nor scipy.special or numpy.f2py, which it pulls
+    # in), nor numpy.fft
     run_dir = tmp_path / "run"
     shutil.copytree(fit_run, run_dir)
     out = subprocess.run(
@@ -984,26 +1007,54 @@ _PROBE_RUN = {
 }
 
 
-@pytest.mark.parametrize("command, key, value", [
-    ("scenario run", "evolve.t1", "nan"),
-    ("scenario run", "evolve.t1", "inf"),
-    ("scenario run", "evolve.dt0", "nan"),
-    ("scenario run", "evolve.gmax", "nan"),
-    ("scenario run", "evolve.width_factor", "nan"),
-    ("scenario run", "noise.amplitude", "nan"),
-    ("scenario run", "blowup.bubbles", "0:1:nan"),
-    ("scenario run", "zstar.center", "-inf"),
-    ("scenario ensemble", "ensemble.workers", "-3"),
-    ("scenario run", "noise.seed", "-1"),
+# the probe run as the kinds that read init.* (loglog) and z* need it; each
+# base prepares as it stands, so only the row's value is refused
+_PROBE_KINDS = {
+    "critical_blowup": {},
+    "loglog_supercritical": {"scenario.kind": "loglog_supercritical"},
+    "bourgain_wang": {"scenario.kind": "bourgain_wang", "noise.kind": "none"},
+    "nonpure_soliton": {"scenario.kind": "nonpure_soliton", "noise.kind": "none",
+                        "grid.L": "80", "soliton.waves": "0:1:0:0", "evolve.t0": "1.25",
+                        "evolve.t1": "1.3"},
+}
+
+
+@pytest.mark.parametrize("command, kind, key, value", [
+    ("scenario run", "critical_blowup", "evolve.t1", "nan"),
+    ("scenario run", "critical_blowup", "evolve.t1", "inf"),
+    ("scenario run", "critical_blowup", "evolve.dt0", "nan"),
+    ("scenario run", "critical_blowup", "evolve.gmax", "nan"),
+    ("scenario run", "critical_blowup", "evolve.width_factor", "nan"),
+    ("scenario run", "critical_blowup", "noise.amplitude", "nan"),
+    ("scenario run", "critical_blowup", "blowup.bubbles", "0:1:nan"),
+    ("scenario run", "critical_blowup", "zstar.center", "-inf"),
+    ("scenario ensemble", "critical_blowup", "ensemble.workers", "-3"),
+    ("scenario run", "critical_blowup", "noise.seed", "-1"),
+    ("scenario run", "loglog_supercritical", "init.mass_sq_ratio", "0"),
+    ("scenario run", "loglog_supercritical", "init.mass_sq_ratio", "-1"),
+    ("scenario run", "loglog_supercritical", "init.width", "0"),
+    ("scenario run", "bourgain_wang", "zstar.width", "0"),
+    ("scenario run", "bourgain_wang", "zstar.amplitude_rel", "0"),
+    ("scenario run", "nonpure_soliton", "zstar.amplitude_rel", "0"),
 ], ids=["t1_nan", "t1_inf", "dt0_nan", "gmax_nan", "width_factor_nan", "amplitude_nan",
-        "bubble_phase_nan", "point_inf", "workers_negative", "seed_negative"])
-def test_cli_refuses_non_finite_values_and_workers_below_one(tmp_path, command, key, value):
-    text = "".join(f"{k} = {v}\n" for k, v in {**_PROBE_RUN, key: value}.items())
+        "bubble_phase_nan", "point_inf", "workers_negative", "seed_negative",
+        "mass_sq_ratio_zero", "mass_sq_ratio_negative", "init_width_zero", "zstar_width_zero",
+        "zstar_amplitude_zero_bourgain_wang", "zstar_amplitude_zero_nonpure_soliton"])
+def test_cli_refuses_non_finite_values_and_workers_below_one(tmp_path, command, kind, key, value):
+    # also the non-positive initial data, which crashed or warned before the
+    # config error: one stderr line, no warning, and no run directory
+    text = "".join(f"{k} = {v}\n" for k, v in {**_PROBE_RUN, **_PROBE_KINDS[kind], key: value}.items())
     cfg_file = tmp_path / "probe.cfg"
     cfg_file.write_text(text)
-    res = CliRunner().invoke(cli.main, [*command.split(), str(cfg_file)], env={"NLSLAB_OUT": str(tmp_path)})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = CliRunner().invoke(
+            cli.main, [*command.split(), str(cfg_file)], env={"NLSLAB_OUT": str(tmp_path)}
+        )
     assert res.exit_code == 2, res.output
     assert res.stderr.startswith("config error") and key in res.stderr, res.stderr
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.output, res.stderr
+    assert not caught
     assert not (tmp_path / "probe").exists()
 
 
