@@ -111,9 +111,9 @@ def evolve_cmd(config_file):
 @main.command("diagnose")
 @click.argument("run_dir", type=click.Path(exists=True, file_okay=False))
 def diagnose_cmd(run_dir):
-    """Re-run the diagnostic battery on dumped trajectory artifacts.
+    """Run the diagnostic battery on dumped trajectory artifacts.
 
-    The ground profile is that of the snapshot's d and of the ``physics.p``
+    The ground profile is that of the trajectory's d and of the ``physics.p``
     in the run's ``config.txt`` (critical without one).  A directory without
     a trajectory or with a damaged one, a malformed ``config.txt`` line or a
     ``physics.p`` that does not parse or has no ground profile exits 2.

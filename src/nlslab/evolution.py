@@ -191,7 +191,9 @@ class NoiseSetup:
 # floor(2^(POS_LEVEL - l / LADDER_LEVELS)) units, exactly 2^(POS_LEVEL - j) at l = 8j.
 POS_LEVEL = 30
 DRIVE_BLOCK = 16  # base intervals in a lazily refined block of the path
-MAX_PATH_STEPS = 1 << 20  # the path is sampled whole before the first step: this bounds its memory
+# the longest span, in base steps: a noise run samples its path whole before
+# the first step, and this bounds its memory and every run's clock
+MAX_PATH_STEPS = 1 << 20
 
 
 class _BrownianDrive:
@@ -208,8 +210,6 @@ class _BrownianDrive:
         n, rest = divmod(end_pos, 1 << POS_LEVEL)
         if n < 1 or rest:
             raise EvolveError("time span must be an integer multiple of the path step")
-        if n > MAX_PATH_STEPS:
-            raise EvolveError(f"time span of {n} path steps is over the {MAX_PATH_STEPS} limit")
         self.base = sample_brownian(seed, t0 + np.arange(n + 1) * base_dt, n_modes)
         self.streams = {}  # level -> (generator, rows drawn)
         self.blocks = {}  # block index -> [level, times, values]
@@ -488,7 +488,8 @@ def integrate(config: EvolveConfig) -> Trajectory:
     threshold, when the fitted width falls below width_factor * dx, on
     non-finite values (keeping the last good state), or when the level
     passes the finest but two of the position grid (``step_underflow``).
-    An all-zero initial field is refused: the mass drift is relative to it.
+    An all-zero initial field is refused: the mass drift is relative to it;
+    so is a span of more than MAX_PATH_STEPS base steps.
     """
     grid = config.v0.grid
     v = config.v0.values.copy()
@@ -506,6 +507,9 @@ def integrate(config: EvolveConfig) -> Trajectory:
         j0 = int(round(ratio))
         if j0 < 0 or abs(ratio - j0) > 1e-9:
             raise EvolveError("dt0 must be the path step divided by a power of two")
+    span = (t1 - t0) / base_dt
+    if not span <= MAX_PATH_STEPS:
+        raise EvolveError(f"time span of {span:.6g} base steps is over the {MAX_PATH_STEPS} limit")
     unit = base_dt * 2.0**-POS_LEVEL
     pos = 0
     end_pos = int(round((t1 - t0) / unit))

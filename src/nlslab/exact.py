@@ -10,6 +10,8 @@ carry no grid-transfer artifacts.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,12 @@ from .ground_state import GroundProfile
 
 class ProfileError(ValueError):
     """Invalid profile parameters or an under-resolved/overflowing profile."""
+
+
+def usable_width(w: float) -> bool:
+    """``w`` is positive and its square a finite, normal double: profiles
+    divide by the square."""
+    return w > 0 and sys.float_info.min <= w * w < math.inf
 
 
 def _as_point(x, d: int) -> np.ndarray:
@@ -51,8 +59,10 @@ class BlowupParams:
         if len(self.bubbles) == 0:
             raise ProfileError("at least one bubble required")
         for b in self.bubbles:
-            if b.width <= 0:
-                raise ProfileError(f"bubble width must be positive, got {b.width}")
+            if not usable_width(b.width):
+                raise ProfileError(
+                    f"bubble width must be positive with a finite, normal square, got {b.width}"
+                )
         pts = [np.atleast_1d(np.asarray(b.position, dtype=float)) for b in self.bubbles]
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
@@ -81,8 +91,10 @@ class SolitonParams:
         if len(self.solitons) == 0:
             raise ProfileError("at least one soliton required")
         for s in self.solitons:
-            if s.width <= 0:
-                raise ProfileError(f"soliton width must be positive, got {s.width}")
+            if not usable_width(s.width):
+                raise ProfileError(
+                    f"soliton width must be positive with a finite, normal square, got {s.width}"
+                )
         vels = [np.atleast_1d(np.asarray(s.velocity, dtype=float)) for s in self.solitons]
         for i in range(len(vels)):
             for j in range(i + 1, len(vels)):

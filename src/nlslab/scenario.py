@@ -4,7 +4,8 @@ Scenario configs are flat ``section.key = value`` text files (one assignment
 per line, ``#`` comments).  A run builds exact initial data, integrates,
 executes the diagnostic battery, and writes deterministic artifacts: CSV
 series, a JSON summary (sorted keys) and snapshot files.  Re-running the
-same config reproduces every artifact byte for byte.
+same config reproduces every artifact byte for byte.  ``diagnose`` runs
+the same battery (``run_battery``) on the trajectory read back from disk.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .exact import (
     pseudo_conformal_blowup,
     pseudo_conformal_map,
     solitary_wave,
+    usable_width,
 )
 from .grid import (
     ComplexField, GridError, GridSpec, l2_norm_sq, make_grid, norm_suite, read_rows,
@@ -291,13 +293,13 @@ def _validate_scenario(sc: ScenarioConfig) -> None:
         # z* is scaled to amplitude_rel * ||Q||_H1: the backward solve's smallness
         if not 0.0 < sc.zstar_amplitude_rel <= 0.1:
             problems.append("zstar.amplitude_rel must be in (0, 0.1] (smallness)")
-        if not sc.zstar_width > 0.0:
-            problems.append("zstar.width must be > 0")
+        if not usable_width(sc.zstar_width):
+            problems.append("zstar.width must be positive with a finite, normal square")
     if sc.kind == "loglog_supercritical":
         if not sc.init_mass_sq_ratio > 0.0:
             problems.append("init.mass_sq_ratio must be > 0")
-        if not sc.init_width > 0.0:
-            problems.append("init.width must be > 0")
+        if not usable_width(sc.init_width):
+            problems.append("init.width must be positive with a finite, normal square")
     if abs(sc.p - critical_exponent(sc.d)) > 1e-12:
         if sc.d != 1 or not (1.0 < sc.p < critical_exponent(1)):
             problems.append(f"physics.p must be in (1, 5] in 1-d and 3 in 2-d, got {sc.p!r}")
@@ -568,98 +570,89 @@ def write_summary_json(path, summary: dict) -> None:
 # the diagnostic battery
 
 
-def _json_safe(x):
+def _json_ready(x):
+    """``x`` with numpy scalars as Python numbers and non-finite floats as
+    None, into its dicts."""
+    if isinstance(x, dict):
+        return {key: _json_ready(val) for key, val in x.items()}
     if isinstance(x, (np.floating, float)):
         x = float(x)
         return x if math.isfinite(x) else None
-    if isinstance(x, (np.integer,)):
+    if isinstance(x, np.integer):
         return int(x)
     return x
 
 
-def _grew(traj: Trajectory) -> bool:
-    """||grad v|| grew by a decade, enough for a blow-up rate fit."""
-    return traj.grad_norm.max() >= 10.0 * traj.grad_norm.min()
+def run_battery(traj: Trajectory, p: Optional[float] = None) -> tuple:
+    """The diagnostic battery on a trajectory, live from ``integrate`` or
+    read back by ``read_trajectory``: (summary keys, tables).  What it
+    computes is decided by what ``traj`` holds; a check whose data it does
+    not hold reads None.  The ground profile is that of exponent ``p``
+    (critical by default) in the d of ``traj.center``.
 
-
-def _rate_fit(traj: Trajectory, out: dict) -> Optional[diag.RateFit]:
-    """Fit the blow-up rate to ||grad v|| from 1.2 times its start on; sets
-    ``T_est``, ``alpha`` and ``loglog_score``, or ``rate_fit_error``."""
-    mask = traj.grad_norm >= 1.2 * traj.grad_norm[0]
-    try:
-        fit = diag.blowup_rate_fit(traj.times[mask], traj.grad_norm[mask])
-    except diag.DiagnosticsError as exc:
-        out["rate_fit_error"] = str(exc)
-        return None
-    out.update(T_est=fit.t_est, alpha=fit.alpha, loglog_score=fit.loglog_score)
-    return fit
-
-
-def _hevo_residual(traj: Trajectory, out: dict, path: Path) -> None:
-    """Sets ``h_evo_max_residual``; a noise run writes the series to ``path``."""
-    t_r, r = diag.hamiltonian_evolution_residual(traj)
-    out["h_evo_max_residual"] = float(np.abs(r).max())
-    if traj.marty is not None:
-        write_csv(path, {"t": t_r, "residual": r})
-
-
-def _fit_final_state(traj: Trajectory, profile: GroundProfile) -> tuple:
-    """The modulation fit of the final state and its mass within R = 1 of
-    the fitted centre."""
-    mf = diag.modulation_fit(traj.final_state, profile)
-    return mf, diag.localized_mass(traj.final_state, mf.center, 1.0)
-
-
-def _virial_series(traj: Trajectory, center) -> tuple:
-    """The uncut virial about ``center`` at every snapshot."""
-    times = np.array([t for t, _ in traj.snapshots])
-    return times, np.array([diag.virial(s, center, None) for _, s in traj.snapshots])
-
-
-def run_battery(sc: ScenarioConfig, prep: PreparedRun, traj: Trajectory, outdir: Path) -> dict:
-    profile = run_profile(sc.d, sc.p)
+    - The Banica sweep needs the momenta or the Marty terms; above the
+      ground-state mass it does not apply and ``banica_ok`` is true.
+      ``banica_max_violation`` needs the momenta: without them the sweep
+      tests only the noise profiles.
+    - The rate fits run when ||grad v|| grew by a decade.
+    - The modulation fit and the concentration need a snapshot (the final
+      one), the virial series (table ``virial``) two; its power fit and
+      ``rate_bound_min`` need the rate fit's ``T_est``.
+    - Table ``hevo_residual`` is written for a noise run (Marty terms).
+    """
+    profile = run_profile(traj.center.shape[1], p)
     q_mass = math.sqrt(profile.mass_sq)
-    summary: dict = {
-        "kind": sc.kind,
+    out: dict = {
         "stop_reason": traj.stop_reason,
         "n_steps": traj.n_steps,
-        "t_final": traj.final_time,
+        "t_final": traj.times[-1],
         "mass_drift": float(traj.residual.max()),
         "T_est": None,
         "alpha": None,
         "loglog_score": None,
-        "banica_ok": True,
-        "banica_applicable": False,
+        "banica_ok": None,
+        "banica_applicable": bool(traj.mass.max() <= q_mass + 1e-8),
         "h_evo_max_residual": None,
         "concentration": None,
     }
+    tables = {}
 
-    # Banica sweep whenever the mass precondition holds
-    if traj.mass.max() <= q_mass + 1e-8:
-        sweep = diag.banica_sweep(traj, q_mass)
-        summary["banica_ok"] = bool(sweep.satisfied)
-        summary["banica_applicable"] = True
-        summary["banica_max_violation"] = sweep.max_violation
+    if traj.momentum is not None or traj.marty is not None:
+        out["banica_ok"] = True
+        if out["banica_applicable"]:
+            sweep = diag.banica_sweep(traj, q_mass)
+            out["banica_ok"] = bool(sweep.satisfied)
+            if traj.momentum is not None:  # else the worst is the noise half's alone
+                out["banica_max_violation"] = sweep.max_violation
 
-    _hevo_residual(traj, summary, outdir / "hevo_residual.csv")
+    t_r, r = diag.hamiltonian_evolution_residual(traj)
+    out["h_evo_max_residual"] = float(np.abs(r).max())
+    if traj.marty is not None:
+        tables["hevo_residual"] = {"t": t_r, "residual": r}
 
-    # blow-up rate fits when the run actually blew up
-    grew = _grew(traj)
-    if grew:
-        fit = _rate_fit(traj, summary)
-        if fit is not None:
-            summary["rate_class"] = diag.classify_rate(fit)
+    if traj.grad_norm.max() >= 10.0 * traj.grad_norm.min():
+        # fit the blow-up rate to ||grad v|| from 1.2 times its start on
+        mask = traj.grad_norm >= 1.2 * traj.grad_norm[0]
         try:
-            summary["T_extrapolated"] = diag.extrapolate_blowup_time(
-                traj.times, traj.grad_norm
-            )
+            fit = diag.blowup_rate_fit(traj.times[mask], traj.grad_norm[mask])
+            out.update(T_est=fit.t_est, alpha=fit.alpha, loglog_score=fit.loglog_score,
+                       rate_class=diag.classify_rate(fit))
         except diag.DiagnosticsError as exc:
-            summary["T_extrapolated_error"] = str(exc)
+            out["rate_fit_error"] = str(exc)
+        try:
+            out["T_extrapolated"] = diag.extrapolate_blowup_time(traj.times, traj.grad_norm)
+        except diag.DiagnosticsError as exc:
+            out["T_extrapolated_error"] = str(exc)
 
-    # modulation + concentration at the final state
-    try:
-        mf, conc = _fit_final_state(traj, profile)
-        summary["modulation"] = {
+    mf = None
+    if traj.snapshots:
+        try:
+            mf = diag.modulation_fit(traj.final_state, profile)
+        except diag.DiagnosticsError as exc:
+            out["modulation_error"] = str(exc)
+    if mf is not None:
+        conc = diag.localized_mass(traj.final_state, mf.center, 1.0)
+        out["modulation"] = {
             "scale": mf.scale,
             "center": [float(c) for c in mf.center],
             "phase": mf.phase,
@@ -667,41 +660,28 @@ def run_battery(sc: ScenarioConfig, prep: PreparedRun, traj: Trajectory, outdir:
             "resid_h1": mf.resid_h1,
             "ambiguous_center": bool(mf.ambiguous_center),
         }
-        summary["concentration"] = {
-            "R": 1.0,
-            "fraction": conc / profile.mass_sq,
-            "mass_sq": conc,
-        }
-        if grew and summary.get("T_est"):
-            times, vir = _virial_series(traj, mf.center)
-            write_csv(outdir / "virial.csv", {"t": times, "virial": vir})
+        out["concentration"] = {"R": 1.0, "fraction": conc / profile.mass_sq, "mass_sq": conc}
+    if mf is not None and len(traj.snapshots) > 1:
+        # the uncut virial about the fitted centre at every snapshot
+        times = np.array([t for t, _ in traj.snapshots])
+        vir = np.array([diag.virial(s, mf.center, None) for _, s in traj.snapshots])
+        tables["virial"] = {"t": times, "virial": vir}
+        if out["T_est"] is not None:
             try:
-                summary["virial_beta"] = diag.fit_time_power(
-                    times[:-1], vir[:-1], summary["T_est"]
-                )
+                out["virial_beta"] = diag.fit_time_power(times[:-1], vir[:-1], out["T_est"])
             except diag.DiagnosticsError as exc:
-                summary["virial_beta_error"] = str(exc)
-            bound = traj.grad_norm**2 * (summary["T_est"] - traj.times) ** 2
-            summary["rate_bound_min"] = float(bound.min())
-    except diag.DiagnosticsError as exc:
-        summary["modulation_error"] = str(exc)
-
-    _residual_series(sc, traj, outdir, summary, prep)
-
-    for key, val in list(summary.items()):
-        if isinstance(val, dict):
-            summary[key] = {k: _json_safe(v) for k, v in val.items()}
-        else:
-            summary[key] = _json_safe(val)
-    return summary
+                out["virial_beta_error"] = str(exc)
+            bound = traj.grad_norm**2 * (out["T_est"] - traj.times) ** 2
+            out["rate_bound_min"] = float(bound.min())
+    return _json_ready(out), tables
 
 
-def _residual_series(sc, traj, outdir, summary, prep: PreparedRun) -> None:
+def _residual_series(sc, traj, outdir, prep: PreparedRun) -> dict:
     """Profile residuals of each snapshot against the run's exact family
     (``prep.reference``, ``prep.centers``), less its regular profile if it
-    has one, until the reference raises ProfileError."""
+    has one, until the reference raises ProfileError: their summary keys."""
     if prep.reference is None:
-        return
+        return {}
     if prep.regular:
         z, z_time, clock, frame = prep.regular
     times, l2s, h1s, per = [], [], [], []
@@ -721,15 +701,18 @@ def _residual_series(sc, traj, outdir, summary, prep: PreparedRun) -> None:
         h1s.append(res.h1)
         per.append([b[1] for b in res.per_bubble])
     if not times:
-        return
+        return {}
     rows = {"t": times, "l2": l2s, "h1": h1s}
+    summary = {
+        "profile_residual_max_l2": float(np.max(l2s)),
+        "profile_residual_max_h1": float(np.max(h1s)),
+    }
     if prep.per_bubble:
         for k in range(len(per[0])):
             rows[f"h1_bubble_{k}"] = [pb[k] for pb in per]
         summary["profile_residual_max_h1_per_bubble"] = float(np.max(per))
     write_csv(outdir / "profile_residuals.csv", rows)
-    summary["profile_residual_max_l2"] = float(np.max(l2s))
-    summary["profile_residual_max_h1"] = float(np.max(h1s))
+    return _json_ready(summary)
 
 
 def _check_step_count(summary: Path, traj: Trajectory, tdir: Path) -> None:
@@ -748,15 +731,15 @@ def _check_step_count(summary: Path, traj: Trajectory, tdir: Path) -> None:
 
 
 def diagnose_run(run_dir: Path) -> dict:
-    """The battery's checks that need no rerun, on the trajectory in
-    ``run_dir/traj_000`` (or ``run_dir``), as ``report.json`` (also
-    returned).  The ground profile is that of the snapshot's d and of the
-    ``physics.p`` in ``run_dir/config.txt`` (critical without one); no other
-    key of that file is read, so keys a later schema dropped do no harm.
-    Where ``scenario run`` or ``nlslab evolve`` left its ``summary.json``,
-    the trajectory must hold its ``n_steps + 1`` rows.
-    ``banica_ok`` stays None without ``hevo.csv``: the momenta the other
-    half of the sweep needs are not on disk."""
+    """``run_battery`` on the trajectory in ``run_dir/traj_000`` (or
+    ``run_dir``), written as ``report.json`` (also returned) and its tables
+    as ``*_check.csv``.  What is not on disk reads None: without the
+    momenta, ``banica_ok`` needs ``hevo.csv``; without a snapshot there is
+    no modulation fit.  The exponent is the ``physics.p`` in
+    ``run_dir/config.txt`` (critical without one); no other key of that
+    file is read, so keys a later schema dropped do no harm.  Where
+    ``scenario run`` or ``nlslab evolve`` left its ``summary.json``, the
+    trajectory must hold its ``n_steps + 1`` rows."""
     run_dir = Path(run_dir)
     config = run_dir / "config.txt"
     try:
@@ -770,28 +753,9 @@ def diagnose_run(run_dir: Path) -> dict:
     traj = read_trajectory(tdir)
     if (run_dir / "summary.json").exists():
         _check_step_count(run_dir / "summary.json", traj, tdir)
-    # first, so that an exponent the profile refuses stops before any file is written
-    profile = run_profile(traj.final_state.grid.d, p) if traj.snapshots else None
-    report = dict.fromkeys((
-        "banica_ok", "h_evo_max_residual", "T_est", "alpha", "loglog_score",
-        "virial_series", "concentration",
-    ))
-    if _grew(traj):
-        _rate_fit(traj, report)
-    _hevo_residual(traj, report, run_dir / "hevo_residual_check.csv")
-    if traj.marty is not None:
-        # the noise half of the sweep, without the run's mass precondition
-        report["banica_ok"] = bool(diag.banica_sweep(traj, None).satisfied)
-    if profile is not None:
-        try:
-            mf, conc = _fit_final_state(traj, profile)
-            report["concentration"] = {"R": 1.0, "fraction": conc / profile.mass_sq}
-            if _snapshot_files(tdir):
-                times, vir = _virial_series(traj, mf.center)
-                report["virial_series"] = {"t": times.tolist(), "virial": vir.tolist()}
-                write_csv(run_dir / "virial_check.csv", {"t": times, "virial": vir})
-        except diag.DiagnosticsError as exc:
-            report["modulation_error"] = str(exc)
+    report, tables = run_battery(traj, p)
+    for name, columns in tables.items():
+        write_csv(run_dir / f"{name}_check.csv", columns)
     write_summary_json(run_dir / "report.json", report)
     return report
 
@@ -860,7 +824,10 @@ def run_trajectory(sc: ScenarioConfig, prep: PreparedRun, seed: int, lean: bool 
 
 
 def run_scenario(sc: ScenarioConfig, outdir: Optional[Path] = None) -> tuple:
-    """Execute one scenario; returns (summary, exit_code)."""
+    """Execute one scenario; returns (summary, exit_code).  The summary is
+    ``run_battery``'s on the live trajectory plus what needs the run itself:
+    ``kind``, the profile residuals, the boundary fraction, the gauge twin,
+    the determinism probe and the exit code."""
     prep = prepare_run(sc)
     outdir = open_run_dir(sc, prep, outdir)
     traj = run_trajectory(sc, prep, sc.noise_seed)
@@ -872,7 +839,11 @@ def run_scenario(sc: ScenarioConfig, outdir: Optional[Path] = None) -> tuple:
     inner = diag.localized_mass(prep.initial, (0.0,) * sc.d, 0.5 * sc.extent - 2.0)
     boundary_fraction = max(0.0, (total - inner) / total)
 
-    summary = run_battery(sc, prep, traj, outdir)
+    summary, tables = run_battery(traj, sc.p)
+    for name, columns in tables.items():
+        write_csv(outdir / f"{name}.csv", columns)
+    summary["kind"] = sc.kind
+    summary.update(_residual_series(sc, traj, outdir, prep))
     summary["boundary_mass_fraction"] = boundary_fraction
 
     if sc.kind == "snls_gauge_check":

@@ -152,21 +152,6 @@ def test_blowup_virial_quadratic_vanishing(profile):
         assert virial(f, (0.0,), None) == pytest.approx(expect, rel=1e-8)
 
 
-def test_virial_evolution_residual_quadrature(profile):
-    g = make_grid(1, 40, 1024)
-    sp = SolitonParams(solitons=(Soliton(velocity=(1.0,), width=1.0),))
-    W0 = solitary_wave(sp, 0.0, g, profile)
-    cut = build_cutoff(2.0)
-    res = {}
-    for cad in (10, 5):
-        cfg = EvolveConfig(p=5.0, v0=W0, t0=0.0, t1=1.0, dt0=2.5e-4, cadence=cad, adaptive=False)
-        traj = integrate(cfg)
-        _, r = virial_evolution_residual(traj, (0.0,), cut)
-        res[cad] = np.abs(r).max()
-    assert res[10] < 1e-6
-    assert res[10] / res[5] >= 2.0
-
-
 def test_virial_constant_for_standing_soliton(profile):
     g = make_grid(1, 40, 1024)
     sp = SolitonParams(solitons=(Soliton(velocity=(0.0,), width=1.0),))

@@ -189,6 +189,8 @@ def test_readme_lists_every_key_in_schema_order():
 
 _floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False, width=64)
+# positive, with a finite, normal square
+_width = st.floats(min_value=1.5e-154, max_value=1.3e154, width=64)
 
 
 def _point(d):
@@ -225,14 +227,14 @@ def _config_text(draw):
         "soliton.waves": ";".join(draw(st.lists(wave, min_size=1, max_size=3))),
         "zstar.amplitude_rel": repr(draw(st.floats(0.0, 0.1, exclude_min=True))),
         "zstar.center": draw(pt),
-        "zstar.width": repr(draw(_positive)),
+        "zstar.width": repr(draw(_width)),
         "noise.kind": noise,
         "noise.amplitude": repr(draw(_floats)),
         "noise.modes": draw(st.integers()),
         "noise.seed": draw(st.integers(0, 2**64 - 1)),
         "noise.flat_points": ";".join(draw(st.lists(pt, min_size=1, max_size=3))),
         "init.mass_sq_ratio": repr(draw(_positive)),
-        "init.width": repr(draw(_positive)),
+        "init.width": repr(draw(_width)),
         "evolve.t0": repr(draw(st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False))),
         "evolve.t1": repr(draw(_floats)),
         "evolve.dt0": repr(draw(_floats)),
@@ -375,9 +377,8 @@ def test_residual_series_ends_on_profile_error_only(tmp_path):
             raise ProfileError("past the window of the reference")
         return field
 
-    summary = {}
     prep = scenario.PreparedRun(field, reference, lambda t: [0.0])
-    scenario._residual_series(sc, traj, tmp_path, summary, prep)
+    summary = scenario._residual_series(sc, traj, tmp_path, prep)
     assert (tmp_path / "profile_residuals.csv").read_text().count("\n") == 3  # header, 2 rows
     assert summary["profile_residual_max_l2"] == 0.0
 
@@ -386,7 +387,7 @@ def test_residual_series_ends_on_profile_error_only(tmp_path):
 
     prep = scenario.PreparedRun(field, broken, lambda t: [0.0])
     with pytest.raises(ValueError, match="not a profile error"):
-        scenario._residual_series(sc, traj, tmp_path, {}, prep)
+        scenario._residual_series(sc, traj, tmp_path, prep)
 
 
 # per kind, the keys of a small run; every run but the non-pure one starts at t = 0
@@ -479,12 +480,14 @@ def test_rerun_removes_the_previous_runs_artifacts(tmp_path):
     (out / "notes.csv").write_text("mine\n")
     (out / "traj_notes").mkdir()
     (out / "traj_notes" / "a.csv").write_text("mine\n")
+    first_virial = (out / "virial.csv").read_bytes()
     second, _ = run_scenario(dataclasses.replace(base, points=2048), out)
-    assert second["T_est"] is None  # this run writes no virial.csv
+    assert second["T_est"] is None and "virial_beta" not in second
     assert sorted(p.name for p in out.iterdir()) == [
         "config.txt", "notes.csv", "profile_residuals.csv", "summary.json",
-        "traj_000", "traj_notes",
+        "traj_000", "traj_notes", "virial.csv",
     ]
+    assert (out / "virial.csv").read_bytes() != first_virial
     assert (out / "notes.csv").read_text() == "mine\n"
     assert (out / "traj_notes" / "a.csv").read_text() == "mine\n"
     # the initial state, every 250th step and the final state of this run
@@ -677,6 +680,14 @@ def test_trajectory_artifacts_read_back_bitwise(tmp_path, text):
         assert getattr(back, name) is None
 
 
+# summary.json keys that need the run itself, not its trajectory on disk
+_RUN_ONLY_KEYS = {
+    "kind", "boundary_mass_fraction", "determinism_ok", "gauge_max_modulus_diff",
+    "gauge_same_stop_step", "mass_tolerance", "hard_checks_ok", "exit_code",
+    "profile_residual_max_l2", "profile_residual_max_h1", "profile_residual_max_h1_per_bubble",
+}
+
+
 @pytest.mark.parametrize("text", [SHORT_BUBBLE, GAUGE_CHECK.replace(
     "output.snapshots = final", "output.snapshots = all"), NOISY_SOLITON],
     ids=["bubble", "gauge_check", "schwartz_noise"])
@@ -689,20 +700,44 @@ def test_diagnose_report_equals_run_summary(tmp_path, text):
     assert res.exit_code == 0, res.output
     report = json.loads((out / "report.json").read_text())
     assert json.loads(res.stdout) == report
-    for key in ("T_est", "alpha", "h_evo_max_residual"):
-        assert report[key] == summary[key], key
-    assert report["concentration"]["fraction"] == summary["concentration"]["fraction"]
-    if (out / "traj_000" / "hevo.csv").exists():
-        assert report["banica_ok"] == summary["banica_ok"]
-        hevo = out / "hevo_residual.csv"
-        assert (out / "hevo_residual_check.csv").read_bytes() == hevo.read_bytes()
+    # the battery's keys: every summary key but the run's own, and the sweep's
+    # worst violation, whose coordinate half needs the momenta
+    assert set(report) == set(summary) - _RUN_ONLY_KEYS - {"banica_max_violation"}
+    assert {"n_steps", "mass_drift", "modulation", "concentration"} <= set(report)
+    hevo = (out / "traj_000" / "hevo.csv").exists()
+    for key in set(report) - {"stop_reason"}:
+        if key == "banica_ok" and not hevo:
+            # the coordinate-function half of the sweep needs the momenta,
+            # which are not on disk
+            assert report[key] is None
+            continue
+        assert json.dumps(report[key], sort_keys=True) == json.dumps(summary[key], sort_keys=True), key
+    assert report["stop_reason"] is None
+    if hevo:
+        assert (out / "hevo_residual_check.csv").read_bytes() == (out / "hevo_residual.csv").read_bytes()
     else:
-        # the coordinate-function half of the sweep needs the momenta,
-        # which are not on disk
-        assert report["banica_ok"] is None
-        assert summary["T_est"] is not None  # the bubble's rate fit is compared
-    virial = report["virial_series"]
-    assert len(virial["t"]) == len(list((out / "traj_000").glob("snapshot_0*.txt")))
+        assert report["T_est"] is not None and "rate_class" in report  # the bubble's rate fit is compared
+    assert (out / "virial_check.csv").read_bytes() == (out / "virial.csv").read_bytes()
+
+
+def test_scenario_run_and_diagnose_call_the_battery_once(tmp_path, monkeypatch, bare_run, evolve_run):
+    calls = []
+    battery = scenario.run_battery
+    monkeypatch.setattr(scenario, "run_battery", lambda *a: calls.append(a) or battery(*a))
+    text = GAUGE_CHECK.replace("evolve.t1 = 0.25", "evolve.t1 = 0.05")
+    run_scenario(build_scenario(parse_config_text(text)), tmp_path / "gauge")
+    assert len(calls) == 1
+    assert CliRunner().invoke(cli.main, ["diagnose", str(tmp_path / "gauge")]).exit_code == 0
+    assert len(calls) == 2
+    # an evolve directory gets the report of the scenario run of its config
+    reports = []
+    for name, run_dir in (("run", bare_run), ("evolve", evolve_run)):
+        shutil.copytree(run_dir, tmp_path / name)
+        assert CliRunner().invoke(cli.main, ["diagnose", str(tmp_path / name)]).exit_code == 0
+        reports.append((tmp_path / name / "report.json").read_bytes())
+    assert len(calls) == 4
+    assert reports[0] == reports[1]
+    assert "mass_drift" in json.loads(reports[0])
 
 
 @pytest.mark.parametrize("contents", ["empty", "ensemble"])
@@ -837,11 +872,12 @@ evolve.cadence = 1000
 # every file each run directory holds before diagnose writes into it
 _RUN_FILES = {
     "bubble": ("config.txt", "profile_residuals.csv", "summary.json",
-               "traj_000/diagnostics.csv", "traj_000/snapshot_final.txt"),
+               "traj_000/diagnostics.csv", "traj_000/snapshot_final.txt", "virial.csv"),
     "fit": ("config.txt", "profile_residuals.csv", "summary.json",
             "traj_000/diagnostics.csv", "traj_000/snapshot_final.txt", "virial.csv"),
     "gauge": ("config.txt", "hevo_residual.csv", "summary.json", "traj_000/diagnostics.csv",
-              "traj_000/hevo.csv", "traj_000/path.csv", "traj_000/snapshot_final.txt"),
+              "traj_000/hevo.csv", "traj_000/path.csv", "traj_000/snapshot_final.txt",
+              "virial.csv"),
 }
 
 
@@ -1036,13 +1072,26 @@ _PROBE_KINDS = {
     ("scenario run", "bourgain_wang", "zstar.width", "0"),
     ("scenario run", "bourgain_wang", "zstar.amplitude_rel", "0"),
     ("scenario run", "nonpure_soliton", "zstar.amplitude_rel", "0"),
+    ("scenario run", "critical_blowup", "evolve.dt0", "1e-290"),
+    ("scenario run", "critical_blowup", "evolve.dt0", "1e-300"),
+    ("scenario run", "critical_blowup", "evolve.t1", "1e300"),
+    ("scenario run", "loglog_supercritical", "init.width", "1e-200"),
+    ("scenario run", "critical_blowup", "blowup.bubbles", "0:1e200:0"),
 ], ids=["t1_nan", "t1_inf", "dt0_nan", "gmax_nan", "width_factor_nan", "amplitude_nan",
         "bubble_phase_nan", "point_inf", "workers_negative", "seed_negative",
         "mass_sq_ratio_zero", "mass_sq_ratio_negative", "init_width_zero", "zstar_width_zero",
-        "zstar_amplitude_zero_bourgain_wang", "zstar_amplitude_zero_nonpure_soliton"])
+        "zstar_amplitude_zero_bourgain_wang", "zstar_amplitude_zero_nonpure_soliton",
+        "span_dt0_tiny", "span_dt0_subnormal_unit", "span_t1_huge", "init_width_square_underflows",
+        "bubble_width_square_overflows"])
 def test_cli_refuses_non_finite_values_and_workers_below_one(tmp_path, command, kind, key, value):
     # also the non-positive initial data, which crashed or warned before the
-    # config error: one stderr line, no warning, and no run directory
+    # config error, and the spans and widths that hung or overflowed: one
+    # stderr line, no warning, and no run directory.  The schema's refusals
+    # name the key; the integrator's and the exact profile's name the value.
+    says = {
+        ("evolve.dt0", "1e-290"): "time span", ("evolve.dt0", "1e-300"): "time span",
+        ("evolve.t1", "1e300"): "time span", ("blowup.bubbles", "0:1e200:0"): "bubble width",
+    }.get((key, value), key)
     text = "".join(f"{k} = {v}\n" for k, v in {**_PROBE_RUN, **_PROBE_KINDS[kind], key: value}.items())
     cfg_file = tmp_path / "probe.cfg"
     cfg_file.write_text(text)
@@ -1052,7 +1101,7 @@ def test_cli_refuses_non_finite_values_and_workers_below_one(tmp_path, command, 
             cli.main, [*command.split(), str(cfg_file)], env={"NLSLAB_OUT": str(tmp_path)}
         )
     assert res.exit_code == 2, res.output
-    assert res.stderr.startswith("config error") and key in res.stderr, res.stderr
+    assert res.stderr.startswith("config error") and says in res.stderr, res.stderr
     assert res.stderr.count("\n") == 1 and "Traceback" not in res.output, res.stderr
     assert not caught
     assert not (tmp_path / "probe").exists()
