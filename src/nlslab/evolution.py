@@ -202,9 +202,9 @@ class _BrownianDrive:
     level, only the block of DRIVE_BLOCK base intervals it falls in, with
     ``BrownianPath.refine``'s bridge arithmetic and the normals of refine's
     level-m stream at the block's offset (a stream discards the normals of
-    blocks it skips), so every value is refine's, bitwise.  The block before
-    the newest is kept, never shallower, so a retried step may look behind
-    its midpoint; a lookup behind both raises EvolveError."""
+    blocks it skips), so every value is refine's, bitwise.  A run makes one
+    step per position it passes, so its lookups never go back a block: only
+    the newest block is kept, and a lookup behind it raises EvolveError."""
 
     def __init__(self, n_modes: int, seed: int, t0: float, base_dt: float, end_pos: int):
         n, rest = divmod(end_pos, 1 << POS_LEVEL)
@@ -212,39 +212,35 @@ class _BrownianDrive:
             raise EvolveError("time span must be an integer multiple of the path step")
         self.base = sample_brownian(seed, t0 + np.arange(n + 1) * base_dt, n_modes)
         self.streams = {}  # level -> (generator, rows drawn)
-        self.blocks = {}  # block index -> [level, times, values]
+        self.block = -1  # the kept block's index, its level, times and values
+        self.level = self.times = self.values = None
 
     def value(self, pos: int) -> np.ndarray:
         index, offset = divmod(pos, 1 << POS_LEVEL)
         if not offset:
             return self.base.values[index]
         k = index // DRIVE_BLOCK
-        if k not in self.blocks:
-            if self.blocks and k < min(self.blocks):
-                raise EvolveError(f"drive lookup at position {pos} lies behind the kept path blocks")
+        if k < self.block:
+            raise EvolveError(f"drive lookup at position {pos} lies behind the kept path block")
+        if k > self.block:
             rows = slice(k * DRIVE_BLOCK, (k + 1) * DRIVE_BLOCK + 1)
-            self.blocks = {j: b for j, b in self.blocks.items() if j == k - 1}
-            self.blocks[k] = [0, self.base.times[rows], self.base.values[rows]]
+            self.block, self.level = k, 0
+            self.times, self.values = self.base.times[rows], self.base.values[rows]
         level = POS_LEVEL + 1 - (offset & -offset).bit_length()
-        while self.blocks[k][0] < level:
-            older = self.blocks.get(k - 1)
-            if older is not None and older[0] == self.blocks[k][0]:
-                self._refine(k - 1)
-            self._refine(k)
-        block_level, _, values = self.blocks[k]
-        return values[(pos - (k * DRIVE_BLOCK << POS_LEVEL)) >> (POS_LEVEL - block_level)]
+        while self.level < level:
+            self._refine()
+        return self.values[(pos - (k * DRIVE_BLOCK << POS_LEVEL)) >> (POS_LEVEL - self.level)]
 
-    def _refine(self, k: int) -> None:
-        block = self.blocks[k]
-        level, times, values = block
-        n_modes = self.base.n_modes
+    def _refine(self) -> None:
+        level, n_modes = self.level, self.base.n_modes
         rng, drawn = self.streams.get(level + 1) or (level_stream(self.base.seed, level + 1), 0)
-        first = k * DRIVE_BLOCK << level  # the block's first row of level + 1 normals
+        first = self.block * DRIVE_BLOCK << level  # the block's first row of level + 1 normals
         for skip in range(drawn * n_modes, first * n_modes, 1 << 16):
             rng.standard_normal(min(1 << 16, first * n_modes - skip))
-        self.streams[level + 1] = (rng, first + times.size - 1)
-        normals = rng.standard_normal((times.size - 1, n_modes))
-        block[:] = [level + 1, *bridge_refine(times, values, normals)]
+        self.streams[level + 1] = (rng, first + self.times.size - 1)
+        normals = rng.standard_normal((self.times.size - 1, n_modes))
+        self.level = level + 1
+        self.times, self.values = bridge_refine(self.times, self.values, normals)
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +480,12 @@ def integrate(config: EvolveConfig) -> Trajectory:
     target step dt0 * min(1, (g0/g)^2), g = ||grad v||, is rounded down to a
     ladder level; a noise run floors it further to the drive's grain (see
     DRIVE_FLOOR_LEVELS), and the last step is clipped to the end of the
-    span.  Stops at the end of the span, at the gradient
-    threshold, when the fitted width falls below width_factor * dx, on
-    non-finite values (keeping the last good state), or when the level
-    passes the finest but two of the position grid (``step_underflow``).
+    span.  Each turn of the loop makes one step call.  Stops at the end of
+    the span, at the gradient threshold, when the fitted width falls below
+    width_factor * dx, at the first step with non-finite values
+    (``nonfinite``, keeping the last good state; the step is not retried),
+    or when the level passes the finest but two of the position grid
+    (``step_underflow``).
     An all-zero initial field is refused: the mass drift is relative to it;
     so is a span of more than MAX_PATH_STEPS base steps.
     """
@@ -557,21 +555,11 @@ def integrate(config: EvolveConfig) -> Trajectory:
             dpos -= dpos % (1 << max(0, POS_LEVEL - DRIVE_FLOOR_LEVELS - level // LADDER_LEVELS))
         dpos = min(dpos, end_pos - pos)
 
-        attempts = 0
-        while True:
-            dt = dpos * unit
-            gauge = None
-            if drive is not None:  # weights frozen at the step midpoint
-                gauge = coefficient_fields(profiles, drive.value(pos + dpos // 2))
-            v_new = _step_gnls_values(grid, v, dt, config.p, gauge)
-            finite = bool(np.all(np.isfinite(v_new)))
-            if finite:
-                break
-            attempts += 1
-            dpos //= 2
-            if attempts > 3 or dpos == 0:
-                break
-        if not finite:
+        gauge = None
+        if drive is not None:  # weights frozen at the step midpoint
+            gauge = coefficient_fields(profiles, drive.value(pos + dpos // 2))
+        v_new = _step_gnls_values(grid, v, dpos * unit, config.p, gauge)
+        if not np.all(np.isfinite(v_new)):
             stop_reason = "nonfinite"
             break
 

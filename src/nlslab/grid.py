@@ -151,9 +151,6 @@ class ComplexField:
         if not np.all(np.isfinite(self.values)):
             raise GridError("field contains non-finite values")
 
-    def copy(self) -> "ComplexField":
-        return ComplexField(self.grid, self.values.copy())
-
 
 def make_grid(d: int, extent: float, points: int) -> GridSpec:
     """Build a grid, rejecting non-power-of-two N and an L that is not

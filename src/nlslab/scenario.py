@@ -340,9 +340,17 @@ class PreparedRun:
     grad_ref: Optional[float] = None
 
 
+def _gaussian(grid: GridSpec, key: str, width: float, center=None) -> np.ndarray:
+    """exp(-|x - center|^2 / width^2) on the grid.  A width (config key
+    ``key``) below 4 dx, the bubbles' bound, is refused: it samples one
+    spike."""
+    if width < 4.0 * grid.dx:
+        raise ProfileError(f"{key} {width:.4g} under-resolved (< 4 dx = {4 * grid.dx:.4g})")
+    return np.exp(-grid.radius_squared(center) / width**2).astype(np.complex128)
+
+
 def _gaussian_with_mass(grid: GridSpec, width: float, mass_sq: float) -> ComplexField:
-    r2 = grid.radius_squared()
-    vals = np.exp(-r2 / width**2).astype(np.complex128)
+    vals = _gaussian(grid, "init.width", width)
     f = ComplexField(grid, vals)
     return ComplexField(grid, vals * math.sqrt(mass_sq / l2_norm_sq(f)))
 
@@ -355,8 +363,7 @@ def _regular_profile(
     z* is a Gaussian whose H1 norm is ``zstar.amplitude_rel`` times the run
     profile's, so the config's bound on that ratio is the smallness bound.
     """
-    r2 = grid.radius_squared(sc.zstar_center)
-    vals = np.exp(-r2 / sc.zstar_width**2).astype(np.complex128)
+    vals = _gaussian(grid, "zstar.width", sc.zstar_width, sc.zstar_center)
     q_h1 = norm_suite(profile.sample(grid)).h1
     scale = sc.zstar_amplitude_rel * q_h1 / norm_suite(ComplexField(grid, vals)).h1
     zstar = ComplexField(grid, vals * scale)
@@ -365,8 +372,9 @@ def _regular_profile(
 
 def prepare_run(sc: ScenarioConfig) -> PreparedRun:
     """The run's initial data and exact family.  Data it cannot prepare (a
-    grid the grid model refuses, a profile out of its window, a backward
-    solve the integrator refuses) is a config error."""
+    grid the grid model refuses or too small for the boundary-mass ball, a
+    profile out of its window, a Gaussian below 4 dx, a backward solve the
+    integrator refuses) is a config error."""
     try:
         return _prepare(sc)
     except (GridError, ProfileError, EvolveError) as exc:
@@ -374,6 +382,9 @@ def prepare_run(sc: ScenarioConfig) -> PreparedRun:
 
 
 def _prepare(sc: ScenarioConfig) -> PreparedRun:
+    if not sc.extent > 4.0:
+        # the boundary-mass ball of every run has radius L/2 - 2
+        raise ConfigError(f"grid.L must exceed 4, got {sc.extent!r}")
     grid = sc.grid
     profile = run_profile(sc.d, sc.p)
     grad_ref = math.sqrt(profile.grad_sq)

@@ -20,7 +20,8 @@ import nlslab.scenario as scenario
 from nlslab import diagnostics as diag
 from nlslab import cli
 from nlslab.exact import ProfileError
-from nlslab.grid import ComplexField
+from nlslab.evolution import Trajectory
+from nlslab.grid import ComplexField, make_grid
 from nlslab.scenario import (
     SCENARIO_KINDS,
     SCHEMA,
@@ -740,6 +741,72 @@ def test_scenario_run_and_diagnose_call_the_battery_once(tmp_path, monkeypatch, 
     assert "mass_drift" in json.loads(reports[0])
 
 
+# the bubble of tests/test_evolution.py's gradient-threshold test
+THRESHOLD_BUBBLE = """
+scenario.kind = critical_blowup
+grid.L = 40
+grid.N = 1024
+blowup.bubbles = 0:1:0
+evolve.t1 = 0.5
+evolve.dt0 = 4e-3
+"""
+
+
+def test_scenario_run_stopped_at_the_gradient_threshold_exits_0(tmp_path):
+    sc = build_scenario(parse_config_text(THRESHOLD_BUBBLE))
+    free = scenario.run_trajectory(sc, scenario.prepare_run(sc), sc.noise_seed)
+    assert free.stop_reason == "reached_end"
+    g_max = float(np.sqrt(free.grad_norm[0] * free.grad_norm.max()))
+    cfg_file = tmp_path / "stop.cfg"
+    cfg_file.write_text(THRESHOLD_BUBBLE + f"evolve.gmax = {g_max!r}\noutput.dir = stop\n")
+    res = CliRunner().invoke(cli.main, ["scenario", "run", str(cfg_file)], env={"NLSLAB_OUT": str(tmp_path)})
+    assert res.exit_code == 0, res.output
+    summary = json.loads((tmp_path / "stop" / "summary.json").read_text())
+    assert summary["stop_reason"] == "gradient_threshold"
+    assert summary["n_steps"] == int(np.argmax(free.grad_norm >= g_max)) > 0
+
+
+def _synthetic_trajectory(grad_norm, snapshots):
+    n = grad_norm.size
+    return Trajectory(
+        times=np.linspace(0.0, 1.0, n), mass=np.ones(n), grad_norm=grad_norm,
+        lam=np.full(n, np.nan), residual=np.zeros(n), snapshots=snapshots,
+        hamiltonian=np.zeros(n), center=np.zeros((n, 1)),
+    )
+
+
+def _zero_final_state():
+    grid = make_grid(1, 40, 256)
+    return _synthetic_trajectory(np.ones(8), [(1.0, ComplexField(grid, np.zeros(256)))])
+
+
+def _growth_then_fall():
+    # a decade of growth, then a slow fall: 1/||grad v|| rises at the end
+    t = np.linspace(0.0, 1.0, 40)
+    return _synthetic_trajectory(np.where(t < 0.1, 1.0 + 190.0 * t, 20.0 - 18.0 * t), [])
+
+
+def _rate_fit_with_two_virial_samples():
+    # the pseudo-conformal rate with T = 1.05; the virial power fit gets the
+    # snapshots before the last, two of them
+    grid = make_grid(1, 40, 256)
+    q = scenario.run_profile(1).sample(grid)
+    t = np.linspace(0.0, 1.0, 40)
+    return _synthetic_trajectory(1.0 / (1.05 - t), [(0.0, q), (0.5, q), (1.0, q)])
+
+
+@pytest.mark.parametrize("make, key, message", [
+    (_zero_final_state, "modulation_error", "nonzero field"),
+    (_growth_then_fall, "T_extrapolated_error", "not growing"),
+    (_rate_fit_with_two_virial_samples, "virial_beta_error", "not enough positive samples"),
+], ids=["zero_final_state", "growth_then_fall", "few_virial_samples"])
+def test_battery_reports_a_failed_fit_under_its_error_key(tmp_path, make, key, message):
+    out, _ = scenario.run_battery(make())
+    assert message in out[key]
+    scenario.write_summary_json(tmp_path / "summary.json", out)
+    assert json.loads((tmp_path / "summary.json").read_text())[key] == out[key]
+
+
 @pytest.mark.parametrize("contents", ["empty", "ensemble"])
 def test_diagnose_without_trajectory_exit_2(tmp_path, contents):
     run_dir = tmp_path / "run"
@@ -1077,17 +1144,27 @@ _PROBE_KINDS = {
     ("scenario run", "critical_blowup", "evolve.t1", "1e300"),
     ("scenario run", "loglog_supercritical", "init.width", "1e-200"),
     ("scenario run", "critical_blowup", "blowup.bubbles", "0:1e200:0"),
+    ("scenario run", "critical_blowup", "grid.L", "1e-300"),
+    ("scenario run", "critical_blowup", "grid.L", "4"),
+    ("scenario run", "loglog_supercritical", "init.width", "1e-3"),
+    ("scenario run", "loglog_supercritical", "init.width", "1.5e-154"),
+    ("scenario run", "bourgain_wang", "zstar.width", "1e-3"),
+    ("scenario run", "nonpure_soliton", "zstar.width", "0.6"),
 ], ids=["t1_nan", "t1_inf", "dt0_nan", "gmax_nan", "width_factor_nan", "amplitude_nan",
         "bubble_phase_nan", "point_inf", "workers_negative", "seed_negative",
         "mass_sq_ratio_zero", "mass_sq_ratio_negative", "init_width_zero", "zstar_width_zero",
         "zstar_amplitude_zero_bourgain_wang", "zstar_amplitude_zero_nonpure_soliton",
         "span_dt0_tiny", "span_dt0_subnormal_unit", "span_t1_huge", "init_width_square_underflows",
-        "bubble_width_square_overflows"])
+        "bubble_width_square_overflows", "grid_L_tiny", "grid_L_4", "init_width_under_resolved",
+        "init_width_quotient_overflows", "zstar_width_under_resolved_bourgain_wang",
+        "zstar_width_under_resolved_nonpure_soliton"])
 def test_cli_refuses_non_finite_values_and_workers_below_one(tmp_path, command, kind, key, value):
     # also the non-positive initial data, which crashed or warned before the
-    # config error, and the spans and widths that hung or overflowed: one
-    # stderr line, no warning, and no run directory.  The schema's refusals
-    # name the key; the integrator's and the exact profile's name the value.
+    # config error, the spans and widths that hung or overflowed, a box too
+    # small for the boundary-mass ball and widths below 4 dx, which sample
+    # one spike: one stderr line, no warning, and no run directory.  The
+    # schema's and the initial data's refusals name the key; the
+    # integrator's and the exact profile's name the value.
     says = {
         ("evolve.dt0", "1e-290"): "time span", ("evolve.dt0", "1e-300"): "time span",
         ("evolve.t1", "1e300"): "time span", ("blowup.bubbles", "0:1e200:0"): "bubble width",
