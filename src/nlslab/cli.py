@@ -22,13 +22,10 @@ from .scenario import (
     TrajectoryError,
     diagnose_run,
     load_scenario,
-    open_run_dir,
-    prepare_run,
+    run_and_write,
     run_ensemble,
     run_scenario,
-    run_trajectory,
     write_summary_json,
-    write_trajectory_artifacts,
 )
 
 
@@ -93,14 +90,11 @@ def ground_state_cmd(dim, power, extent, points, tol, out):
 @main.command("evolve")
 @click.argument("config_file", type=click.Path(exists=True))
 def evolve_cmd(config_file):
-    """Integrate a scenario config; write config.txt, diagnostics CSV,
+    """Integrate a scenario config, then write config.txt, diagnostics CSV,
     snapshots and a summary.json with the step count ``diagnose`` checks."""
     sc = _load(config_file)
     with _config_errors():
-        prep = prepare_run(sc)
-        outdir = open_run_dir(sc, prep)
-        traj = run_trajectory(sc, prep, sc.noise_seed)
-    write_trajectory_artifacts(sc, traj, outdir / "traj_000")
+        _, traj, outdir = run_and_write(sc)
     write_summary_json(outdir / "summary.json", {
         "n_steps": traj.n_steps, "stop_reason": traj.stop_reason, "t_final": traj.final_time,
     })

@@ -775,15 +775,14 @@ def diagnose_run(run_dir: Path) -> dict:
 # runner
 
 
-def _determinism_check(cfg: EvolveConfig) -> bool:
-    probe = replace(cfg, max_steps=20, cadence=None)
-    a = integrate(probe)
-    b = integrate(probe)
-    return (
-        np.array_equal(a.times, b.times)
-        and np.array_equal(a.mass, b.mass)
-        and np.array_equal(a.grad_norm, b.grad_norm)
-        and np.array_equal(a.hamiltonian, b.hamiltonian)
+def _determinism_check(cfg: EvolveConfig, traj: Trajectory) -> bool:
+    """Replay the first 20 steps of the run of ``cfg`` (all of them when it
+    took fewer) and compare the replay's clock, mass, ||grad v|| and H with
+    the leading rows of its trajectory ``traj``, bitwise."""
+    replay = integrate(replace(cfg, max_steps=20, cadence=None))
+    return all(
+        np.array_equal(getattr(replay, name), getattr(traj, name)[: replay.times.size])
+        for name in ("times", "mass", "grad_norm", "hamiltonian")
     )
 
 
@@ -803,16 +802,12 @@ _RUN_FILES = (
 _TRAJ_DIR = re.compile(r"traj_\d{3}")
 
 
-def open_run_dir(sc: ScenarioConfig, prep: PreparedRun, outdir: Optional[Path] = None) -> Path:
+def open_run_dir(sc: ScenarioConfig, outdir: Optional[Path] = None) -> Path:
     """Create the run directory (default: ``output.dir``), remove the
     artifacts an earlier run left in it and record the run's resolved
-    config as ``config.txt``.  Files nlslab does not write are kept.
-
-    The integrator first sets the run up and stops before its first step,
-    so a value it or the noise model refuses raises while the directory is
-    still untouched."""
-    cfg = evolve_config_for(sc, prep, sc.noise_seed)
-    integrate(replace(cfg, max_steps=0, cadence=None, lean_record=True))
+    config as ``config.txt``.  Files nlslab does not write are kept.  Every
+    command opens it after its run, so a value the run refuses leaves it
+    untouched."""
     outdir = Path(outdir) if outdir is not None else resolve_outdir(sc)
     outdir.mkdir(parents=True, exist_ok=True)
     for name in _RUN_FILES:
@@ -834,16 +829,23 @@ def run_trajectory(sc: ScenarioConfig, prep: PreparedRun, seed: int, lean: bool 
     return integrate(cfg)
 
 
+def run_and_write(sc: ScenarioConfig, outdir: Optional[Path] = None) -> tuple:
+    """Prepare and integrate the run, then open its directory and write the
+    trajectory to ``traj_000/``: (prep, traj, outdir)."""
+    prep = prepare_run(sc)
+    traj = run_trajectory(sc, prep, sc.noise_seed)
+    outdir = open_run_dir(sc, outdir)
+    write_trajectory_artifacts(sc, traj, outdir / "traj_000")
+    return prep, traj, outdir
+
+
 def run_scenario(sc: ScenarioConfig, outdir: Optional[Path] = None) -> tuple:
     """Execute one scenario; returns (summary, exit_code).  The summary is
     ``run_battery``'s on the live trajectory plus what needs the run itself:
     ``kind``, the profile residuals, the boundary fraction, the gauge twin,
-    the determinism probe and the exit code."""
-    prep = prepare_run(sc)
-    outdir = open_run_dir(sc, prep, outdir)
-    traj = run_trajectory(sc, prep, sc.noise_seed)
-    tdir = outdir / "traj_000"
-    write_trajectory_artifacts(sc, traj, tdir)
+    ``determinism_ok`` (the replay of its first 20 steps) and the exit
+    code."""
+    prep, traj, outdir = run_and_write(sc, outdir)
 
     # box adequacy: initial mass within radius L/2 - 2 of the box center
     total = l2_norm_sq(prep.initial)
@@ -857,12 +859,10 @@ def run_scenario(sc: ScenarioConfig, outdir: Optional[Path] = None) -> tuple:
     summary.update(_residual_series(sc, traj, outdir, prep))
     summary["boundary_mass_fraction"] = boundary_fraction
 
+    cfg = evolve_config_for(sc, prep, sc.noise_seed)
     if sc.kind == "snls_gauge_check":
-        _gauge_check(sc, prep, traj, summary)
-
-    summary["determinism_ok"] = _determinism_check(
-        evolve_config_for(sc, prep, sc.noise_seed)
-    )
+        _gauge_check(cfg, traj, summary)
+    summary["determinism_ok"] = _determinism_check(cfg, traj)
 
     failed = traj.stop_reason in FAILED_STOPS
     hard_ok = (
@@ -879,12 +879,13 @@ def run_scenario(sc: ScenarioConfig, outdir: Optional[Path] = None) -> tuple:
     return summary, exit_code
 
 
-def _gauge_check(sc: ScenarioConfig, prep: PreparedRun, noisy: Trajectory, summary: dict) -> None:
+def _gauge_check(cfg: EvolveConfig, noisy: Trajectory, summary: dict) -> None:
     """Constant-profile runs must match the deterministic twin pointwise: the
-    same run at amplitude 0, whose Strang steps share the noise run's clock."""
-    cfg = evolve_config_for(sc, prep, sc.noise_seed)
+    run of ``cfg`` at amplitude 0, whose Strang steps share the noise run's
+    clock."""
     if cfg.noise is not None:
-        cfg.noise = replace(cfg.noise, profiles=replace(cfg.noise.profiles, amplitude=0.0))
+        profiles = replace(cfg.noise.profiles, amplitude=0.0)
+        cfg = replace(cfg, noise=replace(cfg.noise, profiles=profiles))
     det = integrate(replace(cfg, lean_record=True))  # only its snapshots and stop are read
     n = min(len(noisy.snapshots), len(det.snapshots))
     worst = 0.0
@@ -940,14 +941,13 @@ def ensemble_summary(results: list) -> dict:
 
 
 def run_ensemble(sc: ScenarioConfig, outdir: Optional[Path] = None) -> tuple:
-    """Run the seed ensemble; returns (summary, exit_code).
+    """Run the seed ensemble, then write its run directory; returns (summary, exit_code).
 
     The exit code is 3 when any trajectory fails numerically or drifts in
     mass by ``MASS_BUDGET`` or more, else 0.
     """
     if sc.ensemble_size < 2:
         raise ConfigError(f"an ensemble needs ensemble.size >= 2, got {sc.ensemble_size}")
-    outdir = open_run_dir(sc, prepare_run(sc), outdir)
     jobs = [(sc, i) for i in range(sc.ensemble_size)]
     # a fork pool starts all its workers at once: no more than there are members
     workers = min(sc.ensemble_size, sc.ensemble_workers or os.cpu_count() or 1)
@@ -956,6 +956,7 @@ def run_ensemble(sc: ScenarioConfig, outdir: Optional[Path] = None) -> tuple:
             results = list(pool.map(_ensemble_worker, jobs))
     else:
         results = [_ensemble_worker(j) for j in jobs]
+    outdir = open_run_dir(sc, outdir)
     summary = ensemble_summary(results)
     ordered = sorted(results, key=lambda r: r["index"])
     write_csv(outdir / "ensemble.csv", {key: [r[key] for r in ordered] for key in ordered[0]})

@@ -1083,24 +1083,79 @@ def test_cli_malformed_config_exit_2(tmp_path):
     ("scenario run", "grid.N = 256", "grid.N = 250"),
     ("scenario run", "soliton.waves = 1.0:1.0:0.0:0.0", "soliton.waves = 1.0:1.0:0.0:18.0"),
     ("scenario run", "evolve.t1 = 0.25", "evolve.t1 = 1e9"),
+    ("scenario ensemble", "noise.modes = 2\nensemble.workers = 1",
+     "noise.modes = 9\nensemble.workers = 2"),
 ], ids=["run_modes", "run_dt0", "run_cadence", "ensemble_modes", "evolve_cadence",
-        "run_grid", "run_profile", "run_path_span"])
+        "run_grid", "run_profile", "run_path_span", "pool_ensemble_modes"])
 def test_cli_config_value_errors_exit_2(tmp_path, command, old, new):
     # values the schema accepts but the grid, the exact profiles, the noise
-    # model or the integrator refuses; the refusal comes before the run
-    # directory is touched, so an earlier run's files there stay as they were
+    # model or the integrator refuses; the run refuses them before its
+    # directory is opened (an ensemble's in a pool worker, with 2 workers),
+    # so an earlier run's files there stay as they were.  Each line of
+    # ``old`` is replaced by the same line of ``new``.
     text = GAUGE_CHECK + "ensemble.size = 2\nensemble.workers = 1\noutput.dir = run\n"
     run_scenario(build_scenario(parse_config_text(text)), tmp_path / "run")
     before = {p: p.read_bytes() for p in (tmp_path / "run").rglob("*") if p.is_file()}
     assert len(before) > 1
+    for line, replacement in zip(old.splitlines(), new.splitlines(), strict=True):
+        text = text.replace(line, replacement)
     cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text(text.replace(old, new))
+    cfg_file.write_text(text)
     res = _cli([*command.split(), str(cfg_file)], cwd=tmp_path, env={"NLSLAB_OUT": str(tmp_path)})
     assert res.returncode == 2, res.stderr
-    assert "config error" in res.stderr, res.stderr
-    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("config error") and res.stderr.count("\n") == 1, res.stderr
     after = {p: p.read_bytes() for p in (tmp_path / "run").rglob("*") if p.is_file()}
     assert after == before
+
+
+@pytest.mark.parametrize("command, text, calls", [
+    ("scenario run", SOLITON_RUN, 2),
+    ("scenario run", GAUGE_CHECK, 3),
+    ("evolve", SOLITON_RUN, 1),
+    ("scenario ensemble", GAUGE_CHECK + "ensemble.size = 3\nensemble.workers = 1\n", 3),
+], ids=["run", "gauge_run", "evolve", "ensemble"])
+def test_integrate_calls_per_command(tmp_path, monkeypatch, command, text, calls):
+    # a command integrates its run once and then opens its run directory:
+    # the run (one per ensemble member), the gauge twin and the replay of
+    # the first 20 steps are all the integrations there are
+    made = []
+    integrate = scenario.integrate
+    monkeypatch.setattr(scenario, "integrate", lambda cfg: made.append(cfg) or integrate(cfg))
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(text + "output.dir = run\n")
+    res = CliRunner().invoke(
+        cli.main, [*command.split(), str(cfg_file)], env={"NLSLAB_OUT": str(tmp_path)}
+    )
+    assert res.exit_code == 0, res.output
+    assert len(made) == calls
+
+
+def test_determinism_check_fails_on_a_one_ulp_replay(tmp_path, monkeypatch):
+    # the replay of the first 20 steps must equal the run's own rows bitwise
+    integrate = scenario.integrate
+
+    def one_ulp_off(cfg):
+        traj = integrate(cfg)
+        if cfg.max_steps == 20:
+            traj.mass[7] = np.nextafter(traj.mass[7], np.inf)
+        return traj
+
+    monkeypatch.setattr(scenario, "integrate", one_ulp_off)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(SOLITON_RUN + "output.dir = run\n")
+    res = CliRunner().invoke(cli.main, ["scenario", "run", str(cfg_file)],
+                             env={"NLSLAB_OUT": str(tmp_path)})
+    summary = json.loads(res.stdout)
+    assert res.exit_code == 3, res.output
+    assert summary["determinism_ok"] is False and summary["hard_checks_ok"] is False
+
+
+def test_determinism_check_of_a_run_under_20_steps(tmp_path):
+    # a run that stops before 20 steps is compared with all its rows
+    sc = dataclasses.replace(load_scenario(CONFIGS / "critical_blowup.cfg"), points=512, t1=0.003)
+    summary, _ = run_scenario(sc, tmp_path / "run")
+    assert summary["n_steps"] == 13
+    assert summary["determinism_ok"] is True
 
 
 _PROBE_RUN = {
