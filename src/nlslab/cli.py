@@ -105,12 +105,11 @@ def evolve_cmd(config_file):
 @main.command("diagnose")
 @click.argument("run_dir", type=click.Path(exists=True, file_okay=False))
 def diagnose_cmd(run_dir):
-    """Run the diagnostic battery on dumped trajectory artifacts.
-
-    The ground profile is that of the trajectory's d and of the ``physics.p``
-    in the run's ``config.txt`` (critical without one).  A directory without
-    a trajectory or with a damaged one, a malformed ``config.txt`` line or a
-    ``physics.p`` that does not parse or has no ground profile exits 2.
+    """Run the diagnostic battery on the run directory of ``scenario run`` or
+    ``evolve``: ``traj_000/``, ``config.txt`` (its ``physics.p``) and
+    ``summary.json`` (its stop reason).  A directory without one of them, a
+    damaged trajectory, a malformed ``config.txt`` line or a ``physics.p``
+    that is missing, does not parse or has no ground profile exits 2.
     """
     try:
         with _config_errors():

@@ -209,20 +209,17 @@ def virial(v: ComplexField, center, cutoff: Optional[CutoffSpec] = None) -> floa
     return float(np.sum(weight * dens)) * grid.dvol
 
 
-def _virial_drift(v: ComplexField, center, cutoff: Optional[CutoffSpec], weights=None, profiles=None) -> float:
-    """-2 Im int X grad(conj X) . grad(theta) dx for the gauged-back field."""
+def _virial_drift(v: ComplexField, center, cutoff: CutoffSpec, weights=None, profiles=None) -> float:
+    """-2 Im int X grad(conj X) . grad(theta_m) dx for the gauged-back field."""
     grid = v.grid
     grads = gradient_values(grid, v.values)
-    if cutoff is None:
-        grad_theta = [2.0 * (xj - cj) + np.zeros(grid.shape) for xj, cj in zip(grid.mesh(), np.atleast_1d(center))]
-    else:
-        r = np.sqrt(grid.radius_squared(center))
-        _, dth_r = cutoff.evaluate(grid, center)
-        safe_r = np.where(r > 1e-12, r, 1.0)
-        grad_theta = [
-            dth_r * np.where(r > 1e-12, (xj - cj) / safe_r, 0.0)
-            for xj, cj in zip(grid.mesh(), np.atleast_1d(center))
-        ]
+    r = np.sqrt(grid.radius_squared(center))
+    _, dth_r = cutoff.evaluate(grid, center)
+    safe_r = np.where(r > 1e-12, r, 1.0)
+    grad_theta = [
+        dth_r * np.where(r > 1e-12, (xj - cj) / safe_r, 0.0)
+        for xj, cj in zip(grid.mesh(), np.atleast_1d(center))
+    ]
     dens = np.abs(v.values) ** 2
     gpsi = profiles.grad_psi(weights) if profiles is not None else None
     total = 0.0
@@ -234,8 +231,8 @@ def _virial_drift(v: ComplexField, center, cutoff: Optional[CutoffSpec], weights
     return -2.0 * total * grid.dvol
 
 
-def virial_evolution_residual(traj: Trajectory, center, cutoff: Optional[CutoffSpec] = None):
-    """Residual of V(t) = V(0) - 2 Im int_0^t <grad(theta) X, grad X> ds.
+def virial_evolution_residual(traj: Trajectory, center, cutoff: CutoffSpec):
+    """Residual of V(t) = V(0) - 2 Im int_0^t <grad(theta_m) X, grad X> ds.
 
     Direct virial values at snapshot times against the trapezoid of the
     recorded drift; the identity carries no stochastic term.

@@ -290,9 +290,9 @@ class Trajectory:
     ``hamiltonian``, ``center``, ``loc_mass`` and ``momentum``, and a full
     noise run ``noise_values``, ``marty`` and ``smear``; a series a run does
     not record is None.  Each series is a C-contiguous float64 array of
-    ``n_steps + 1`` rows, (n,) or (n, width).  Read back from a run directory,
-    the momenta, the stop reason and the profiles are None: they are not on
-    disk.
+    ``n_steps + 1`` rows, (n,) or (n, width).  Read back from a run directory
+    (``scenario.diagnose_run``), the momenta and the profiles are None: they
+    are not on disk.
     """
 
     times: np.ndarray
@@ -398,7 +398,9 @@ class _Recorder:
         dens = absv**2
         mass_sq = float(np.sum(dens)) * dvol
         mass = math.sqrt(mass_sq)
-        if self.mass0 is None:
+        if self.mass0 is None:  # the drift is relative to it
+            if mass == 0.0:
+                raise EvolveError("initial mass is zero: the field is identically zero or |v|^2 underflows")
             self.mass0 = mass
 
         # one forward transform: the Parseval sums here, and the gauged-back
@@ -486,13 +488,11 @@ def integrate(config: EvolveConfig) -> Trajectory:
     (``nonfinite``, keeping the last good state; the step is not retried),
     or when the level passes the finest but two of the position grid
     (``step_underflow``).
-    An all-zero initial field is refused: the mass drift is relative to it;
-    so is a span of more than MAX_PATH_STEPS base steps.
+    An initial field of zero mass is refused (all zero, or so small that
+    |v|^2 underflows), and so is a span of more than MAX_PATH_STEPS base steps.
     """
     grid = config.v0.grid
     v = config.v0.values.copy()
-    if not np.any(v):
-        raise EvolveError("initial field is identically zero")
     t0, t1 = config.t0, config.t1
 
     profiles = None

@@ -29,9 +29,14 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+# the most points in one field (N^d), which bounds a run's memory
+MAX_GRID_POINTS = 1 << 20
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic grid on [-L/2, L/2)^d with N points per axis.
+    """Uniform periodic grid on [-L/2, L/2)^d with N points per axis, a power
+    of two >= 8 with N^d at most MAX_GRID_POINTS.
 
     Wavenumbers follow the standard DFT ordering 2*pi*k/L with
     k = 0, 1, ..., N/2-1, -N/2, ..., -1.
@@ -50,6 +55,8 @@ class GridSpec:
             raise GridError(
                 f"points per axis must be a power of two >= 8, got {self.points}"
             )
+        if self.points**self.d > MAX_GRID_POINTS:
+            raise GridError(f"{self.points}^{self.d} points per field are over the {MAX_GRID_POINTS} limit")
 
     @property
     def dx(self) -> float:

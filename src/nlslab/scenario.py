@@ -349,12 +349,6 @@ def _gaussian(grid: GridSpec, key: str, width: float, center=None) -> np.ndarray
     return np.exp(-grid.radius_squared(center) / width**2).astype(np.complex128)
 
 
-def _gaussian_with_mass(grid: GridSpec, width: float, mass_sq: float) -> ComplexField:
-    vals = _gaussian(grid, "init.width", width)
-    f = ComplexField(grid, vals)
-    return ComplexField(grid, vals * math.sqrt(mass_sq / l2_norm_sq(f)))
-
-
 def _regular_profile(
     sc: ScenarioConfig, grid: GridSpec, profile, blowup_time: float, t0: float
 ) -> ComplexField:
@@ -389,8 +383,9 @@ def _prepare(sc: ScenarioConfig) -> PreparedRun:
     profile = run_profile(sc.d, sc.p)
     grad_ref = math.sqrt(profile.grad_sq)
     if sc.kind == "loglog_supercritical":
-        initial = _gaussian_with_mass(grid, sc.init_width, sc.init_mass_sq_ratio * profile.mass_sq)
-        return PreparedRun(initial, grad_ref=grad_ref)
+        vals = _gaussian(grid, "init.width", sc.init_width)
+        scale = math.sqrt(sc.init_mass_sq_ratio * profile.mass_sq / l2_norm_sq(ComplexField(grid, vals)))
+        return PreparedRun(ComplexField(grid, vals * scale), grad_ref=grad_ref)
     if sc.kind not in SOLITON_KINDS:
         blowup = BlowupParams(blowup_time=sc.blowup_time, bubbles=sc.bubbles)
         initial = pseudo_conformal_blowup(blowup, sc.t0, grid, profile)
@@ -525,11 +520,6 @@ def _read_series(path: Path, layout) -> dict:
     }
 
 
-def _snapshot_files(tdir: Path) -> list:
-    """The snapshots of an ``output.snapshots = all`` run, in time order."""
-    return sorted(tdir.glob("snapshot_0*.txt"))
-
-
 def write_trajectory_artifacts(sc: ScenarioConfig, traj: Trajectory, tdir: Path) -> None:
     tdir.mkdir(parents=True, exist_ok=True)
     write_csv(tdir / "diagnostics.csv", _columns(traj, _DIAGNOSTICS_COLUMNS))
@@ -547,13 +537,12 @@ def write_trajectory_artifacts(sc: ScenarioConfig, traj: Trajectory, tdir: Path)
 def read_trajectory(tdir) -> Trajectory:
     """The trajectory ``write_trajectory_artifacts`` wrote to ``tdir``: every
     series bitwise, and every written snapshot (all of them, or the final
-    one).  What is not on disk reads back as None: the momenta, the noise
-    profiles and the stop reason.  A CSV that is not its layout's, a
+    one).  The momenta and the noise profiles are not on disk and read back
+    as None, and so does the stop reason, which ``diagnose_run`` reads from
+    the run's ``summary.json``.  A CSV that is not its layout's, a
     ``hevo.csv`` whose rows are not those of ``diagnostics.csv``, or a last
     ``t`` that is not the final snapshot's time (a cut at a row) raises
-    TrajectoryError; a run without snapshots (``output.snapshots = none``)
-    has no time to check its rows against (``diagnose_run`` checks them
-    against the run's ``summary.json``)."""
+    TrajectoryError."""
     tdir = Path(tdir)
     if not (tdir / "diagnostics.csv").exists():
         raise TrajectoryError(f"no trajectory: {tdir} holds no diagnostics.csv")
@@ -564,7 +553,8 @@ def read_trajectory(tdir) -> Trajectory:
         if len(series["times"]) != len(series["mass"]):
             raise TrajectoryError(f"damaged trajectory: {hevo} and diagnostics.csv differ in length")
     final = tdir / "snapshot_final.txt"
-    paths = _snapshot_files(tdir) or ([final] if final.exists() else [])
+    # the snapshots of an ``output.snapshots = all`` run, in time order, or the final one
+    paths = sorted(tdir.glob("snapshot_0*.txt")) or ([final] if final.exists() else [])
     snapshots = [(t, field) for field, t in map(read_snapshot, paths)]
     if snapshots and series["times"][-1] != snapshots[-1][0]:
         raise TrajectoryError(f"damaged trajectory: {tdir / 'diagnostics.csv'} does not end at its final snapshot")
@@ -690,7 +680,8 @@ def run_battery(traj: Trajectory, p: Optional[float] = None) -> tuple:
 def _residual_series(sc, traj, outdir, prep: PreparedRun) -> dict:
     """Profile residuals of each snapshot against the run's exact family
     (``prep.reference``, ``prep.centers``), less its regular profile if it
-    has one, until the reference raises ProfileError: their summary keys."""
+    has one, until the reference raises ProfileError (not at the first
+    snapshot, at t0, where ``_prepare`` built it): their summary keys."""
     if prep.reference is None:
         return {}
     if prep.regular:
@@ -711,8 +702,6 @@ def _residual_series(sc, traj, outdir, prep: PreparedRun) -> dict:
         l2s.append(res.l2)
         h1s.append(res.h1)
         per.append([b[1] for b in res.per_bubble])
-    if not times:
-        return {}
     rows = {"t": times, "l2": l2s, "h1": h1s}
     summary = {
         "profile_residual_max_l2": float(np.max(l2s)),
@@ -726,44 +715,48 @@ def _residual_series(sc, traj, outdir, prep: PreparedRun) -> dict:
     return _json_ready(summary)
 
 
-def _check_step_count(summary: Path, traj: Trajectory, tdir: Path) -> None:
-    """``diagnostics.csv`` holds the ``n_steps + 1`` rows ``summary.json``
-    records: a cut at a row boundary keeps every file's layout, and
-    without a snapshot no final time shows it."""
+def _recorded_stop(summary: Path, traj: Trajectory, tdir: Path) -> str:
+    """The ``stop_reason`` of ``summary.json``, whose ``n_steps + 1`` rows
+    ``traj`` must hold: a cut at a row boundary keeps every file's layout,
+    and without a snapshot no final time shows it."""
     try:
-        n_steps = json.loads(summary.read_text())["n_steps"]
+        record = json.loads(summary.read_text())
+        n_steps, stop_reason = record["n_steps"], record["stop_reason"]
     except (ValueError, TypeError, KeyError) as exc:
-        raise TrajectoryError(f"damaged trajectory: {summary} records no n_steps ({exc})") from exc
-    if type(n_steps) is not int or traj.times.size != n_steps + 1:
+        raise TrajectoryError(f"damaged trajectory: {summary} records no n_steps or stop_reason ({exc})") from exc
+    if type(n_steps) is not int or type(stop_reason) is not str or traj.times.size != n_steps + 1:
         raise TrajectoryError(
-            f"damaged trajectory: {tdir / 'diagnostics.csv'} holds {traj.times.size} rows, "
-            f"not the n_steps + 1 of {summary} (n_steps = {n_steps!r})"
+            f"damaged trajectory: {tdir / 'diagnostics.csv'} holds {traj.times.size} rows, and {summary} "
+            f"records n_steps = {n_steps!r}, stop_reason = {stop_reason!r}"
         )
+    return stop_reason
 
 
 def diagnose_run(run_dir: Path) -> dict:
-    """``run_battery`` on the trajectory in ``run_dir/traj_000`` (or
-    ``run_dir``), written as ``report.json`` (also returned) and its tables
-    as ``*_check.csv``.  What is not on disk reads None: without the
-    momenta, ``banica_ok`` needs ``hevo.csv``; without a snapshot there is
-    no modulation fit.  The exponent is the ``physics.p`` in
-    ``run_dir/config.txt`` (critical without one); no other key of that
-    file is read, so keys a later schema dropped do no harm.  Where
-    ``scenario run`` or ``nlslab evolve`` left its ``summary.json``, the
-    trajectory must hold its ``n_steps + 1`` rows."""
+    """``run_battery`` on the run directory ``scenario run`` or ``nlslab
+    evolve`` wrote, written as ``report.json`` (also returned) and its tables
+    as ``*_check.csv``.  It reads the trajectory in ``traj_000/``, then the
+    ``physics.p`` of ``config.txt`` (no other key, so keys a later schema
+    dropped do no harm) and the ``n_steps`` and ``stop_reason`` of
+    ``summary.json``, whose ``n_steps + 1`` rows the trajectory must hold.  A
+    directory without any of them is refused.  The momenta are not on disk:
+    ``banica_ok`` needs ``hevo.csv``; without a snapshot there is no
+    modulation fit."""
     run_dir = Path(run_dir)
-    config = run_dir / "config.txt"
+    tdir = run_dir / "traj_000"
+    traj = read_trajectory(tdir)
+    config, summary = run_dir / "config.txt", run_dir / "summary.json"
+    for path in (config, summary):
+        if not path.is_file():
+            raise TrajectoryError(f"incomplete run: {run_dir} holds no {path.name}")
     try:
-        raw = parse_config_text(config.read_text()).get("physics.p") if config.exists() else None
+        raw = parse_config_text(config.read_text())["physics.p"]
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{config} is not UTF-8 text ({exc.reason})") from exc
-    p = None if raw is None else _read("physics.p", _FLOAT, raw, None)
-    tdir = run_dir / "traj_000"
-    if not tdir.exists():
-        tdir = run_dir
-    traj = read_trajectory(tdir)
-    if (run_dir / "summary.json").exists():
-        _check_step_count(run_dir / "summary.json", traj, tdir)
+    except KeyError:
+        raise ConfigError(f"{config} records no physics.p") from None
+    p = _read("physics.p", _FLOAT, raw, None)
+    traj.stop_reason = _recorded_stop(summary, traj, tdir)
     report, tables = run_battery(traj, p)
     for name, columns in tables.items():
         write_csv(run_dir / f"{name}_check.csv", columns)

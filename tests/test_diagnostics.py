@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,22 @@ def test_virial_constant_for_standing_soliton(profile):
     assert np.abs(r).max() < 1e-10
     series = [virial(s, (0.0,), cut) for _, s in traj.snapshots]
     assert max(series) - min(series) < 1e-5
+
+
+def test_virial_identity_of_a_noise_run_holds_for_the_gauged_back_field(profile, grid):
+    # with Schwartz noise the drift is that of X = e^{i psi} v, whose gauge
+    # term -grad(psi) |v|^2 carries the noise: measured 9.4e-5 at seed 3,
+    # against 0.12 without that term
+    sp = SolitonParams(solitons=(Soliton(velocity=(1.0,), width=1.0),))
+    spec = ProfileSpec(kind="schwartz", amplitude=0.3, n_modes=2)
+    cfg = EvolveConfig(p=5.0, v0=solitary_wave(sp, 0.0, grid, profile), t0=0.0, t1=0.5, dt0=2.5e-4,
+                       cadence=5, adaptive=False, noise=NoiseSetup(profiles=spec, seed=3))
+    traj = integrate(cfg)
+    cut = build_cutoff(2.0)
+    _, r = virial_evolution_residual(traj, (0.0,), cut)
+    assert np.abs(r).max() < 1e-3
+    _, ungauged = virial_evolution_residual(dataclasses.replace(traj, profiles=None), (0.0,), cut)
+    assert np.abs(ungauged).max() > 0.05
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ def test_grid_spacing_2d():
 
 @pytest.mark.parametrize("d,L,N", [
     (1, 2 * np.pi, 7), (1, -1.0, 8), (1, 2.0, 4), (3, 2.0, 16), (1, np.nan, 1024), (1, np.inf, 1024),
+    (1, 40.0, 2**21), (2, 40.0, 2048),  # over 2^20 points per field
 ])
 def test_grid_rejects_bad_parameters(d, L, N):
     with pytest.raises(GridError):

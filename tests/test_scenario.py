@@ -706,14 +706,12 @@ def test_diagnose_report_equals_run_summary(tmp_path, text):
     assert set(report) == set(summary) - _RUN_ONLY_KEYS - {"banica_max_violation"}
     assert {"n_steps", "mass_drift", "modulation", "concentration"} <= set(report)
     hevo = (out / "traj_000" / "hevo.csv").exists()
-    for key in set(report) - {"stop_reason"}:
-        if key == "banica_ok" and not hevo:
-            # the coordinate-function half of the sweep needs the momenta,
-            # which are not on disk
-            assert report[key] is None
-            continue
+    for key in set(report) - {"banica_ok"}:
         assert json.dumps(report[key], sort_keys=True) == json.dumps(summary[key], sort_keys=True), key
-    assert report["stop_reason"] is None
+    # the coordinate-function half of the sweep needs the momenta, which are
+    # not on disk
+    assert report["banica_ok"] == (summary["banica_ok"] if hevo else None)
+    assert report["stop_reason"] == summary["stop_reason"] is not None
     if hevo:
         assert (out / "hevo_residual_check.csv").read_bytes() == (out / "hevo_residual.csv").read_bytes()
     else:
@@ -819,6 +817,33 @@ def test_diagnose_without_trajectory_exit_2(tmp_path, contents):
     assert res.exit_code == 2
     assert res.stderr.startswith("no trajectory: ") and res.stderr.count("\n") == 1
     assert "Traceback" not in res.output
+
+
+def _without_physics_p(run_dir):
+    config = run_dir / "config.txt"
+    config.write_text("".join(
+        line for line in config.read_text().splitlines(keepends=True) if not line.startswith("physics.p ")
+    ))
+
+
+@pytest.mark.parametrize("target, damage, says", [
+    ("traj_000", lambda run_dir: None, "no trajectory: "),
+    (".", lambda run_dir: (run_dir / "config.txt").unlink(), "incomplete run: "),
+    (".", _without_physics_p, "config error: "),
+    (".", lambda run_dir: (run_dir / "summary.json").unlink(), "incomplete run: "),
+], ids=["trajectory_directory", "no_config", "no_physics_p", "no_summary"])
+def test_diagnose_of_an_incomplete_run_exit_2(tmp_path, gauge_run, target, damage, says):
+    # diagnose reads the one layout scenario run and evolve write, whole: a
+    # trajectory directory on its own, or a run directory without config.txt,
+    # its physics.p or summary.json, is refused with one line and no report
+    run_dir = tmp_path / "run"
+    shutil.copytree(gauge_run, run_dir)
+    damage(run_dir)
+    res = CliRunner().invoke(cli.main, ["diagnose", str(run_dir / target)])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith(says) and res.stderr.count("\n") == 1, res.stderr
+    assert "Traceback" not in res.output
+    assert not list(run_dir.rglob("report.json"))
 
 
 @pytest.fixture(scope="module")
@@ -1205,6 +1230,8 @@ _PROBE_KINDS = {
     ("scenario run", "loglog_supercritical", "init.width", "1.5e-154"),
     ("scenario run", "bourgain_wang", "zstar.width", "1e-3"),
     ("scenario run", "nonpure_soliton", "zstar.width", "0.6"),
+    ("scenario run", "nonpure_soliton", "zstar.amplitude_rel", "1e-300"),
+    ("scenario run", "critical_blowup", "grid.N", "1073741824"),
 ], ids=["t1_nan", "t1_inf", "dt0_nan", "gmax_nan", "width_factor_nan", "amplitude_nan",
         "bubble_phase_nan", "point_inf", "workers_negative", "seed_negative",
         "mass_sq_ratio_zero", "mass_sq_ratio_negative", "init_width_zero", "zstar_width_zero",
@@ -1212,7 +1239,7 @@ _PROBE_KINDS = {
         "span_dt0_tiny", "span_dt0_subnormal_unit", "span_t1_huge", "init_width_square_underflows",
         "bubble_width_square_overflows", "grid_L_tiny", "grid_L_4", "init_width_under_resolved",
         "init_width_quotient_overflows", "zstar_width_under_resolved_bourgain_wang",
-        "zstar_width_under_resolved_nonpure_soliton"])
+        "zstar_width_under_resolved_nonpure_soliton", "zstar_mass_underflows", "grid_N_huge"])
 def test_cli_refuses_non_finite_values_and_workers_below_one(tmp_path, command, kind, key, value):
     # also the non-positive initial data, which crashed or warned before the
     # config error, the spans and widths that hung or overflowed, a box too
@@ -1223,6 +1250,7 @@ def test_cli_refuses_non_finite_values_and_workers_below_one(tmp_path, command, 
     says = {
         ("evolve.dt0", "1e-290"): "time span", ("evolve.dt0", "1e-300"): "time span",
         ("evolve.t1", "1e300"): "time span", ("blowup.bubbles", "0:1e200:0"): "bubble width",
+        ("zstar.amplitude_rel", "1e-300"): "initial mass is zero", ("grid.N", "1073741824"): "points",
     }.get((key, value), key)
     text = "".join(f"{k} = {v}\n" for k, v in {**_PROBE_RUN, **_PROBE_KINDS[kind], key: value}.items())
     cfg_file = tmp_path / "probe.cfg"
@@ -1269,7 +1297,10 @@ def test_cli_ground_state(tmp_path):
     (["--tol", "nan"], "tolerance"),
     (["--tol", "inf"], "tolerance"),
     (["-L", "nan"], "extent"),
-], ids=["N_not_power_of_two", "dx_too_coarse", "d3", "p_supercritical", "tol_nan", "tol_inf", "L_nan"])
+    (["-N", "1073741824"], "points per field"),
+    (["-d", "2", "-N", "2048"], "points per field"),
+], ids=["N_not_power_of_two", "dx_too_coarse", "d3", "p_supercritical", "tol_nan", "tol_inf", "L_nan",
+        "N_huge", "N_huge_2d"])
 def test_cli_ground_state_refused_options_exit_2(tmp_path, args, reason):
     # the grid or the solver refuses the option, by name, before the output is made
     res = _cli(["ground-state", *args, "--out", "gs"], cwd=tmp_path)
